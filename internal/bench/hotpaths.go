@@ -59,7 +59,7 @@ func DefaultHotpathConfig() HotpathConfig {
 // HotpathResult is one kernel's sequential-vs-parallel measurement.
 type HotpathResult struct {
 	// Name identifies the kernel: cart_train, grid_scan, index_build,
-	// kmeans_cluster.
+	// kmeans_cluster, kmeans_hierarchy.
 	Name string `json:"name"`
 	// NsPerOpWorkers1 is ns/op on the forced-sequential path.
 	NsPerOpWorkers1 int64 `json:"ns_per_op_workers_1"`
@@ -198,8 +198,8 @@ func nearestRankNs(sorted []time.Duration, q float64) int64 {
 	return sorted[idx].Nanoseconds()
 }
 
-// RunHotpaths benchmarks the four parallelized hot paths — CART training,
-// grid scanning, view index construction and k-means clustering — at
+// RunHotpaths benchmarks the parallelized hot paths — CART training, grid
+// scanning, view index construction and k-means clustering — at
 // workers=1 versus the configured worker count, verifying on every kernel
 // that both sides produce identical output.
 func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
@@ -398,6 +398,28 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		measure(cfg.MinTime, nil, func() { clusterAt(1) }),
 		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_cluster"), func() { clusterAt(workers) }),
 		reflect.DeepEqual(cSeq.Assign, cPar.Assign) && cSeq.Inertia == cPar.Inertia))
+
+	// kmeans_hierarchy: the three-level fit clustering discovery runs
+	// inside session creation at default options — a 2000-point sample of
+	// a skewed 2-d space, K = 16/64/250, one rng threaded through the
+	// levels. Seeding-dominated at the deep levels, unlike kmeans_cluster.
+	hpoints := hotpathClusterSet(2000, 2, cfg.Seed)
+	hierarchyAt := func(w int) []*kmeans.Result {
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		levels := make([]*kmeans.Result, 0, 3)
+		for _, k := range []int{16, 64, 250} {
+			res, err := kmeans.Cluster(hpoints, kmeans.Params{K: k, MaxIters: 20, Workers: w}, rng)
+			if err != nil {
+				panic(err)
+			}
+			levels = append(levels, res)
+		}
+		return levels
+	}
+	rep.Results = append(rep.Results, hotpathResult("kmeans_hierarchy",
+		measure(cfg.MinTime, nil, func() { hierarchyAt(1) }),
+		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_hierarchy"), func() { hierarchyAt(workers) }),
+		reflect.DeepEqual(hierarchyAt(1), hierarchyAt(workers))))
 
 	rt, err := measureShardRoundtrips(cfg)
 	if err != nil {

@@ -269,11 +269,12 @@ func newClusterDiscovery(s *Session) (*clusterDiscovery, error) {
 		if err != nil {
 			return nil, fmt.Errorf("explore: clustering level %d: %w", l, err)
 		}
+		radii := resK.Radii(points)
 		nodes := make([]clusterNode, len(resK.Centroids))
 		for c := range resK.Centroids {
 			nodes[c] = clusterNode{
 				center: resK.Centroids[c],
-				radius: resK.Radius(points, c),
+				radius: radii[c],
 				level:  l,
 			}
 		}
@@ -409,11 +410,4 @@ func (d *hybridDiscovery) step(s *Session, budget int, res *IterationResult) {
 		d.switched = true
 	}
 	d.grid.step(s, budget, res)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -18,6 +18,9 @@ var (
 	obsAreasPredicted   = obs.GetGauge("explore.areas_predicted")
 	obsIterationSeconds = obs.GetHistogram("explore.iteration_seconds")
 	obsTrainSeconds     = obs.GetHistogram("explore.train_seconds")
+	// Session creation is a user-visible wait of its own: clustering and
+	// hybrid discovery fit their k-means hierarchy inside NewSession.
+	obsNewSessionSeconds = obs.GetHistogram("explore.new_session_seconds")
 
 	// aide_iteration_seconds{phase} attributes iteration wall time to the
 	// steering phases plus classifier training; children are resolved once

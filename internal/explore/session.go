@@ -124,6 +124,7 @@ func NewSession(view *engine.View, oracle Oracle, opts Options) (*Session, error
 	if err := opts.validate(view.Dims()); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	if opts.Workers != 0 {
 		// Route this session's scans through the requested worker count
 		// without touching the (possibly shared) underlying view.
@@ -164,6 +165,7 @@ func NewSession(view *engine.View, oracle Oracle, opts Options) (*Session, error
 	if err != nil {
 		return nil, err
 	}
+	obsNewSessionSeconds.Observe(time.Since(start).Seconds())
 	return s, nil
 }
 

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"github.com/explore-by-example/aide/internal/geom"
+	"github.com/explore-by-example/aide/internal/obs"
 	"github.com/explore-by-example/aide/internal/par"
 )
 
@@ -26,6 +28,10 @@ var (
 )
 
 const minAssignChunk = 256
+
+// obsClusterSeconds is the wall time of one Cluster call (observational
+// only, resolved once).
+var obsClusterSeconds = obs.GetHistogram("kmeans.cluster_seconds")
 
 // Result holds the output of a clustering run.
 type Result struct {
@@ -42,32 +48,18 @@ type Result struct {
 	Iters int
 }
 
-// Radius returns the maximum Chebyshev distance from the centroid to any
-// member of cluster c: the per-cluster sampling radius used by
-// clustering-based discovery ("gamma < delta, where delta is the radius
-// of the cluster", Section 3.1).
-func (r *Result) Radius(points []geom.Point, c int) float64 {
-	var m float64
-	for i, a := range r.Assign {
-		if a != c {
-			continue
-		}
-		if d := r.Centroids[c].ChebyshevDist(points[i]); d > m {
-			m = d
+// Radii returns, for every cluster, the maximum Chebyshev distance from
+// its centroid to any of its members: the per-cluster sampling radius
+// used by clustering-based discovery ("gamma < delta, where delta is the
+// radius of the cluster", Section 3.1). An empty cluster has radius 0.
+func (r *Result) Radii(points []geom.Point) []float64 {
+	radii := make([]float64, len(r.Centroids))
+	for i, c := range r.Assign {
+		if d := r.Centroids[c].ChebyshevDist(points[i]); d > radii[c] {
+			radii[c] = d
 		}
 	}
-	return m
-}
-
-// Members returns the indexes of points assigned to cluster c.
-func (r *Result) Members(c int) []int {
-	var out []int
-	for i, a := range r.Assign {
-		if a == c {
-			out = append(out, i)
-		}
-	}
-	return out
+	return radii
 }
 
 // BoundingRect returns the axis-aligned bounding box of cluster c's
@@ -174,25 +166,29 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 	if params.Tol == 0 {
 		params.Tol = 1e-6
 	}
-	d := len(points[0])
+	start := time.Now()
+
+	// Every kernel below reads points from one row-major array (point i
+	// is pts[i*d:(i+1)*d]) and centroids from another, so the distance
+	// loops walk contiguous memory instead of chasing a slice header per
+	// point and per centroid.
+	n, d := len(points), len(points[0])
+	pts := make([]float64, n*d)
 	for i, p := range points {
 		if len(p) != d {
 			return nil, fmt.Errorf("kmeans: point %d has %d dims, want %d", i, len(p), d)
 		}
+		copy(pts[i*d:], p)
 	}
 
-	cents := seedPlusPlus(points, params.K, rng, params.Workers)
-	k := len(cents)
-	assign := make([]int, len(points))
+	cents, k := seedPlusPlus(pts, n, d, params.K, rng, params.Workers)
+	assign := make([]int, n)
 	sizes := make([]int, k)
 
 	// Double-buffered centroid set: sums accumulate into next (never the
 	// buffer cents currently aliases) and the two swap at the end of each
 	// iteration, so Lloyd's loop allocates nothing per iteration.
-	next := make([]geom.Point, k)
-	for c := range next {
-		next[c] = make(geom.Point, d)
-	}
+	next := make([]float64, k*d)
 
 	iters := 0
 	for iters < params.MaxIters {
@@ -201,39 +197,34 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 		}
 		iters++
 		// Assignment step: each point's nearest centroid is independent,
-		// so it fans out across the worker pool; size counting stays
-		// sequential (cheap integer work).
-		assignNearest(points, cents, params.Workers, assign, nil)
-		for i := range sizes {
-			sizes[i] = 0
-		}
-		for _, a := range assign {
+		// so it fans out across the worker pool.
+		assignNearest(pts, cents, k, d, params.Workers, assign, nil)
+		// Update step: sizes and centroid sums in one pass, sequential in
+		// point order so the float sums are the same at every worker count.
+		clear(sizes)
+		clear(next)
+		for i, a := range assign {
 			sizes[a]++
-		}
-		// Update step.
-		for c := range next {
-			clear(next[c])
-		}
-		for i, p := range points {
-			c := next[assign[i]]
-			for j := range p {
-				c[j] += p[j]
+			sum := next[a*d : (a+1)*d]
+			for j, x := range pts[i*d : (i+1)*d] {
+				sum[j] += x
 			}
 		}
 		moved := 0.0
-		for c := range next {
+		for c := 0; c < k; c++ {
+			nc := next[c*d : (c+1)*d]
 			if sizes[c] == 0 {
 				// Re-seed an empty cluster at the farthest point from its
-				// old centroid to keep k stable.
-				copy(next[c], farthestPoint(points, cents))
-				sizes[c] = 0
+				// nearest old centroid to keep k stable.
+				f := farthestPoint(pts, cents, n, k, d)
+				copy(nc, pts[f*d:(f+1)*d])
 				moved = math.Inf(1)
 				continue
 			}
-			for j := range next[c] {
-				next[c][j] /= float64(sizes[c])
+			for j := range nc {
+				nc[j] /= float64(sizes[c])
 			}
-			moved += math.Sqrt(sqDist(cents[c], next[c]))
+			moved += math.Sqrt(sqDist(cents[c*d:(c+1)*d], nc))
 		}
 		cents, next = next, cents
 		if moved < params.Tol {
@@ -244,37 +235,61 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 	// Final assignment with the converged centroids. Distances compute in
 	// parallel; inertia accumulates sequentially in point order so the
 	// float sum is reproducible at every worker count.
-	res := &Result{Centroids: cents, Assign: assign, Sizes: make([]int, k)}
-	dists := make([]float64, len(points))
-	assignNearest(points, cents, params.Workers, res.Assign, dists)
-	for i := range points {
-		res.Sizes[res.Assign[i]]++
+	res := &Result{Centroids: make([]geom.Point, k), Assign: assign, Sizes: sizes, Iters: iters}
+	for c := range res.Centroids {
+		res.Centroids[c] = cents[c*d : (c+1)*d : (c+1)*d]
+	}
+	dists := make([]float64, n)
+	assignNearest(pts, cents, k, d, params.Workers, assign, dists)
+	clear(sizes)
+	for i, a := range assign {
+		sizes[a]++
 		res.Inertia += dists[i]
 	}
-	res.Iters = iters
+	obsClusterSeconds.Observe(time.Since(start).Seconds())
 	return res, nil
 }
 
+// nearest is the one distance kernel: it returns the index of the
+// centroid (the k rows of stride len(p) in cents) nearest to p and the
+// squared distance to it. Ties keep the lowest index, and each distance
+// sums its squared coordinate differences in dimension order, so a given
+// (point, centroid) pair yields the same float wherever it is evaluated.
+func nearest(p, cents []float64, k int) (best int, bestD float64) {
+	d := len(p)
+	bestD = math.Inf(1)
+	for c := 0; c < k; c++ {
+		if s := sqDist(p, cents[c*d:(c+1)*d]); s < bestD {
+			best, bestD = c, s
+		}
+	}
+	return best, bestD
+}
+
+func sqDist(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	for i, x := range a {
+		t := x - b[i]
+		s += t * t
+	}
+	return s
+}
+
 // assignNearest writes each point's nearest-centroid index into assign
-// and its squared distance into dists (either may be nil), chunking the
+// and its squared distance into dists (dists may be nil), chunking the
 // points across the worker pool. Writes are disjoint per point, so the
 // result is independent of the worker count.
-func assignNearest(points, cents []geom.Point, workers int, assign []int, dists []float64) {
+func assignNearest(pts, cents []float64, k, d, workers int, assign []int, dists []float64) {
 	// Work hint: one distance computation per (point, centroid) pair.
 	// Misclassified-exploitation clusterings over a handful of false
 	// negatives run inline; full-dataset discovery clusterings still fan
 	// out.
-	par.ForWork(kernelAssign, workers, len(points), minAssignChunk, len(points)*len(cents), func(_, lo, hi int) {
+	n := len(assign)
+	par.ForWork(kernelAssign, workers, n, minAssignChunk, n*k, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range cents {
-				if d := sqDist(points[i], cent); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign != nil {
-				assign[i] = best
-			}
+			best, bestD := nearest(pts[i*d:(i+1)*d], cents, k)
+			assign[i] = best
 			if dists != nil {
 				dists[i] = bestD
 			}
@@ -285,72 +300,79 @@ func assignNearest(points, cents []geom.Point, workers int, assign []int, dists 
 // seedPlusPlus picks initial centroids with the k-means++ strategy:
 // subsequent centers are drawn with probability proportional to squared
 // distance from the nearest existing center. Duplicated points cannot
-// yield more centers than distinct values, so the returned slice may be
-// shorter than k.
-func seedPlusPlus(points []geom.Point, k int, rng *rand.Rand, workers int) []geom.Point {
-	cents := []geom.Point{points[rng.Intn(len(points))].Clone()}
-	dist := make([]float64, len(points))
-	for len(cents) < k {
-		// Distance-to-nearest-center is independent per point; the total
-		// (which shapes the rng draw) accumulates sequentially in point
-		// order to stay reproducible at every worker count. Work scales
-		// with (point, center) pairs, so tiny inputs skip the pool.
-		par.ForWork(kernelSeed, workers, len(points), minAssignChunk, len(points)*len(cents), func(_, lo, hi int) {
+// yield more centers than distinct values, so the returned row count may
+// be smaller than k.
+//
+// dist keeps each point's distance to its nearest center so far, and a
+// round folds in only the center the previous round added: O(n) per
+// round, O(n*k) overall. A strict-< minimum over the same per-pair
+// distances is exact whatever order they arrive in, so dist is the same
+// array a recomputation against every center would give.
+func seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand, workers int) ([]float64, int) {
+	cents := make([]float64, 0, min(k, n)*d)
+	newest := rng.Intn(n)
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	chosen := 0
+	for {
+		cents = append(cents, pts[newest*d:(newest+1)*d]...)
+		if chosen++; chosen == k {
+			break
+		}
+		// Distance to the newest center is independent per point; the
+		// total (which shapes the rng draw) accumulates sequentially in
+		// point order to stay reproducible at every worker count. One
+		// round is n distances, so discovery-sized samples stay inline.
+		center := cents[len(cents)-d:]
+		par.ForWork(kernelSeed, workers, n, minAssignChunk, n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				best := math.Inf(1)
-				for _, c := range cents {
-					if d := sqDist(points[i], c); d < best {
-						best = d
-					}
+				if s := sqDist(pts[i*d:(i+1)*d], center); s < dist[i] {
+					dist[i] = s
 				}
-				dist[i] = best
 			}
 		})
 		var total float64
-		for _, d := range dist {
-			total += d
+		for _, w := range dist {
+			total += w
 		}
 		if total == 0 {
 			break // fewer distinct points than k
 		}
-		pick := rng.Float64() * total
-		idx := 0
-		for i, w := range dist {
-			pick -= w
-			if pick <= 0 {
-				idx = i
-				break
-			}
-		}
-		cents = append(cents, points[idx].Clone())
+		newest = weightedPick(dist, rng.Float64()*total)
 	}
-	return cents
+	return cents, chosen
 }
 
-// farthestPoint returns the point with maximum distance to its nearest
-// centroid.
-func farthestPoint(points []geom.Point, cents []geom.Point) geom.Point {
-	bestIdx, bestD := 0, -1.0
-	for i, p := range points {
-		near := math.Inf(1)
-		for _, c := range cents {
-			if d := sqDist(p, c); d < near {
-				near = d
-			}
+// weightedPick returns the first index at which the running sum of the
+// weights w reaches pick, skipping zero-weight entries (points that are
+// already centers). pick is u*total for u in [0, 1); when rounding leaves
+// a positive residue after the last weight, the last positive-weight
+// index is the answer the exact arithmetic would have given.
+func weightedPick(w []float64, pick float64) int {
+	last := 0
+	for i, x := range w {
+		if x <= 0 {
+			continue
 		}
-		if near > bestD {
+		if pick -= x; pick <= 0 {
+			return i
+		}
+		last = i
+	}
+	return last
+}
+
+// farthestPoint returns the index of the point with maximum distance to
+// its nearest centroid.
+func farthestPoint(pts, cents []float64, n, k, d int) int {
+	bestIdx, bestD := 0, -1.0
+	for i := 0; i < n; i++ {
+		if _, near := nearest(pts[i*d:(i+1)*d], cents, k); near > bestD {
 			bestD = near
 			bestIdx = i
 		}
 	}
-	return points[bestIdx]
-}
-
-func sqDist(a, b geom.Point) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
+	return bestIdx
 }

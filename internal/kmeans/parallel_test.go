@@ -71,3 +71,21 @@ func TestClusterParallelEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkClusterHierarchy fits the clustering-discovery hierarchy as
+// explore.newClusterDiscovery does at session creation with default
+// options: a 2000-point sample of a skewed 2-D space, three levels
+// (K = 16, 64, 250), MaxIters 20, one rng threaded through all three.
+func BenchmarkClusterHierarchy(b *testing.B) {
+	points := clusterPoints(2000, 2, 6, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(1))
+		for _, k := range []int{16, 64, 250} {
+			if _, err := Cluster(points, Params{K: k, MaxIters: 20}, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

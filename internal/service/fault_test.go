@@ -42,8 +42,16 @@ func uniformView(t *testing.T, seed int64) *engine.View {
 // it, as a crash would) and recovers its session on a fresh server from
 // the WAL alone. The recovered session must keep its ID, never re-ask a
 // label, and end with predictions bit-identical to a control run that
-// was never interrupted.
+// was never interrupted — under grid discovery and under clustering
+// discovery, where recovery refits the k-means hierarchy from the logged
+// seed and must land on the same clusters and the same rng position.
 func TestRecoverSessionsReplay(t *testing.T) {
+	for _, discovery := range []string{"grid", "clustering"} {
+		t.Run(discovery, func(t *testing.T) { testRecoverSessionsReplay(t, discovery) })
+	}
+}
+
+func testRecoverSessionsReplay(t *testing.T, discovery string) {
 	dir := t.TempDir()
 	target := geom.R(30, 45, 50, 65)
 	req := CreateSessionRequest{
@@ -51,6 +59,7 @@ func TestRecoverSessionsReplay(t *testing.T) {
 		Seed:                7,
 		SamplesPerIteration: 10,
 		MaxIterations:       12,
+		Discovery:           discovery,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

@@ -119,6 +119,46 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	}
 }
 
+// TestCreateLatencyMetricsExposed: session creation is a user-visible
+// wait (clustering discovery fits its k-means hierarchy inside it), so a
+// clustering-discovery create must show up on /v1/metrics as
+// explore.new_session_seconds and kmeans.cluster_seconds observations.
+func TestCreateLatencyMetricsExposed(t *testing.T) {
+	srv, _ := newTestServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+
+	// The registry is process-wide: compare counts around the create.
+	counts := func() (newSession, cluster float64) {
+		t.Helper()
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := func(name string) float64 {
+			h, _ := m[name].(map[string]any)
+			n, _ := h["count"].(float64)
+			return n
+		}
+		return count("explore.new_session_seconds"), count("kmeans.cluster_seconds")
+	}
+	sessBefore, clusterBefore := counts()
+	id, err := c.CreateSession(ctx, CreateSessionRequest{View: "uniform", Discovery: "clustering", Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(ctx, id)
+	sessAfter, clusterAfter := counts()
+	if sessAfter <= sessBefore {
+		t.Errorf("explore.new_session_seconds count %v -> %v, want an increase", sessBefore, sessAfter)
+	}
+	if clusterAfter <= clusterBefore {
+		t.Errorf("kmeans.cluster_seconds count %v -> %v, want an increase", clusterBefore, clusterAfter)
+	}
+}
+
 func TestHealthzAndViewsMetadata(t *testing.T) {
 	srv, v := newTestServer(t)
 	ts := httptest.NewServer(srv)
