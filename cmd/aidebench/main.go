@@ -23,7 +23,7 @@
 // report, so a CI-regenerated BENCH_hotpaths.json can never quietly
 // carry a warning. The -baseline flag turns aidebench into a regression
 // gate: it reruns the hot-path suite at a committed BENCH_hotpaths.json's
-// scale and exits nonzero when grid_scan or grid_scan_batched
+// scale and exits nonzero when grid_scan, grid_scan_batched or sample_plan
 // single-thread ns/op regresses more than 20%, the batched path's
 // speedup over the sequential per-rect loop drops below 3x, or any
 // kernel loses its bit-identity gate:
@@ -77,7 +77,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "run the hot-path worker-pool benchmark and write its JSON report to this file ('-' for stdout)")
 		workers  = flag.Int("workers", 0, "worker count for the -json benchmark's parallel side (0: AIDE_WORKERS or GOMAXPROCS)")
 		procs    = flag.Int("gomaxprocs", 0, "GOMAXPROCS while benchmarking (0: runtime.NumCPU(); honest speedups need gomaxprocs >= workers)")
-		baseline = flag.String("baseline", "", "regression-gate mode: rerun the hot-path suite at this committed BENCH_hotpaths.json's scale and exit nonzero if grid_scan or grid_scan_batched single-thread ns/op regresses >20%, the batched speedup drops below 3x, or any identical gate fails")
+		baseline = flag.String("baseline", "", "regression-gate mode: rerun the hot-path suite at this committed BENCH_hotpaths.json's scale and exit nonzero if grid_scan, grid_scan_batched or sample_plan single-thread ns/op regresses >20%, the batched speedup drops below 3x, or any identical gate fails")
 
 		tracePath = flag.String("trace", "", "replay a flight-recorder JSONL journal into a per-phase latency/convergence report")
 		traceJSON = flag.String("trace-json", "", "also write the -trace report as JSON to this file ('-' for stdout)")
@@ -241,21 +241,23 @@ func runHotpaths(path string, workers, rows int, seed int64, quick bool) error {
 }
 
 // maxGridScanRegress is the gate threshold: a fresh grid_scan (or
-// grid_scan_batched) single-thread ns/op more than 20% above the
-// committed baseline fails.
+// grid_scan_batched, or sample_plan) single-thread ns/op more than 20%
+// above the committed baseline fails.
 const maxGridScanRegress = 1.20
 
 // minBatchedSpeedup is the floor the batched execution path must hold:
-// a 16-rect mixed-kind ExecuteBatch at least 3x faster, single-thread,
-// than the equivalent sequential per-rect Count/RowsIn/SampleRect loop.
-// Unlike the relative regression check this is an absolute contract —
-// the whole point of one-scatter-per-iteration batching.
+// a 16-probe Count/RowsIn ExecuteBatch at least 3x faster, single-thread,
+// than the equivalent sequential per-rect Count/RowsIn loop. Unlike the
+// relative regression check this is an absolute contract — the whole
+// point of one-scatter-per-iteration batching. Samples are not in the
+// ratio: SampleRect is a batch of one, so a loop over it shares the
+// batch's kernel and would only dilute what the floor measures.
 const minBatchedSpeedup = 3.0
 
 // runBaselineGate reruns the hot-path suite at the committed baseline's
-// scale and fails when grid_scan's or grid_scan_batched's single-thread
-// ns/op regresses beyond the threshold, the batched speedup drops below
-// its floor, or any kernel loses bit-identity. Absolute ns/op
+// scale and fails when grid_scan's, grid_scan_batched's or sample_plan's
+// single-thread ns/op regresses beyond the threshold, the batched
+// speedup drops below its floor, or any kernel loses bit-identity. Absolute ns/op
 // comparisons across different machines are inherently noisy; the 20%
 // margin plus the committed baseline being refreshed on the same class
 // of hardware keeps the gate a tripwire for real regressions rather
@@ -304,7 +306,8 @@ func runBaselineGate(path string, workers int, seed int64) error {
 	// Regression-gated kernels. grid_scan pins the per-rect scan via its
 	// workers_1 column; grid_scan_batched pins the batched one-pass
 	// execution, which lives in its workers_n column (workers_1 there is
-	// the sequential per-rect loop the batch replaces).
+	// the sequential per-rect loop the batch replaces); sample_plan pins
+	// the batch's sample planning and draw, uncached, in workers_1.
 	type gated struct {
 		name  string
 		nsOf  func(*bench.HotpathResult) int64
@@ -313,6 +316,7 @@ func runBaselineGate(path string, workers int, seed int64) error {
 	for _, gk := range []gated{
 		{"grid_scan", func(r *bench.HotpathResult) int64 { return r.NsPerOpWorkers1 }, "w=1"},
 		{"grid_scan_batched", func(r *bench.HotpathResult) int64 { return r.NsPerOpWorkersN }, "batch"},
+		{"sample_plan", func(r *bench.HotpathResult) int64 { return r.NsPerOpWorkers1 }, "cold"},
 	} {
 		want, got := find(&base, gk.name), find(rep, gk.name)
 		if want == nil {

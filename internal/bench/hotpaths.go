@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/explore"
 	"github.com/explore-by-example/aide/internal/geom"
+	"github.com/explore-by-example/aide/internal/grid"
 	"github.com/explore-by-example/aide/internal/kmeans"
 	"github.com/explore-by-example/aide/internal/obs"
 	"github.com/explore-by-example/aide/internal/par"
@@ -59,7 +61,7 @@ func DefaultHotpathConfig() HotpathConfig {
 // HotpathResult is one kernel's sequential-vs-parallel measurement.
 type HotpathResult struct {
 	// Name identifies the kernel: cart_train, grid_scan, index_build,
-	// kmeans_cluster, kmeans_hierarchy.
+	// sample_plan, kmeans_cluster, kmeans_hierarchy.
 	Name string `json:"name"`
 	// NsPerOpWorkers1 is ns/op on the forced-sequential path.
 	NsPerOpWorkers1 int64 `json:"ns_per_op_workers_1"`
@@ -277,92 +279,54 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		shardIdentical))
 
 	// grid_scan_batched: 16 small probes marching across the clustered
-	// sky view's sparse dec tail, cycling Count / RowsIn / SampleRect —
-	// the shape of one session iteration's query set (discovery density
-	// probes plus exploitation samples), where per-query fixed cost
+	// sky view's sparse dec tail, alternating Count / RowsIn — the shape
+	// of one session iteration's probe set, where per-query fixed cost
 	// dominates the shared row work. The w=1 column is the sequential
-	// per-rect loop, the wN column is ONE ExecuteBatch (sample draws
-	// included on both sides, same rng stream). Both run on the same
-	// single-threaded view, so the speedup is pure batching: shared
-	// planning and cell walks, pooled scratch, one observation per pass
-	// instead of sixteen. Gated on bit-identical counts, rows, and
-	// sample draws.
+	// per-rect loop over the engine's per-query kernels, the wN column is
+	// ONE ExecuteBatch. Both run on the same single-threaded view, so the
+	// speedup is pure batching: shared planning and cell walks, pooled
+	// scratch, one observation per pass instead of sixteen. Samples are
+	// left out on purpose: SampleRect is itself a batch of one, so a loop
+	// over it would time the batch kernel against itself; sample
+	// extraction has its own row below. Gated on bit-identical counts and
+	// rows.
 	skyView, err := engine.NewViewWorkers(tab, []string{"ra", "dec"}, 1)
 	if err != nil {
 		return nil, err
 	}
-	batchRects := make([]geom.Rect, 16)
-	batchQueries := make([]engine.BatchQuery, len(batchRects))
-	for i := range batchRects {
+	batchQueries := make([]engine.BatchQuery, 16)
+	for i := range batchQueries {
 		lo, dlo := 8+float64(i)*5.5, 82+float64(i)*0.5
-		batchRects[i] = geom.R(lo, lo+2, dlo, dlo+2)
-		switch i % 3 {
-		case 0:
-			batchQueries[i] = engine.BatchQuery{Kind: engine.BatchCount, Rect: batchRects[i]}
-		case 1:
-			batchQueries[i] = engine.BatchQuery{Kind: engine.BatchRows, Rect: batchRects[i]}
-		default:
-			batchQueries[i] = engine.BatchQuery{Kind: engine.BatchSample, Rect: batchRects[i], N: 2}
+		batchQueries[i] = engine.BatchQuery{Kind: engine.BatchCount, Rect: geom.R(lo, lo+2, dlo, dlo+2)}
+		if i%2 == 1 {
+			batchQueries[i].Kind = engine.BatchRows
 		}
 	}
-	runSequential := func(rng *rand.Rand) {
-		for i, r := range batchRects {
-			switch i % 3 {
-			case 0:
-				skyView.Count(r)
-			case 1:
-				skyView.RowsIn(r)
-			default:
-				skyView.SampleRect(r, 2, rng)
+	runSequential := func() {
+		for _, q := range batchQueries {
+			if q.Kind == engine.BatchCount {
+				skyView.Count(q.Rect)
+			} else {
+				skyView.RowsIn(q.Rect)
 			}
 		}
 	}
-	runBatched := func(rng *rand.Rand) {
+	batchIdentical := func() bool {
 		br := skyView.ExecuteBatch(batchQueries)
-		for i := range batchQueries {
-			if batchQueries[i].Kind == engine.BatchSample {
-				br.Sample(i, rng)
-			}
-		}
-	}
-	sameRows := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
+		for i, q := range batchQueries {
+			if q.Kind == engine.BatchCount {
+				if br.Count(i) != skyView.Count(q.Rect) {
+					return false
+				}
+			} else if !slices.Equal(br.Rows(i), skyView.RowsIn(q.Rect)) {
 				return false
 			}
 		}
 		return true
-	}
-	batchIdentical := func() bool {
-		rngSeq := rand.New(rand.NewSource(cfg.Seed))
-		rngBat := rand.New(rand.NewSource(cfg.Seed))
-		br := skyView.ExecuteBatch(batchQueries)
-		for i, r := range batchRects {
-			switch i % 3 {
-			case 0:
-				if br.Count(i) != skyView.Count(r) {
-					return false
-				}
-			case 1:
-				if !sameRows(br.Rows(i), skyView.RowsIn(r)) {
-					return false
-				}
-			default:
-				if !sameRows(br.Sample(i, rngBat), skyView.SampleRect(r, 2, rngSeq)) {
-					return false
-				}
-			}
-		}
-		return true
 	}()
-	seqRng := rand.New(rand.NewSource(cfg.Seed))
-	batRng := rand.New(rand.NewSource(cfg.Seed))
 	rep.Results = append(rep.Results, hotpathResult("grid_scan_batched",
-		measure(cfg.MinTime, nil, func() { runSequential(seqRng) }),
-		measure(cfg.MinTime, benchKernelSeconds.With("grid_scan_batched"), func() { runBatched(batRng) }),
+		measure(cfg.MinTime, nil, runSequential),
+		measure(cfg.MinTime, benchKernelSeconds.With("grid_scan_batched"), func() { skyView.ExecuteBatch(batchQueries) }),
 		batchIdentical))
 
 	// index_build: NewView over four attributes — per-attribute
@@ -381,6 +345,51 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		measure(cfg.MinTime, nil, func() { buildAt(1) }),
 		measure(cfg.MinTime, benchKernelSeconds.With("index_build"), func() { buildAt(workers) }),
 		bSeq.Count(probe) == bPar.Count(probe)))
+
+	// sample_plan: one discovery step's sample extraction — one random
+	// row from a gamma-box around each of 16 level-0 cell centres of the
+	// 4-d view. The w=1 column is the cold plan path (per-cell match
+	// counts, and the single cell a drawn index lands in re-evaluated),
+	// the wN column the same step on a cached view whose plans are
+	// memoized — every later session's cost on a shared lattice. Gated on
+	// the warm draws equalling the cold ones, rows and rng position, and
+	// every drawn row lying in its rect; identity with the materializing
+	// layout is the engine tests' job (TestSamplePlanMatchesReference).
+	planQueries := levelZeroSamples(4, 16)
+	planView := bSeq.WithCache(engine.NewCache(1 << 20))
+	drawPlans := func(v *engine.View, rng *rand.Rand) [][]int {
+		br := v.ExecuteBatch(planQueries)
+		out := make([][]int, len(planQueries))
+		for i := range planQueries {
+			out[i] = br.Sample(i, rng)
+		}
+		return out
+	}
+	planIdentical := func() bool {
+		coldRng := rand.New(rand.NewSource(cfg.Seed))
+		want := drawPlans(bSeq, coldRng)
+		next := coldRng.Int63()
+		for i, rows := range want {
+			for _, r := range rows {
+				if !bSeq.Contains(planQueries[i].Rect, r) {
+					return false
+				}
+			}
+		}
+		for range 2 { // storing pass, then warm
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			if !reflect.DeepEqual(drawPlans(planView, rng), want) || rng.Int63() != next {
+				return false
+			}
+		}
+		return true
+	}()
+	coldRng := rand.New(rand.NewSource(cfg.Seed))
+	warmRng := rand.New(rand.NewSource(cfg.Seed))
+	rep.Results = append(rep.Results, hotpathResult("sample_plan",
+		measure(cfg.MinTime, nil, func() { drawPlans(bSeq, coldRng) }),
+		measure(cfg.MinTime, benchKernelSeconds.With("sample_plan"), func() { drawPlans(planView, warmRng) }),
+		planIdentical))
 
 	// kmeans_cluster: the assignment-dominated clustering behind
 	// skew-aware discovery and misclassified exploitation.
@@ -469,6 +478,26 @@ func measureShardRoundtrips(cfg HotpathConfig) (float64, error) {
 		}
 	}
 	return float64(scatters.Value()-before) / iters, nil
+}
+
+// levelZeroSamples returns n one-row sample queries shaped like object
+// discovery's level-0 retrievals in d dimensions: a box of
+// GammaFrac * half the cell width around the centres of n level-0 cells
+// spread evenly over the lattice.
+func levelZeroSamples(d, n int) []engine.BatchQuery {
+	opts := explore.DefaultOptions()
+	g, err := grid.New(d, opts.Beta0)
+	if err != nil {
+		panic(err)
+	}
+	cells := g.CellsAt(0)
+	gamma := opts.GammaFrac * g.Width(0) / 2
+	out := make([]engine.BatchQuery, n)
+	for i := range out {
+		c := cells[i*len(cells)/n]
+		out[i] = engine.BatchQuery{Kind: engine.BatchSample, N: 1, Rect: geom.RectAround(g.Center(c), gamma, geom.NewRect(d))}
+	}
+	return out
 }
 
 func hotpathResult(name string, seq, parl measurement, identical bool) HotpathResult {

@@ -8,9 +8,9 @@ package engine
 // slices, and internal/shardrpc's remote client, which ships the same
 // operations over a framed wire protocol to a worker process holding a
 // bit-identical copy of the shard. Results are plain data (row ids,
-// counts, candidate blocks); randomness, caching and gather order stay
-// coordinator-side, which is what makes a remote shard bit-identical
-// to a local one.
+// counts, sample plan pieces); randomness, caching and gather order
+// stay coordinator-side, which is what makes a remote shard
+// bit-identical to a local one.
 
 import (
 	"context"
@@ -32,15 +32,27 @@ type ShardRows struct {
 	Examined int64
 }
 
-// ShardSample is one shard's SampleRect grid-path contribution: the
-// geometrically-full cells' row blocks and the boundary cells' verified
-// survivors, both in cell order. The coordinator reassembles the exact
-// unsharded candidate layout from these before drawing.
+// ShardSample is one shard's piece of a grid-path sample plan (see
+// samplePiece). An in-process shard answers a lazy piece over its own
+// slabs; a remote one is rebuilt coordinator-side from the rows the wire
+// carried. The coordinator draws from the pieces in shard order, which
+// reproduces the unsharded candidate layout.
 type ShardSample struct {
-	Full     [][]int32
-	Partial  []int
 	Examined int64
+	piece    samplePiece
 }
+
+// NewShardSample wraps a materialized piece: rows holds the shard's
+// fullTotal covered-cell rows followed by its boundary-cell survivors,
+// both in cell order. The sample takes ownership of rows.
+func NewShardSample(examined int64, rows []int32, fullTotal int) ShardSample {
+	return ShardSample{Examined: examined, piece: samplePiece{rows: rows, fullTotal: fullTotal, partTotal: len(rows) - fullTotal}}
+}
+
+// Blocks materializes the piece for the wire: the covered cells' rows as
+// blocks in cell order (never copied from the grid) and the boundary
+// cells' survivors.
+func (s ShardSample) Blocks() (full [][]int32, partial []int32) { return s.piece.blocks() }
 
 // ShardBatchItem is one sub-query of a batched scatter, as shipped to a
 // ShardBackend (and, for remote shards, over shardrpc's opBatch frame
@@ -88,8 +100,7 @@ type ShardBackend interface {
 	// RowsInAny returns the shard's row ids inside at least one rect,
 	// deduplicated, in slot order.
 	RowsInAny(rects []geom.Rect) (ShardRows, error)
-	// SampleGrid returns the shard's SampleRect candidate layout for
-	// rect (full blocks + verified partial rows, cell order).
+	// SampleGrid returns the shard's piece of rect's sample plan.
 	SampleGrid(rect geom.Rect) (ShardSample, error)
 	// SortedSlice returns the shard's covering-index row ids for an
 	// interval of one dimension, in (value, row id) order.
@@ -131,7 +142,11 @@ func (l *localShard) RowsInAny(rects []geom.Rect) (ShardRows, error) {
 }
 
 func (l *localShard) SampleGrid(rect geom.Rect) (ShardSample, error) {
-	return l.sh.sampleGrid(rect), nil
+	out, err := l.ExecuteBatch([]ShardBatchItem{{Kind: BatchSample, Rect: rect}})
+	if err != nil {
+		return ShardSample{}, err
+	}
+	return out[0].Sample, nil
 }
 
 func (l *localShard) SortedSlice(dim int, iv geom.Interval) ([]int32, error) {

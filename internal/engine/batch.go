@@ -11,9 +11,11 @@ package engine
 //
 // The contract that makes this more than a fast path: batched sampling
 // must consume the caller's rng in exactly the per-request order the
-// sequential loop did. ExecuteBatch therefore evaluates every sample
-// sub-query's candidate layout WITHOUT touching any rng; the draws
-// happen lazily, one sub-query at a time, when the caller invokes
+// sequential loop did. ExecuteBatch therefore plans every sample
+// sub-query's candidate layout WITHOUT touching any rng (a compact
+// plan, not row ids — see samplePiece in sample.go — memoized in the
+// view's predicate cache, since it depends on the rect alone); the
+// draws happen lazily, one sub-query at a time, when the caller invokes
 // BatchResults.Sample(i, rng) at the same point the sequential code
 // would have called View.SampleRect. A caller that halts mid-batch
 // (budget, cancellation, conflict) simply never draws the remaining
@@ -23,7 +25,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -40,8 +41,8 @@ const (
 	BatchCount BatchKind = iota
 	// BatchRows evaluates View.RowsIn for the rect.
 	BatchRows
-	// BatchSample evaluates View.SampleRect's candidate layout for the
-	// rect; the rows are drawn later via BatchResults.Sample.
+	// BatchSample plans View.SampleRect's candidate layout for the rect;
+	// the rows are drawn later via BatchResults.Sample.
 	BatchSample
 )
 
@@ -54,41 +55,30 @@ type BatchQuery struct {
 	N int
 }
 
-// sampleCand is one sample sub-query's evaluated candidate layout —
-// exactly the state SampleRect holds immediately before its rng draws:
-// either the covering-index candidates in (value, row id) order, or
-// the grid path's full blocks + verified partial rows in cell order.
-type sampleCand struct {
-	index   bool    // covering-index path (single constrained dimension)
-	sorted  []int32 // index path: candidates in (value, row id) order
-	full    [][]int32
-	partial []int
-}
-
-func (c *sampleCand) total() int {
-	if c.index {
-		return len(c.sorted)
-	}
-	n := len(c.partial)
-	for _, b := range c.full {
-		n += len(b)
-	}
-	return n
-}
-
 // BatchResults holds a batch's evaluated results. Counts and rows are
 // final; samples are lazy — Sample(i, rng) performs sub-query i's rng
 // draws on demand, so the caller controls exactly which sub-queries
 // consume rng state and in what order. The per-kind arrays are
 // allocated only when the batch contains that kind, so a count-only
 // batch (discovery's density probes) carries no sample/rows ballast.
+// Sample plans resolve against the queries' rects at draw time, so the
+// caller must leave those untouched until it is done drawing.
 type BatchResults struct {
 	v       *View
 	queries []BatchQuery
 	counts  []int
 	rows    [][]int
-	cands   []sampleCand
-	healthy int // shards that served the batch (n for unsharded views)
+	plans   [][]samplePiece // per sample sub-query: its plan's pieces, in layout order
+	pieces  []samplePiece   // backing array the plans are cut from
+	healthy int             // shards that served the batch (n for unsharded views)
+}
+
+// addPiece appends one piece to sub-query i's plan. A plan's pieces are
+// added back to back, so the plan stays one contiguous cut of pieces.
+func (r *BatchResults) addPiece(i int, p samplePiece) {
+	r.pieces = append(r.pieces, p)
+	n := len(r.plans[i]) + 1
+	r.plans[i] = r.pieces[len(r.pieces)-n : len(r.pieces) : len(r.pieces)]
 }
 
 // Len returns the number of sub-queries.
@@ -112,52 +102,18 @@ func (r *BatchResults) Rows(i int) []int {
 	return r.rows[i]
 }
 
-// Sample draws sub-query i's sample from its evaluated candidate
-// layout, consuming rng exactly as View.SampleRect would have on the
-// same view — same draws, same rows, same order. Each sub-query should
-// be drawn at most once.
+// Sample draws sub-query i's sample from its plan, consuming rng exactly
+// as a draw over the materialized candidate layout would — same draws,
+// same rows, same order. Each sub-query should be drawn at most once.
 func (r *BatchResults) Sample(i int, rng *rand.Rand) []int {
-	q := r.queries[i]
-	if q.N <= 0 || r.cands == nil {
+	if r.queries[i].N <= 0 || r.plans == nil {
 		return nil
 	}
-	c := &r.cands[i]
-	total := c.total()
-	if total == 0 {
-		return nil
+	out, examined := drawSample(r.plans[i], r.queries[i].N, rng)
+	if examined > 0 {
+		r.v.stats.RowsExamined.Add(examined)
+		obsRowsExamined.Add(examined)
 	}
-	if c.index {
-		if q.N >= total {
-			out := make([]int, 0, total)
-			for _, row := range c.sorted {
-				out = append(out, int(row))
-			}
-			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-			return out
-		}
-		out := make([]int, 0, q.N)
-		for _, t := range floydSample(total, q.N, rng) {
-			out = append(out, int(c.sorted[t]))
-		}
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
-	}
-	if q.N >= total {
-		out := make([]int, 0, total)
-		for _, b := range c.full {
-			for _, row := range b {
-				out = append(out, int(row))
-			}
-		}
-		out = append(out, c.partial...)
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
-	}
-	out := make([]int, 0, q.N)
-	for _, idx := range floydSample(total, q.N, rng) {
-		out = append(out, r.v.rowAt(c.full, c.partial, idx))
-	}
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 
@@ -178,6 +134,7 @@ func (v *View) ExecuteBatch(queries []BatchQuery) *BatchResults {
 	faultinject.Panic("engine.scan")
 	v.stats.Queries.Add(int64(len(queries)))
 	res := &BatchResults{v: v, queries: queries}
+	samples := 0
 	for _, q := range queries {
 		switch q.Kind {
 		case BatchCount:
@@ -190,10 +147,14 @@ func (v *View) ExecuteBatch(queries []BatchQuery) *BatchResults {
 			}
 		case BatchSample:
 			obsSampleCalls.Inc()
-			if res.cands == nil {
-				res.cands = make([]sampleCand, len(queries))
-			}
+			samples++
 		}
+	}
+	if samples > 0 {
+		// One backing array for every plan's pieces: one per sample
+		// sub-query, times the shard count on a sharded view.
+		res.plans = make([][]samplePiece, len(queries))
+		res.pieces = make([]samplePiece, 0, samples*max(1, v.ShardCount()))
 	}
 	if v.shards != nil {
 		res.healthy = v.shards.n
@@ -225,9 +186,9 @@ type batchScratch struct {
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // executeBatchLocal is the unsharded batch path: index-path samples
-// slice the covering index directly, cached Count/Rows sub-queries are
-// answered from the predicate cache, and everything else shares one
-// multi-rect grid pass.
+// slice the covering index directly, cached counts, rows and sample
+// plans are answered from the predicate cache, and everything else
+// shares one multi-rect grid pass.
 func (v *View) executeBatchLocal(res *BatchResults) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer func() {
@@ -254,28 +215,25 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 				lo, hi := v.sortedRange(dim, q.Rect[dim])
 				v.stats.RowsExamined.Add(int64(hi - lo))
 				obsRowsExamined.Add(int64(hi - lo))
-				res.cands[i] = sampleCand{index: true, sorted: v.sorted[dim][lo:hi]}
+				res.addPiece(i, samplePiece{rows: v.sorted[dim][lo:hi], fullTotal: hi - lo})
 				continue
 			}
-			items = append(items, ShardBatchItem{Kind: BatchSample, Rect: q.Rect})
-			itemQuery = append(itemQuery, i)
-			continue
 		}
 		if v.cache != nil {
-			if q.Kind == BatchCount {
-				if e, ok := v.cache.get(kindCount, 0, q.Rect); ok {
+			if e, ok := v.cache.get(cacheKind(q.Kind), 0, q.Rect); ok {
+				switch q.Kind {
+				case BatchCount:
 					res.counts[i] = e.count
-					continue
-				}
-			} else {
-				if e, ok := v.cache.get(kindRows, 0, q.Rect); ok {
+				case BatchRows:
 					if e.rows != nil {
 						out := make([]int, len(e.rows))
 						copy(out, e.rows)
 						res.rows[i] = out
 					}
-					continue
+				case BatchSample:
+					res.addPiece(i, e.plan.bind(v.grid))
 				}
+				continue
 			}
 		}
 		items = append(items, ShardBatchItem{Kind: q.Kind, Rect: q.Rect})
@@ -300,8 +258,8 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 		return
 	}
 	var examined int64
-	for k, r := range out {
-		i := itemQuery[k]
+	for k := range out {
+		r, i := &out[k], itemQuery[k]
 		switch items[k].Kind {
 		case BatchCount:
 			examined += r.Count.Examined
@@ -317,7 +275,10 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 			}
 		case BatchSample:
 			examined += r.Sample.Examined
-			res.cands[i] = sampleCand{full: r.Sample.Full, partial: r.Sample.Partial}
+			res.addPiece(i, r.Sample.piece)
+			if v.cache != nil {
+				v.cache.putPlan(0, res.queries[i].Rect, &r.Sample.piece)
+			}
 		}
 	}
 	v.stats.RowsExamined.Add(examined)
@@ -328,8 +289,9 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 // scatter: every shard receives the full miss list in a single backend
 // call (one RPC round-trip for remote shards), with the per-shard
 // predicate cache consulted coordinator-side exactly as the sequential
-// sharded cores do. Gathering reassembles each sub-query in shard
-// order, reproducing the unsharded layouts bit-identically.
+// sharded cores do — a shard whose items all hit is not called at all.
+// Gathering reassembles each sub-query in shard order, reproducing the
+// unsharded layouts bit-identically.
 func (v *View) executeBatchSharded(res *BatchResults) {
 	items := make([]ShardBatchItem, 0, len(res.queries))
 	itemQuery := make([]int, 0, len(res.queries))
@@ -375,21 +337,20 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 		var missAt []int
 		for k, it := range items {
 			if cache != nil && !it.Sorted {
-				switch it.Kind {
-				case BatchCount:
-					if e, hit := cache.get(kindCount, salt, it.Rect); hit {
+				if e, hit := cache.get(cacheKind(it.Kind), salt, it.Rect); hit {
+					switch it.Kind {
+					case BatchCount:
 						out[k].Count = ShardCount{Matched: int64(e.count)}
-						continue
-					}
-				case BatchRows:
-					if e, hit := cache.get(kindRows, salt, it.Rect); hit {
+					case BatchRows:
 						if e.rows != nil {
 							rows := make([]int, len(e.rows))
 							copy(rows, e.rows)
 							out[k].Rows.Rows = rows
 						}
-						continue
+					case BatchSample:
+						out[k].Sample.piece = e.plan.bind(v.shards.shards[b.ShardIndex()].grid)
 					}
+					continue
 				}
 			}
 			miss = append(miss, it)
@@ -413,6 +374,8 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 					cache.put(kindCount, salt, miss[j].Rect, int(r.Count.Matched), nil)
 				case BatchRows:
 					cache.put(kindRows, salt, miss[j].Rect, len(r.Rows.Rows), r.Rows.Rows)
+				case BatchSample:
+					cache.putPlan(salt, miss[j].Rect, &r.Sample.piece)
 				}
 			}
 		}
@@ -437,9 +400,7 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 			}
 			examined += int64(matched)
 			if matched > 0 {
-				res.cands[i] = sampleCand{index: true, sorted: mergeSorted(parts, v.ncols[it.Dim], matched)}
-			} else {
-				res.cands[i] = sampleCand{index: true}
+				res.addPiece(i, samplePiece{rows: mergeSorted(parts, v.ncols[it.Dim], matched), fullTotal: matched})
 			}
 		case it.Kind == BatchCount:
 			var total int64
@@ -469,17 +430,12 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 				res.rows[i] = rows
 			}
 		default: // grid-path sample
-			var c sampleCand
 			for s := range perShard {
-				if !ok[s] {
-					continue
+				if ok[s] {
+					res.addPiece(i, perShard[s][k].Sample.piece)
+					examined += perShard[s][k].Sample.Examined
 				}
-				sm := perShard[s][k].Sample
-				c.full = append(c.full, sm.Full...)
-				c.partial = append(c.partial, sm.Partial...)
-				examined += sm.Examined
 			}
-			res.cands[i] = c
 		}
 	}
 	v.stats.RowsExamined.Add(examined)
@@ -525,23 +481,17 @@ func batchGridEval(g *gridIndex, ctx context.Context, items []ShardBatchItem, ou
 	for k := range items {
 		b := &boxes[k]
 		b.lo, b.hi, b.cLo, b.cHi = carve(), carve(), carve(), carve()
-		b.ok = true
-		cells := 1
-		rect := items[k].Rect
-		for d := 0; d < dims; d++ {
-			lo, hi, ok := g.cellRange(rect[d])
-			if !ok {
-				b.ok = false
-				break
-			}
-			b.lo[d], b.hi[d] = lo, hi
-			b.cLo[d], b.cHi[d] = g.coveredRange(rect[d], lo, hi)
-			cells *= hi - lo + 1
+		if items[k].Kind == BatchSample {
+			out[k].Sample.piece = samplePiece{g: g, rect: items[k].Rect}
 		}
-		if !b.ok {
+		if b.ok = g.fillBox(b, items[k].Rect); !b.ok {
 			continue
 		}
 		active = true
+		cells := 1
+		for d := 0; d < dims; d++ {
+			cells *= b.hi[d] - b.lo[d] + 1
+		}
 		sumCells += cells
 		for d := 0; d < dims; d++ {
 			if b.lo[d] < uLo[d] {
@@ -608,43 +558,78 @@ func batchGridEval(g *gridIndex, ctx context.Context, items []ShardBatchItem, ou
 			}
 		}
 	}
+	var it *ShardBatchItem
+	var o *ShardBatchResult
+	span := func(slo, shi int32) bool {
+		evalBatchCell(g, it, o, true, -1, slo, shi, &scratch)
+		return true
+	}
+	cell := func(id, off, end int32) bool {
+		evalBatchCell(g, it, o, false, id, off, end, &scratch)
+		return true
+	}
 	for k := range items {
-		b := &boxes[k]
-		if !b.ok {
+		if !boxes[k].ok {
 			continue
 		}
-		copy(coord, b.lo)
-		visited := 0
-		for {
-			base := 0
-			for d := 0; d < inner; d++ {
-				base = base*g.cellsPerDim + coord[d]
-			}
-			id := base*g.cellsPerDim + b.lo[inner]
-			for c := b.lo[inner]; c <= b.hi[inner]; c++ {
-				if visited++; visited&63 == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				coord[inner] = c
-				if off, end := g.offsets[id], g.offsets[id+1]; off != end {
-					evalBatchCell(g, &items[k], &out[k], b.coveredAt(dims, coord), int32(id), off, end, &scratch)
-				}
-				id++
-			}
-			d := inner - 1
-			for ; d >= 0; d-- {
-				coord[d]++
-				if coord[d] <= b.hi[d] {
-					break
-				}
-				coord[d] = b.lo[d]
-			}
-			if d < 0 {
-				break
-			}
+		it, o = &items[k], &out[k]
+		if err := g.walkBox(ctx, &boxes[k], coord, span, cell); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// walkBox visits one item's cell box in row-major order — the order
+// every kernel emits in, and the one place it and the covered/boundary
+// split are decided for a per-item walk: span for each maximal slot
+// range of geometrically covered cells (the covered cells of an
+// innermost run are contiguous in id, hence in slots: one offsets lookup
+// spans them, empty cells and all), cell for each non-empty boundary
+// cell. Either callback returning false stops the walk; a cancelled ctx
+// stops it with ctx's error. coord is the caller's odometer scratch.
+func (g *gridIndex) walkBox(ctx context.Context, b *batchBox, coord []int, span func(slo, shi int32) bool, cell func(id, off, end int32) bool) error {
+	inner := g.dims - 1
+	copy(coord, b.lo)
+	visited := 0
+	for {
+		id := 0
+		outerCovered := true
+		for d := 0; d < inner; d++ {
+			id = id*g.cellsPerDim + coord[d]
+			if coord[d] < b.cLo[d] || coord[d] > b.cHi[d] {
+				outerCovered = false
+			}
+		}
+		id = id*g.cellsPerDim + b.lo[inner]
+		for c := b.lo[inner]; c <= b.hi[inner]; c, id = c+1, id+1 {
+			if visited++; visited&63 == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			if outerCovered && c >= b.cLo[inner] && c <= b.cHi[inner] {
+				last := id + b.cHi[inner] - c
+				if slo, shi := g.offsets[id], g.offsets[last+1]; slo != shi && !span(slo, shi) {
+					return nil
+				}
+				c, id = b.cHi[inner], last
+				continue
+			}
+			if off, end := g.offsets[id], g.offsets[id+1]; off != end && !cell(int32(id), off, end) {
+				return nil
+			}
+		}
+		d := inner - 1
+		for ; d >= 0; d-- {
+			coord[d]++
+			if coord[d] <= b.hi[d] {
+				break
+			}
+			coord[d] = b.lo[d]
+		}
+		if d < 0 {
+			return nil
+		}
+	}
 }
 
 // batchWalkScratch is batchGridEval's reusable walk state — the item
@@ -666,6 +651,20 @@ type batchBox struct {
 	ok       bool
 	lo, hi   []int
 	cLo, cHi []int
+}
+
+// fillBox computes rect's cell box on g into b's pre-sized ranges,
+// reporting false when rect misses the domain.
+func (g *gridIndex) fillBox(b *batchBox, rect geom.Rect) bool {
+	for d := 0; d < g.dims; d++ {
+		lo, hi, ok := g.cellRange(rect[d])
+		if !ok {
+			return false
+		}
+		b.lo[d], b.hi[d] = lo, hi
+		b.cLo[d], b.cHi[d] = g.coveredRange(rect[d], lo, hi)
+	}
+	return true
 }
 
 func (b *batchBox) covers(dims int, coord []int) bool {
@@ -697,7 +696,8 @@ func (b *batchBox) coveredAt(dims int, coord []int) bool {
 // zonemap-disjoint cells emit nothing, and straddling cells run the
 // per-row columnar filter. Emission happens in the walk's row-major
 // cell order with rows ascending per cell — the order every sequential
-// kernel produces.
+// kernel produces. A sample item emits no rows: it records what its
+// plan needs to find a drawn row again in that same order.
 func evalBatchCell(g *gridIndex, it *ShardBatchItem, out *ShardBatchResult, covered bool, id, off, end int32, scratch *[]uint64) {
 	switch it.Kind {
 	case BatchCount:
@@ -724,20 +724,12 @@ func evalBatchCell(g *gridIndex, it *ShardBatchItem, out *ShardBatchResult, cove
 		}
 	case BatchSample:
 		if covered {
-			out.Sample.Full = append(out.Sample.Full, g.rows[off:end])
+			out.Sample.piece.fullTotal += int(end - off)
 			return
 		}
-		switch g.zoneClassify(it.Rect, id) {
-		case zoneCovered:
-			for _, r := range g.rows[off:end] {
-				out.Sample.Partial = append(out.Sample.Partial, int(r))
-			}
-		case zoneDisjoint:
-		default:
-			out.Sample.Examined += int64(end - off)
-			*scratch = g.evalCellBits(it.Rect, id, off, end, (*scratch)[:0])
-			emitPartialBits(&out.Sample.Partial, g, off, *scratch)
-		}
+		m, ex := g.countCellBatched(it.Rect, id, off, end)
+		out.Sample.Examined += ex
+		out.Sample.piece.addCell(int(m))
 	}
 }
 
@@ -805,16 +797,4 @@ func (g *gridIndex) countCellBatched(rect geom.Rect, id, off, end int32) (matche
 	// Three or more straddled clauses: rare corner cells — the generic
 	// sweep re-derives the clause set, which is fine off the hot path.
 	return int64(g.countCell(rect, id, off, end)), n
-}
-
-// emitPartialBits appends the row ids of set bits (based at slot off)
-// to dst as ints — emitBits for the sample path's partial list.
-func emitPartialBits(dst *[]int, g *gridIndex, off int32, words []uint64) {
-	for w, bw := range words {
-		for bw != 0 {
-			t := bits.TrailingZeros64(bw)
-			*dst = append(*dst, int(g.rows[int(off)+w<<6+t]))
-			bw &= bw - 1
-		}
-	}
 }

@@ -48,7 +48,9 @@ func randomBatch(dims int, rng *rand.Rand) []BatchQuery {
 }
 
 // runSequential is the reference: each sub-query through the sequential
-// engine API in order, sharing one rng exactly like the session loop.
+// engine API in order (samples through the materializing
+// referenceSample), sharing one rng exactly like the session loop. v
+// must be unsharded.
 func runSequential(v *View, queries []BatchQuery, rng *rand.Rand) (counts []int, rows [][]int, samples [][]int) {
 	counts = make([]int, len(queries))
 	rows = make([][]int, len(queries))
@@ -60,7 +62,7 @@ func runSequential(v *View, queries []BatchQuery, rng *rand.Rand) (counts []int,
 		case BatchRows:
 			rows[i] = v.RowsIn(q.Rect)
 		case BatchSample:
-			samples[i] = v.SampleRect(q.Rect, q.N, rng)
+			samples[i] = referenceSample(v, q.Rect, q.N, rng)
 		}
 	}
 	return counts, rows, samples
@@ -155,7 +157,7 @@ func TestBatchHaltLeavesRNGSequential(t *testing.T) {
 	for halt := 0; halt <= len(sampleIdx); halt++ {
 		seqRng := rand.New(rand.NewSource(42))
 		for _, i := range sampleIdx[:halt] {
-			base.SampleRect(queries[i].Rect, queries[i].N, seqRng)
+			referenceSample(base, queries[i].Rect, queries[i].N, seqRng)
 		}
 		for _, v := range []*View{base, sharded} {
 			batchRng := rand.New(rand.NewSource(42))
@@ -171,7 +173,7 @@ func TestBatchHaltLeavesRNGSequential(t *testing.T) {
 			// Re-sync the reference stream consumed by the probes.
 			seqRng = rand.New(rand.NewSource(42))
 			for _, i := range sampleIdx[:halt] {
-				base.SampleRect(queries[i].Rect, queries[i].N, seqRng)
+				referenceSample(base, queries[i].Rect, queries[i].N, seqRng)
 			}
 		}
 	}

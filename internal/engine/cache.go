@@ -3,8 +3,10 @@ package engine
 import (
 	"container/list"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/obs"
@@ -24,6 +26,17 @@ var (
 	obsCacheOpHit   = obs.GetCounterVec("engine_cache_ops", "op").With("hit")
 	obsCacheOpMiss  = obs.GetCounterVec("engine_cache_ops", "op").With("miss")
 	obsCacheOpEvict = obs.GetCounterVec("engine_cache_ops", "op").With("evict")
+
+	// engine_cache_kind_ops{kind,op} splits the lookups by what was asked
+	// for — a sample plan hit saves a grid pass, a count hit a sweep.
+	// Indexed [cacheKind][0 hit, 1 miss].
+	obsCacheKindOps = func() (out [3][2]*obs.Counter) {
+		vec := obs.GetCounterVec("engine_cache_kind_ops", "kind,op")
+		for k, kind := range []string{"count", "rows", "sample"} {
+			out[k] = [2]*obs.Counter{vec.With(kind + ",hit"), vec.With(kind + ",miss")}
+		}
+		return out
+	}()
 
 	// Aggregate occupancy across every live Cache, maintained as deltas
 	// on put/evict and exported as gauges at scrape time. A Cache dropped
@@ -62,11 +75,14 @@ const (
 	minCacheBytes = 1 << 16
 )
 
+// cacheKind is the kind of result an entry memoizes; the values are the
+// BatchKind of the sub-query that asks for it.
 type cacheKind uint8
 
 const (
-	kindCount cacheKind = iota
-	kindRows
+	kindCount  = cacheKind(BatchCount)
+	kindRows   = cacheKind(BatchRows)
+	kindSample = cacheKind(BatchSample)
 )
 
 // cacheKey is the bucket address of one memoized result: the result kind
@@ -80,23 +96,35 @@ type cacheKey struct {
 
 // cacheEntry is one memoized result. rect is a private clone compared
 // bit-for-bit on lookup; rows is a private copy, copied again on every
-// hit, because RowsIn callers may mutate the returned slice. salt is
-// the shard partition the result belongs to (0 = whole view): a shard's
-// entries answer only that shard's lookups, so partitions of one shared
-// Cache never cross-contaminate.
+// hit, because RowsIn callers may mutate the returned slice; plan is a
+// sample plan piece, immutable and handed out shared. salt is the shard
+// partition the result belongs to (0 = whole view): a shard's entries
+// answer only that shard's lookups, so partitions of one shared Cache
+// never cross-contaminate.
 type cacheEntry struct {
 	key   cacheKey
 	salt  uint64
 	rect  geom.Rect
 	count int
 	rows  []int
+	plan  *samplePiece
 	size  int64
 }
 
-// entrySize approximates an entry's memory footprint for the byte
-// budget: struct + list element overhead, interval endpoints, row ids.
-func entrySize(rect geom.Rect, rows []int) int64 {
-	return 128 + int64(len(rect))*16 + int64(len(rows))*8
+// entryOverhead is what an entry costs before its payload: the entry
+// itself, its LRU list element and its table slot (key, element pointer
+// and a word of bucket bookkeeping).
+const entryOverhead = int64(unsafe.Sizeof(cacheEntry{}) + unsafe.Sizeof(list.Element{}) + unsafe.Sizeof(cacheKey{}) + 16)
+
+// entrySize is the memory an entry retains, for the byte budget: the
+// overhead above, the rect clone, and every array of its payload at its
+// allocated capacity.
+func entrySize(e *cacheEntry) int64 {
+	n := entryOverhead + int64(cap(e.rect))*16 + int64(cap(e.rows))*8
+	if p := e.plan; p != nil {
+		n += int64(unsafe.Sizeof(*p)) + int64(cap(p.counts))*2 + int64(cap(p.big))*4 + int64(cap(p.rows))*4
+	}
+	return n
 }
 
 type cacheShard struct {
@@ -106,12 +134,14 @@ type cacheShard struct {
 	bytes int64
 }
 
-// Cache is a bounded, sharded LRU memoizing Count and RowsIn results on
-// immutable views. Because views never change after construction, a
-// cached result is exactly the result a fresh scan would produce, so
-// cached and uncached runs are bit-identical — pinned by equivalence
-// tests. RNG-driven queries (SampleRect and friends) are never cached:
-// their results depend on the caller's rng state, not just the rect.
+// Cache is a bounded, sharded LRU memoizing Count and RowsIn results and
+// sample plans on immutable views. Because views never change after
+// construction, a cached result is exactly the result a fresh scan
+// would produce, so cached and uncached runs are bit-identical — pinned
+// by equivalence tests. A sample's rows are never cached — the draw is
+// rng-driven — but the candidate layout it draws from depends on the
+// rect alone, so that is memoized (as a compact plan, see samplePiece)
+// and every session draws from it with its own rng.
 //
 // A Cache is safe for concurrent use and may back any number of views
 // (attach with View.WithCache); sharing one Cache across all sessions
@@ -123,6 +153,7 @@ type Cache struct {
 	shards   [cacheShardCount]cacheShard
 
 	hits      atomic.Int64
+	planHits  atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 }
@@ -131,6 +162,7 @@ type Cache struct {
 // occupancy.
 type CacheStats struct {
 	Hits      int64
+	PlanHits  int64 // the hits that answered a sample plan
 	Misses    int64
 	Evictions int64
 	Entries   int
@@ -169,6 +201,7 @@ func NewCache(maxBytes int64) *Cache {
 func (c *Cache) Stats() CacheStats {
 	s := CacheStats{
 		Hits:      c.hits.Load(),
+		PlanHits:  c.planHits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
 		MaxBytes:  c.shardMax * cacheShardCount,
@@ -245,8 +278,12 @@ func (c *Cache) get(kind cacheKind, salt uint64, rect geom.Rect) (*cacheEntry, b
 			s.lru.MoveToFront(el)
 			s.mu.Unlock()
 			c.hits.Add(1)
+			if kind == kindSample {
+				c.planHits.Add(1)
+			}
 			obsCacheHits.Inc()
 			obsCacheOpHit.Inc()
+			obsCacheKindOps[kind][0].Inc()
 			return e, true
 		}
 	}
@@ -254,25 +291,65 @@ func (c *Cache) get(kind cacheKind, salt uint64, rect geom.Rect) (*cacheEntry, b
 	c.misses.Add(1)
 	obsCacheMisses.Inc()
 	obsCacheOpMiss.Inc()
+	obsCacheKindOps[kind][1].Inc()
 	return nil, false
 }
 
-// put memoizes a result, cloning rect and copying rows so the entry
-// shares no memory with the caller. Inserting past the shard budget
-// evicts LRU entries (possibly including the new one, when a single
-// result exceeds the whole budget).
+// put memoizes a Count or RowsIn result, cloning rect and copying rows
+// so the entry shares no memory with the caller.
 func (c *Cache) put(kind cacheKind, salt uint64, rect geom.Rect, count int, rows []int) {
 	e := &cacheEntry{
 		key:   cacheKey{kind: kind, hash: rectHash(kind, salt, rect)},
 		salt:  salt,
 		rect:  rect.Clone(),
 		count: count,
-		size:  entrySize(rect, rows),
 	}
 	if rows != nil {
 		e.rows = make([]int, len(rows))
 		copy(e.rows, rows)
 	}
+	c.insert(e)
+}
+
+// putPlan memoizes one piece of a sample plan. The entry keeps the
+// piece's arrays — immutable, so sharing them with the BatchResults
+// that built them is safe — clipped to their length when append growth
+// left slack, points the piece at the entry's own rect clone, and drops
+// the grid binding: an entry retains nothing of the view.
+func (c *Cache) putPlan(salt uint64, rect geom.Rect, p *samplePiece) {
+	e := &cacheEntry{
+		key:  cacheKey{kind: kindSample, hash: rectHash(kindSample, salt, rect)},
+		salt: salt,
+		rect: rect.Clone(),
+	}
+	cp := *p
+	cp.g = nil
+	if cp.rect != nil {
+		cp.rect = e.rect
+	}
+	if cap(cp.counts) > len(cp.counts) {
+		cp.counts = slices.Clone(cp.counts)
+	}
+	if cap(cp.big) > len(cp.big) {
+		cp.big = slices.Clone(cp.big)
+	}
+	e.plan = &cp
+	c.insert(e)
+}
+
+// bind returns the piece ready to draw from on g, the grid of the view
+// (or shard) the lookup was for.
+func (p *samplePiece) bind(g *gridIndex) samplePiece {
+	cp := *p
+	cp.g = g
+	return cp
+}
+
+// insert stores a built entry. Inserting past the shard budget evicts
+// LRU entries (possibly including the new one, when a single result
+// exceeds the whole budget).
+func (c *Cache) insert(e *cacheEntry) {
+	e.size = entrySize(e)
 	s := &c.shards[e.key.hash%cacheShardCount]
 	var byteDelta, entryDelta int64
 	s.mu.Lock()
@@ -316,10 +393,10 @@ func (c *Cache) put(kind cacheKind, salt uint64, rect geom.Rect, count int, rows
 }
 
 // WithCache returns a view sharing this view's table, indexes and stats
-// whose Count and RowsIn results are memoized in c. Attach one Cache to
-// the shared view of a dataset and every session over it reuses each
-// other's scans; results are bit-identical to the uncached view. A nil
-// c disables caching.
+// whose Count and RowsIn results and sample plans are memoized in c.
+// Attach one Cache to the shared view of a dataset and every session
+// over it reuses each other's scans; results are bit-identical to the
+// uncached view. A nil c disables caching.
 func (v *View) WithCache(c *Cache) *View {
 	cp := *v
 	cp.cache = c

@@ -213,29 +213,6 @@ func (g *gridIndex) coveredRange(iv geom.Interval, lo, hi int) (int, int) {
 	return cLo, cHi
 }
 
-// cellBlock is one non-empty grid cell overlapping a query rect: its
-// flat id, slot range, row ids, and whether the cell lies geometrically
-// entirely inside the rect (no per-row verification needed).
-type cellBlock struct {
-	id   int32
-	off  int32 // first slot
-	rows []int32
-	full bool
-}
-
-// collectCells returns the non-empty cells overlapping rect in row-major
-// (odometer) order — the deterministic work list SampleRect chunks
-// over. buf, when non-nil, is reused as the backing array (its contents
-// are overwritten); pass nil to allocate fresh.
-func (g *gridIndex) collectCells(rect geom.Rect, buf []cellBlock) []cellBlock {
-	out := buf[:0]
-	g.visitCells(rect, func(id int32, rows []int32, full bool) bool {
-		out = append(out, cellBlock{id: id, off: g.offsets[id], rows: rows, full: full})
-		return true
-	})
-	return out
-}
-
 // visitCells invokes fn for every non-empty cell overlapping rect, in
 // row-major cell order. full is true when the cell lies geometrically
 // entirely inside rect, so its rows need no verification. fn returning

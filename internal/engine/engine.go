@@ -13,6 +13,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -63,7 +64,7 @@ type View struct {
 	sorted  [][]int32 // per-dimension row ids in ascending value order
 	stats   *Stats
 	fp      string          // content fingerprint, set at build (fingerprint.go)
-	cache   *Cache          // memoized Count/RowsIn results; nil = uncached
+	cache   *Cache          // memoized counts, rows and sample plans; nil = uncached
 	buf     *scanBuf        // single-owner scan scratch; nil on shared views
 	workers int             // scan worker knob: 0 auto, 1 sequential
 	ctx     context.Context // scan cancellation; nil = never cancelled
@@ -78,7 +79,6 @@ type View struct {
 // arenas and segs are indexed by scan-chunk id: each chunk of a parallel
 // scan runs exactly once per call, so per-chunk slots never race.
 type scanBuf struct {
-	blocks []cellBlock
 	runs   []cellRun
 	arenas [][]uint64
 	segs   [][]scanSeg
@@ -100,10 +100,7 @@ var (
 	kernelIndex = par.NewKernel("engine.index_build")
 )
 
-const (
-	minScanRuns   = 4
-	minScanBlocks = 8
-)
+const minScanRuns = 4
 
 // NewView builds a View over the named exploration attributes, creating
 // the covering index (normalized columns + columnar grid index) with the
@@ -193,17 +190,6 @@ func (v *View) WithScanBuffer() *View {
 	return &c
 }
 
-// collect returns the cell blocks overlapping rect, reusing the view's
-// scan buffer when it has one. The returned slice is valid until the
-// owner's next query.
-func (v *View) collect(rect geom.Rect) []cellBlock {
-	if v.buf == nil {
-		return v.grid.collectCells(rect, nil)
-	}
-	v.buf.blocks = v.grid.collectCells(rect, v.buf.blocks)
-	return v.buf.blocks
-}
-
 // collectRuns returns the cell runs overlapping rect, reusing the view's
 // scan buffer when it has one. The returned slice is valid until the
 // owner's next query.
@@ -277,8 +263,10 @@ func (v *View) scanCtx() context.Context {
 // sortedIndex returns row ids ordered by ascending value: one column of
 // the covering index. Range lookups on a single attribute binary-search
 // this instead of walking grid cells. Equal values order by ascending
-// row id — a total order, so a k-way merge of per-shard subsequences
-// reproduces this exact sequence at any shard count.
+// row id and NaNs sort after every number — a total order, so a k-way
+// merge of per-shard subsequences reproduces this exact sequence at any
+// shard count, and a column holds a NaN exactly when its last entry is
+// one.
 func sortedIndex(vals []float64) []int32 {
 	idx := make([]int32, len(vals))
 	for i := range idx {
@@ -291,13 +279,13 @@ func sortedIndex(vals []float64) []int32 {
 			return -1
 		case va > vb:
 			return 1
-		case a < b:
+		case va == vb:
+		case !math.IsNaN(va): // so vb is the NaN
 			return -1
-		case a > b:
+		case !math.IsNaN(vb):
 			return 1
-		default:
-			return 0
 		}
+		return cmp.Compare(a, b)
 	})
 	return idx
 }
@@ -305,31 +293,15 @@ func sortedIndex(vals []float64) []int32 {
 // sortedRange returns the half-open [lo, hi) positions in sorted[dim]
 // whose values fall inside iv.
 func (v *View) sortedRange(dim int, iv geom.Interval) (int, int) {
-	idx := v.sorted[dim]
-	vals := v.ncols[dim]
-	lo, _ := slices.BinarySearchFunc(idx, iv.Lo, func(r int32, t float64) int {
-		switch {
-		case vals[r] < t:
-			return -1
-		case vals[r] > t:
-			return 1
-		default:
-			return 0
-		}
-	})
-	// Advance lo past equal-to-Lo collisions resolved leftward by the
-	// search; BinarySearchFunc returns the first match position already.
-	hi := lo
-	for hi < len(idx) && vals[idx[hi]] <= iv.Hi {
-		hi++
-	}
-	// The linear advance above is O(matches); for the narrow boundary
-	// slabs this fast path serves, matches are few relative to the table.
-	return lo, hi
+	return sortedRangeIn(v.sorted[dim], v.ncols[dim], iv)
 }
 
 // singleConstrainedDim reports the only dimension of rect narrower than
-// the full domain, or -1 when zero or several dimensions are constrained.
+// the full domain — the covering-index sample path — or -1 when zero or
+// several dimensions are constrained, or when that column holds a NaN:
+// a NaN passes every range clause (Contains' semantics, which the grid
+// kernels reproduce) but has no place in a value order, so such a
+// column's samples take the grid path and stay uniform over RowsIn.
 func (v *View) singleConstrainedDim(rect geom.Rect) int {
 	dim := -1
 	for i := range rect {
@@ -340,6 +312,11 @@ func (v *View) singleConstrainedDim(rect geom.Rect) int {
 			return -1
 		}
 		dim = i
+	}
+	if dim >= 0 {
+		if idx := v.sorted[dim]; len(idx) > 0 && math.IsNaN(v.ncols[dim][idx[len(idx)-1]]) {
+			return -1
+		}
 	}
 	return dim
 }

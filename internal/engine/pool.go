@@ -10,18 +10,14 @@ import "sync"
 // buffers they return are adopted by the gather and recycled once the
 // rows are copied into the final result. Only the final, caller-owned
 // slice is freshly allocated per query.
-//
-// Candidate blocks from geometrically-full cells are never pooled —
-// they are subslices of the immutable grid index, not scratch.
 
 // shardScratch is one attempt's worth of shard-core scan state. Hedged
 // attempts on the same shard each borrow their own, so cores stay safe
 // for concurrent calls.
 type shardScratch struct {
-	runs   []cellRun
-	blocks []cellBlock
-	arena  []uint64
-	segs   []scanSeg
+	runs  []cellRun
+	arena []uint64
+	segs  []scanSeg
 }
 
 var shardScratchPool = sync.Pool{New: func() any { return &shardScratch{} }}

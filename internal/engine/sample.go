@@ -1,14 +1,13 @@
 package engine
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
 
-	"github.com/explore-by-example/aide/internal/faultinject"
 	"github.com/explore-by-example/aide/internal/geom"
-	"github.com/explore-by-example/aide/internal/par"
 )
 
 // SampleRect returns up to n distinct rows drawn uniformly at random from
@@ -16,149 +15,228 @@ import (
 // behind every AIDE sample-extraction query: object discovery samples
 // around cell centers, misclassified exploitation samples Chebyshev balls
 // around false negatives, and boundary exploitation samples face slabs.
-//
-// The implementation uses the grid index: cells fully inside rect
-// contribute their row lists wholesale; rows of partially overlapping
-// cells are verified individually. Sampling is exact-uniform over the
-// matching rows (not over cells), so skewed data does not bias results.
+// Sampling is exact-uniform over the matching rows (not over cells), so
+// skewed data does not bias results. It is a batch of one: the plan is
+// built by ExecuteBatch and drawn by BatchResults.Sample.
 func (v *View) SampleRect(rect geom.Rect, n int, rng *rand.Rand) []int {
-	defer observeQuery(time.Now())
-	faultinject.Latency("engine.scan")
-	faultinject.Panic("engine.scan")
-	obsSampleCalls.Inc()
-	v.stats.Queries.Add(1)
-	if n <= 0 {
-		return nil
-	}
-	if !v.validRect(rect) {
-		obsInvalidRects.Inc()
-		return nil
-	}
-	if v.shards != nil {
-		// Both engine paths scatter per shard and reassemble the exact
-		// unsharded candidate layout (shard.go), so the rng draws the
-		// same rows at any shard count.
-		out, healthy := v.sampleShardedCore(rect, n, rng)
-		v.noteShardOutcome(healthy)
-		return out
-	}
-	// Fast path: a rect constrained in exactly one dimension (the shape
-	// of boundary-exploitation slabs with whole-domain sampling) is a
-	// range scan of that attribute's sorted index — no grid walk.
-	if dim := v.singleConstrainedDim(rect); dim >= 0 {
-		obsPathIndex.Inc()
-		lo, hi := v.sortedRange(dim, rect[dim])
-		v.stats.RowsExamined.Add(int64(hi - lo))
-		obsRowsExamined.Add(int64(hi - lo))
-		matched := hi - lo
-		if matched == 0 {
-			return nil
-		}
-		if n >= matched {
-			out := make([]int, 0, matched)
-			for _, r := range v.sorted[dim][lo:hi] {
-				out = append(out, int(r))
-			}
-			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-			return out
-		}
-		out := make([]int, 0, n)
-		for _, t := range floydSample(matched, n, rng) {
-			out = append(out, int(v.sorted[dim][lo+t]))
-		}
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
-	}
+	return v.ExecuteBatch([]BatchQuery{{Kind: BatchSample, Rect: rect, N: n}}).Sample(0, rng)
+}
 
-	obsPathGrid.Inc()
-	// Cell chunks are verified in parallel; per-chunk results concatenate
-	// in cell order, so the candidate layout — and therefore the sampled
-	// rows for a given rng state — is identical at every worker count.
-	//
-	// The layout contract is load-bearing: geometrically full cells form
-	// the leading candidate blocks and boundary-cell survivors follow, in
-	// cell order, rows ascending within each cell. Zonemaps never move a
-	// cell between those groups — a zonemap-covered boundary cell emits
-	// all of its rows into the partial group (same rows, same order, just
-	// without touching the slabs), and a zonemap-disjoint one emits
-	// nothing, exactly as per-row verification would.
-	g := v.grid
-	blocks := v.collect(rect)
-	type chunkCand struct {
-		full     [][]int32 // verified-by-construction candidate blocks
-		partial  []int     // verified matching rows from boundary cells
-		examined int64
+// samplePiece is one grid's share of a sample sub-query's candidate
+// layout — the state a draw needs, and nothing it can recompute. The
+// layout contract is load-bearing: the rows of geometrically covered
+// cells come first and boundary-cell survivors follow, each in row-major
+// cell order, rows ascending within a cell. Zonemaps never move a cell
+// between the groups. A plan is an ordered list of pieces (one for an
+// unsharded view, one per shard otherwise, in shard order — shards cut
+// at cell boundaries, so that is cell order); its layout is every
+// piece's covered rows, then every piece's survivors.
+//
+// A lazy piece (rect != nil) holds no row ids: only how many rows the
+// covered cells own and how many rows of each non-empty boundary cell
+// match, in walk order. resolve maps a layout index back to its row by
+// re-walking the cell box, which reproduces the materialized layout's
+// index→row mapping exactly because both walks visit the same cells in
+// the same order and a cell's survivors are its set bits in slot order.
+// A rows piece (rect == nil) is the materialized layout at the wire's
+// int32 width: what a remote shard answered, or a covering-index range.
+//
+// Pieces are immutable once built, so the predicate cache shares them
+// across sessions; g is bound per use and never cached.
+type samplePiece struct {
+	g         *gridIndex
+	rect      geom.Rect
+	fullTotal int      // rows of the covered cells
+	partTotal int      // matching rows of the boundary cells
+	counts    []uint16 // lazy: matches per non-empty boundary cell; bigCount escapes to big
+	big       []int32  // lazy: the counts >= bigCount, in order
+	rows      []int32  // rows piece: fullTotal covered rows, then partTotal survivors
+}
+
+// bigCount marks a boundary cell whose match count does not fit a
+// uint16; the real count is the next unread element of big.
+const bigCount = 1<<16 - 1
+
+// addCell records the next boundary cell's match count.
+func (p *samplePiece) addCell(m int) {
+	p.partTotal += m
+	if m >= bigCount {
+		p.counts = append(p.counts, bigCount)
+		p.big = append(p.big, int32(m))
+		return
 	}
-	v.ensureArenas(par.ChunkCount(v.workers, len(blocks), minScanBlocks))
-	parts, _ := par.MapCtx(v.scanCtx(), kernelScan, v.workers, len(blocks), minScanBlocks, func(chunk, lo, hi int) chunkCand {
-		var c chunkCand
-		scratch := v.chunkArena(chunk)
-		for _, b := range blocks[lo:hi] {
-			if b.full {
-				c.full = append(c.full, b.rows)
-				continue
-			}
-			switch g.zoneClassify(rect, b.id) {
-			case zoneCovered:
-				for _, r := range b.rows {
-					c.partial = append(c.partial, int(r))
-				}
-			case zoneDisjoint:
-				// No row can match; emitting nothing is what the filter
-				// would do, without the examination.
-			default:
-				c.examined += int64(len(b.rows))
-				end := b.off + int32(len(b.rows))
-				scratch = g.evalCellBits(rect, b.id, b.off, end, scratch[:0])
-				for w, bw := range scratch {
-					for bw != 0 {
-						t := bits.TrailingZeros64(bw)
-						c.partial = append(c.partial, int(b.rows[w<<6+t]))
-						bw &= bw - 1
-					}
-				}
-			}
+	p.counts = append(p.counts, uint16(m))
+}
+
+// walk replays a lazy piece's layout in order: span for each maximal
+// slot range of covered cells, cell for each non-empty boundary cell
+// with its recorded match count m. Either callback returning false
+// stops the walk.
+func (p *samplePiece) walk(span func(slo, shi int32) bool, cell func(id, off, end int32, m int) bool) {
+	g := p.g
+	dims := g.dims
+	var small [5 * 6]int // keeps the box of a view of up to 6 dimensions off the heap
+	backing := small[:]
+	if len(backing) < 5*dims {
+		backing = make([]int, 5*dims)
+	}
+	b := batchBox{lo: backing[:dims], hi: backing[dims : 2*dims], cLo: backing[2*dims : 3*dims], cHi: backing[3*dims : 4*dims]}
+	if !g.fillBox(&b, p.rect) {
+		return
+	}
+	ci, bi := 0, 0
+	g.walkBox(context.Background(), &b, backing[4*dims:5*dims], span, func(id, off, end int32) bool {
+		m := int(p.counts[ci])
+		ci++
+		if m == bigCount {
+			m = int(p.big[bi])
+			bi++
 		}
-		v.saveChunkArena(chunk, scratch)
-		return c
+		return cell(id, off, end, m)
 	})
-	var full [][]int32
-	fullTotal := 0
-	var partial []int
-	examined := int64(0)
-	for _, c := range parts {
-		for _, b := range c.full {
-			full = append(full, b)
-			fullTotal += len(b)
-		}
-		partial = append(partial, c.partial...)
-		examined += c.examined
-	}
-	v.stats.RowsExamined.Add(examined)
-	obsRowsExamined.Add(examined)
+}
 
-	total := fullTotal + len(partial)
+// resolve replaces each layout index by its row, in place: full holds
+// ascending indices into the piece's covered rows, part ascending
+// indices into its survivors. Only the boundary cells an index lands in
+// are re-evaluated — those rows are the examined count it returns; a
+// cell whose rows all match is answered from its slots alone.
+func (p *samplePiece) resolve(full, part []int) (examined int64) {
+	if p.rect == nil {
+		for i, j := range full {
+			full[i] = int(p.rows[j])
+		}
+		for i, j := range part {
+			part[i] = int(p.rows[p.fullTotal+j])
+		}
+		return 0
+	}
+	g := p.g
+	fi, pi := 0, 0
+	fcum, pcum := 0, 0 // layout rows before the current span / cell
+	var words []uint64
+	p.walk(func(slo, shi int32) bool {
+		next := fcum + int(shi-slo)
+		for fi < len(full) && full[fi] < next {
+			full[fi] = int(g.rows[int(slo)+full[fi]-fcum])
+			fi++
+		}
+		fcum = next
+		return fi < len(full) || pi < len(part)
+	}, func(id, off, end int32, m int) bool {
+		next := pcum + m
+		if pi < len(part) && part[pi] < next {
+			if m == int(end-off) {
+				for pi < len(part) && part[pi] < next {
+					part[pi] = int(g.rows[int(off)+part[pi]-pcum])
+					pi++
+				}
+			} else {
+				examined += int64(end - off)
+				words = g.evalCellBits(p.rect, id, off, end, words[:0])
+				seen := pcum // survivors before the current word
+				for w, bw := range words {
+					ones := bits.OnesCount64(bw)
+					for pi < len(part) && part[pi] < seen+ones {
+						part[pi] = int(g.rows[int(off)+w<<6+selectBit(bw, part[pi]-seen)])
+						pi++
+					}
+					seen += ones
+				}
+			}
+		}
+		pcum = next
+		return fi < len(full) || pi < len(part)
+	})
+	return examined
+}
+
+// selectBit returns the position of the k-th (0-based) set bit of w.
+func selectBit(w uint64, k int) int {
+	for ; k > 0; k-- {
+		w &= w - 1
+	}
+	return bits.TrailingZeros64(w)
+}
+
+// blocks materializes the piece in the shape the wire carries: the
+// covered rows as blocks (subslices of the grid for a lazy piece, never
+// copied) and the survivors as one list.
+func (p *samplePiece) blocks() (full [][]int32, partial []int32) {
+	if p.rect == nil {
+		if p.fullTotal > 0 {
+			full = [][]int32{p.rows[:p.fullTotal]}
+		}
+		return full, p.rows[p.fullTotal:]
+	}
+	g := p.g
+	if p.partTotal > 0 {
+		partial = make([]int32, 0, p.partTotal)
+	}
+	var words []uint64
+	p.walk(func(slo, shi int32) bool {
+		full = append(full, g.rows[slo:shi])
+		return true
+	}, func(id, off, end int32, m int) bool {
+		switch m {
+		case 0:
+		case int(end - off):
+			partial = append(partial, g.rows[off:end]...)
+		default:
+			words = g.evalCellBits(p.rect, id, off, end, words[:0])
+			for w, bw := range words {
+				for ; bw != 0; bw &= bw - 1 {
+					partial = append(partial, g.rows[int(off)+w<<6+bits.TrailingZeros64(bw)])
+				}
+			}
+		}
+		return true
+	})
+	return full, partial
+}
+
+// drawSample draws up to n rows from a plan: the one draw routine
+// behind every sample path. It consumes rng exactly as the materialized
+// layout did — floydSample over the total then the shuffle, or the
+// shuffle alone when n covers every candidate — and resolves the chosen
+// ascending indices piece by piece, one walk each.
+func drawSample(pieces []samplePiece, n int, rng *rand.Rand) (out []int, examined int64) {
+	fullAll, total := 0, 0
+	for k := range pieces {
+		fullAll += pieces[k].fullTotal
+		total += pieces[k].fullTotal + pieces[k].partTotal
+	}
 	if total == 0 {
-		return nil
+		return nil, 0
 	}
 	if n >= total {
-		out := make([]int, 0, total)
-		for _, b := range full {
-			for _, r := range b {
-				out = append(out, int(r))
-			}
+		out = make([]int, total)
+		for i := range out {
+			out[i] = i
 		}
-		out = append(out, partial...)
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
+	} else {
+		out = floydSample(total, n, rng)
 	}
-
-	out := make([]int, 0, n)
-	for _, idx := range floydSample(total, n, rng) {
-		out = append(out, v.rowAt(full, partial, idx))
+	nf, _ := slices.BinarySearch(out, fullAll)
+	f, p := 0, nf // next unresolved covered / survivor index
+	fBase, pBase := 0, fullAll
+	for k := range pieces {
+		pc := &pieces[k]
+		f0, p0 := f, p
+		for ; f < nf && out[f] < fBase+pc.fullTotal; f++ {
+			out[f] -= fBase
+		}
+		for ; p < len(out) && out[p] < pBase+pc.partTotal; p++ {
+			out[p] -= pBase
+		}
+		if f > f0 || p > p0 {
+			examined += pc.resolve(out[f0:f], out[p0:p])
+		}
+		fBase += pc.fullTotal
+		pBase += pc.partTotal
 	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	return out, examined
 }
 
 // floydSample returns n distinct indices in [0, total) via Floyd's
@@ -180,18 +258,6 @@ func floydSample(total, n int, rng *rand.Rand) []int {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// rowAt maps a flat candidate index to a row id: indexes cover the full
-// blocks first, then the verified partial rows.
-func (v *View) rowAt(full [][]int32, partial []int, idx int) int {
-	for _, b := range full {
-		if idx < len(b) {
-			return int(b[idx])
-		}
-		idx -= len(b)
-	}
-	return partial[idx]
 }
 
 // SampleNear returns up to n rows within Chebyshev distance y of center

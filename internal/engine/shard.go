@@ -4,8 +4,9 @@ package engine
 // splits a view's columnar grid into N contiguous cell-range shards —
 // each owning its own slot slab range, rebased CSR offsets,
 // per-dimension covering indexes and predicate-cache partition — and
-// routes Count/RowsIn/RowsInAny/SampleRect through a supervised
-// fan-out: every shard runs a sequential core, a per-shard supervisor
+// routes Count/RowsIn/RowsInAny and batches (batch.go; SampleRect is a
+// batch of one) through a supervised fan-out: every shard runs a
+// sequential core, a per-shard supervisor
 // tracks health (supervisor.go) with retries, optional deadlines and
 // hedged second attempts, and the gather step reassembles results in
 // shard order. Because shards cut at cell boundaries and gather in
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -38,7 +38,8 @@ import (
 const (
 	// FaultShardScan fires inside Count/RowsIn/RowsInAny shard attempts.
 	FaultShardScan = "engine.shard.scan"
-	// FaultShardSample fires inside SampleRect shard attempts.
+	// FaultShardSample fires inside the shard attempts of a batch that
+	// carries a sample (SampleRect is such a batch, of one).
 	FaultShardSample = "engine.shard.sample"
 	// FaultShardBuild fires while a shard's indexes are being split.
 	FaultShardBuild = "engine.shard.build"
@@ -694,44 +695,6 @@ func (sh *shard) rowsAny(rects []geom.Rect) ShardRows {
 	return out
 }
 
-// sampleGrid is SampleRect's grid path restricted to one shard: full
-// cells contribute their row blocks, boundary cells their verified
-// survivors, both in cell order.
-func (sh *shard) sampleGrid(rect geom.Rect) ShardSample {
-	g := sh.grid
-	var out ShardSample
-	sc := getShardScratch()
-	blocks := g.collectCells(rect, sc.blocks)
-	scratch := sc.arena
-	for _, b := range blocks {
-		if b.full {
-			out.Full = append(out.Full, b.rows)
-			continue
-		}
-		switch g.zoneClassify(rect, b.id) {
-		case zoneCovered:
-			for _, r := range b.rows {
-				out.Partial = append(out.Partial, int(r))
-			}
-		case zoneDisjoint:
-		default:
-			out.Examined += int64(len(b.rows))
-			end := b.off + int32(len(b.rows))
-			scratch = g.evalCellBits(rect, b.id, b.off, end, scratch[:0])
-			for w, bw := range scratch {
-				for bw != 0 {
-					t := bits.TrailingZeros64(bw)
-					out.Partial = append(out.Partial, int(b.rows[w<<6+t]))
-					bw &= bw - 1
-				}
-			}
-		}
-	}
-	sc.blocks, sc.arena = blocks, scratch
-	putShardScratch(sc)
-	return out
-}
-
 // sortedSlice returns the shard's covering-index candidates for an
 // interval of one dimension, in (value, row id) order.
 func (sh *shard) sortedSlice(dim int, iv geom.Interval, vals []float64) []int32 {
@@ -845,99 +808,6 @@ func gatherRows(v *View, res []ShardRows, ok []bool) []int {
 	return out
 }
 
-// sampleShardedCore runs SampleRect's scatter for both engine paths and
-// reassembles the exact unsharded candidate layout (full blocks in cell
-// order, then partial survivors in cell order; covering-index
-// candidates merge back into global (value, row id) order), so the same
-// rng state draws the same rows at any shard count.
-func (v *View) sampleShardedCore(rect geom.Rect, n int, rng *rand.Rand) ([]int, int) {
-	if dim := v.singleConstrainedDim(rect); dim >= 0 {
-		obsPathIndex.Inc()
-		vals := v.ncols[dim]
-		iv := rect[dim]
-		res, ok, healthy := scatterShards(v.shards, v.scanCtx(), FaultShardSample, func(b ShardBackend) ([]int32, error) {
-			return b.SortedSlice(dim, iv)
-		})
-		if v.scanCtx().Err() != nil {
-			return nil, healthy
-		}
-		var parts [][]int32
-		matched := 0
-		for i := range res {
-			if ok[i] && len(res[i]) > 0 {
-				parts = append(parts, res[i])
-				matched += len(res[i])
-			}
-		}
-		v.stats.RowsExamined.Add(int64(matched))
-		obsRowsExamined.Add(int64(matched))
-		if matched == 0 {
-			return nil, healthy
-		}
-		merged := mergeSorted(parts, vals, matched)
-		if n >= matched {
-			out := make([]int, 0, matched)
-			for _, r := range merged {
-				out = append(out, int(r))
-			}
-			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-			return out, healthy
-		}
-		out := make([]int, 0, n)
-		for _, t := range floydSample(matched, n, rng) {
-			out = append(out, int(merged[t]))
-		}
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out, healthy
-	}
-
-	obsPathGrid.Inc()
-	res, ok, healthy := scatterShards(v.shards, v.scanCtx(), FaultShardSample, func(b ShardBackend) (ShardSample, error) {
-		return b.SampleGrid(rect)
-	})
-	if v.scanCtx().Err() != nil {
-		return nil, healthy
-	}
-	var full [][]int32
-	fullTotal := 0
-	var partial []int
-	var examined int64
-	for i := range res {
-		if !ok[i] {
-			continue
-		}
-		for _, b := range res[i].Full {
-			full = append(full, b)
-			fullTotal += len(b)
-		}
-		partial = append(partial, res[i].Partial...)
-		examined += res[i].Examined
-	}
-	v.stats.RowsExamined.Add(examined)
-	obsRowsExamined.Add(examined)
-	total := fullTotal + len(partial)
-	if total == 0 {
-		return nil, healthy
-	}
-	if n >= total {
-		out := make([]int, 0, total)
-		for _, b := range full {
-			for _, r := range b {
-				out = append(out, int(r))
-			}
-		}
-		out = append(out, partial...)
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out, healthy
-	}
-	out := make([]int, 0, n)
-	for _, idx := range floydSample(total, n, rng) {
-		out = append(out, v.rowAt(full, partial, idx))
-	}
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out, healthy
-}
-
 // mergeSorted k-way merges per-shard covering-index slices back into
 // global (value, row id) order — sortedIndex's exact total order, so
 // the merged sequence is identical to the unsharded index range.
@@ -975,24 +845,13 @@ func less(vals []float64, a, b int32) bool {
 	return a < b
 }
 
-// sortedRangeIn returns the half-open [lo, hi) positions in idx whose
-// values fall inside iv — sortedRange generalized to any covering-index
-// slice (the per-shard ones included).
+// sortedRangeIn returns the half-open [lo, hi) positions in idx — a
+// covering index over vals, the view's or one shard's — whose values
+// fall inside iv: two binary searches, the lower bound on iv.Lo and the
+// first value past iv.Hi.
 func sortedRangeIn(idx []int32, vals []float64, iv geom.Interval) (int, int) {
-	lo, _ := slices.BinarySearchFunc(idx, iv.Lo, func(r int32, t float64) int {
-		switch {
-		case vals[r] < t:
-			return -1
-		case vals[r] > t:
-			return 1
-		default:
-			return 0
-		}
-	})
-	hi := lo
-	for hi < len(idx) && vals[idx[hi]] <= iv.Hi {
-		hi++
-	}
+	lo := sort.Search(len(idx), func(i int) bool { return vals[idx[i]] >= iv.Lo })
+	hi := lo + sort.Search(len(idx)-lo, func(i int) bool { return vals[idx[lo+i]] > iv.Hi })
 	return lo, hi
 }
 

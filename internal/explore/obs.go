@@ -121,6 +121,7 @@ func (s *Session) recordFlight(res *IterationResult, budget int, cacheBefore eng
 		now := c.Stats()
 		ev.CacheHits = now.Hits - cacheBefore.Hits
 		ev.CacheMisses = now.Misses - cacheBefore.Misses
+		ev.CachePlanHits = now.PlanHits - cacheBefore.PlanHits
 	}
 	if s.tree != nil {
 		ev.TreeNodes = s.tree.NumNodes()

@@ -66,9 +66,12 @@ type FlightEvent struct {
 	Degradations []string `json:"degradations,omitempty"`
 
 	// CacheHits/CacheMisses are the view's predicate-cache deltas over
-	// this iteration (absent when the view has no cache).
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
+	// this iteration (absent when the view has no cache); CachePlanHits
+	// is the share of the hits that answered a sample plan, i.e. saved a
+	// grid pass rather than a count.
+	CacheHits     int64 `json:"cache_hits,omitempty"`
+	CacheMisses   int64 `json:"cache_misses,omitempty"`
+	CachePlanHits int64 `json:"cache_plan_hits,omitempty"`
 
 	// TreeNodes is the classifier size after retraining; RelevantAreas
 	// the number of predicted relevant areas; Predicate the rendered

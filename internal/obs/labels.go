@@ -80,7 +80,9 @@ func (v *vec[T]) snapshot() []series[T] {
 }
 
 // CounterVec is a family of counters distinguished by one label, e.g.
-// engine_cache_ops{op="hit"|"miss"|"evict"}.
+// engine_cache_ops{op="hit"|"miss"|"evict"}. A label naming several
+// comma-separated keys ("kind,op") makes a multi-label family whose
+// values are given the same way ("count,hit").
 type CounterVec struct{ v *vec[Counter] }
 
 // With returns the counter for the given label value. Resolve once and

@@ -334,7 +334,8 @@ func (r *Registry) Snapshot() map[string]any {
 
 // seriesKey renders one labeled series' JSON key.
 func seriesKey(name, label, value string) string {
-	return fmt.Sprintf("%s{%s=%q}", name, label, value)
+	same := func(s string) string { return s }
+	return name + "{" + labelSet(label, value, same, same) + "}"
 }
 
 // WriteJSON writes the registry as expvar-flavored JSON: one flat object

@@ -79,7 +79,22 @@ func labelPair(key, value string) string {
 	if key == "" {
 		return ""
 	}
-	return fmt.Sprintf("{%s=%q}", promLabelName(key), promEscape(value))
+	return "{" + labelSet(key, value, promLabelName, promEscape) + "}"
+}
+
+// labelSet renders `key="value"`. A vector registered under several
+// comma-separated keys ("kind,op") carries its values the same way
+// ("count,hit") and renders one pair per key.
+func labelSet(key, value string, name, escape func(string) string) string {
+	keys, vals := strings.Split(key, ","), strings.Split(value, ",")
+	if len(keys) != len(vals) {
+		keys, vals = []string{key}, []string{value}
+	}
+	pairs := make([]string, len(keys))
+	for i := range keys {
+		pairs[i] = fmt.Sprintf("%s=%q", name(keys[i]), escape(vals[i]))
+	}
+	return strings.Join(pairs, ",")
 }
 
 // histLines renders one histogram series (with an optional extra label)
@@ -89,7 +104,7 @@ func histLines(name string, h *Histogram, labelKey, labelValue string) []string 
 	lines := make([]string, 0, len(bounds)+3)
 	extra := ""
 	if labelKey != "" {
-		extra = fmt.Sprintf("%s=%q,", promLabelName(labelKey), promEscape(labelValue))
+		extra = labelSet(labelKey, labelValue, promLabelName, promEscape) + ","
 	}
 	cum := int64(0)
 	for i, bound := range bounds {

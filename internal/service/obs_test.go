@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"github.com/explore-by-example/aide/internal/dataset"
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/geom"
+	"github.com/explore-by-example/aide/internal/obs"
 )
 
 // driveSession runs a short scripted exploration over HTTP and returns
@@ -116,6 +118,86 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("trace of unknown session = %d", resp.StatusCode)
+	}
+}
+
+// promSample returns the value of one exactly-named series in a
+// Prometheus text exposition, -1 when absent.
+func promSample(exposition, series string) float64 {
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				return -1
+			}
+			return v
+		}
+	}
+	return -1
+}
+
+// TestCacheKindMetricsAfterTwoSessions: two sessions with the same seed
+// over one cached view ask for the same discovery samples, so the second
+// draws from the plans the first memoized. /metrics must split the cache
+// traffic by kind — plan misses from the first session, plan hits from
+// the second — and the second session's flight events must carry the
+// plan hits next to the cache hits.
+func TestCacheKindMetricsAfterTwoSessions(t *testing.T) {
+	_, v := newTestServer(t)
+	srv := NewServer(map[string]*engine.View{"uniform": v.WithCache(engine.NewCache(1 << 20))})
+	srv.SampleWait = 5 * time.Second
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+
+	scrape := func() string {
+		raw, err := c.PrometheusMetrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.ValidateExposition(raw); err != nil {
+			t.Fatalf("scrape invalid: %v", err)
+		}
+		return string(raw)
+	}
+	const planHit, planMiss = `engine_cache_kind_ops{kind="sample",op="hit"}`, `engine_cache_kind_ops{kind="sample",op="miss"}`
+	before := scrape()
+
+	first := driveSession(t, c, v, 35)
+	defer c.Close(ctx, first)
+	mid := scrape()
+	if d := promSample(mid, planMiss) - max(promSample(before, planMiss), 0); d <= 0 {
+		t.Errorf("first session planned no samples through the cache: %s moved by %v", planMiss, d)
+	}
+	second := driveSession(t, c, v, 35)
+	defer c.Close(ctx, second)
+	after := scrape()
+	if d := promSample(after, planHit) - max(promSample(mid, planHit), 0); d <= 0 {
+		t.Errorf("second session hit no memoized plan: %s moved by %v", planHit, d)
+	}
+	for _, series := range []string{
+		`engine_cache_kind_ops{kind="count",op="hit"}`,
+		`engine_cache_kind_ops{kind="count",op="miss"}`,
+	} {
+		if promSample(after, series) <= 0 {
+			t.Errorf("/metrics: %s = %v, want > 0", series, promSample(after, series))
+		}
+	}
+
+	events, err := c.Events(ctx, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planHits int64
+	for _, ev := range events {
+		if ev.CachePlanHits > ev.CacheHits {
+			t.Errorf("iteration %d: %d plan hits out of %d cache hits", ev.Iteration, ev.CachePlanHits, ev.CacheHits)
+		}
+		planHits += ev.CachePlanHits
+	}
+	if planHits == 0 {
+		t.Errorf("second session's %d flight events record no plan hits", len(events))
 	}
 }
 

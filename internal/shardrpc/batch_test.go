@@ -125,7 +125,7 @@ func FuzzBatchCodec(f *testing.F) {
 	results := []engine.ShardBatchResult{
 		{Count: engine.ShardCount{Matched: 7, Examined: 21}},
 		{Rows: engine.ShardRows{Rows: []int{1, 2, 3}, Examined: 3}},
-		{Sample: engine.ShardSample{Full: [][]int32{{4, 5}}, Partial: []int{6}, Examined: 9}},
+		{Sample: engine.NewShardSample(9, []int32{4, 5, 6}, 2)},
 		{Sorted: []int32{8, 9, 10}},
 	}
 	eResults := &enc{}

@@ -490,12 +490,7 @@ func (r *remoteShard) SampleGrid(rect geom.Rect) (engine.ShardSample, error) {
 		return engine.ShardSample{}, err
 	}
 	d := &dec{b: resp}
-	out := engine.ShardSample{Examined: d.i64()}
-	n := d.count(4)
-	for i := 0; i < n; i++ {
-		out.Full = append(out.Full, d.block32())
-	}
-	out.Partial = d.rows32()
+	out := d.sample()
 	if d.err != nil {
 		return engine.ShardSample{}, d.err
 	}

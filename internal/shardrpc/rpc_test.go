@@ -234,7 +234,11 @@ func TestRemoteBitIdentity(t *testing.T) {
 
 // TestRemoteSharedCacheBitIdentity pins that the coordinator-side
 // predicate cache serves remote shards too: a second pass over the same
-// rects (cache hits, no wire round-trips) stays bit-identical.
+// rects (cache hits, no wire round-trips) stays bit-identical. Sample
+// plans are part of it — a remote shard's piece is memoized as the rows
+// the wire carried, a local shard's as counts — so a warm draw over the
+// mixed topology returns the unsharded view's rows, leaves the rng where
+// it leaves it, and sends nothing.
 func TestRemoteSharedCacheBitIdentity(t *testing.T) {
 	base, sharded := testViews(t, 4000, 4)
 	addr, _ := startWorker(t, 4000, 4, []int{1, 3})
@@ -243,6 +247,7 @@ func TestRemoteSharedCacheBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rects := randomRects(10, 2, rng)
 	for pass := 0; pass < 2; pass++ {
+		batchRPCs := obsRPCBatch.Value()
 		for ri, rect := range rects {
 			if got, want := mixed.Count(rect), base.Count(rect); got != want {
 				t.Fatalf("pass %d rect %d: Count = %d, want %d", pass, ri, got, want)
@@ -250,7 +255,23 @@ func TestRemoteSharedCacheBitIdentity(t *testing.T) {
 			if got, want := mixed.RowsIn(rect), base.RowsIn(rect); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pass %d rect %d: RowsIn diverged", pass, ri)
 			}
+			for _, n := range []int{1, 5, 4000} {
+				rngA := rand.New(rand.NewSource(int64(ri*7 + n)))
+				rngB := rand.New(rand.NewSource(int64(ri*7 + n)))
+				if got, want := mixed.SampleRect(rect, n, rngA), base.SampleRect(rect, n, rngB); !reflect.DeepEqual(got, want) {
+					t.Fatalf("pass %d rect %d n=%d: SampleRect diverged\n got %v\nwant %v", pass, ri, n, got, want)
+				}
+				if rngA.Int63() != rngB.Int63() {
+					t.Fatalf("pass %d rect %d n=%d: rng position diverged", pass, ri, n)
+				}
+			}
 		}
+		if sent := obsRPCBatch.Value() - batchRPCs; pass == 1 && sent != 0 {
+			t.Fatalf("warm pass sent %d batch RPCs, want 0: memoized plans must skip the shard call", sent)
+		}
+	}
+	if st := mixed.Cache().Stats(); st.PlanHits == 0 {
+		t.Fatal("no sample plan was served from the cache")
 	}
 }
 
@@ -593,13 +614,13 @@ func TestServerRejectsUnservedShard(t *testing.T) {
 
 func TestNetworkGuess(t *testing.T) {
 	for addr, want := range map[string]string{
-		"localhost:9090":  "tcp",
-		":9090":           "tcp",
-		"/tmp/w.sock":     "unix",
-		"sub/dir/w.sock":  "unix",
-		"10.0.0.1:1":      "tcp",
-		`C:\temp\w.sock`:  "unix",
-		"[::1]:80":        "tcp",
+		"localhost:9090": "tcp",
+		":9090":          "tcp",
+		"/tmp/w.sock":    "unix",
+		"sub/dir/w.sock": "unix",
+		"10.0.0.1:1":     "tcp",
+		`C:\temp\w.sock`: "unix",
+		"[::1]:80":       "tcp",
 	} {
 		if got := Network(addr); got != want {
 			t.Errorf("Network(%q) = %q, want %q", addr, got, want)

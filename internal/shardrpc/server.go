@@ -215,12 +215,7 @@ func (s *Server) handle(op byte, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.i64(out.Examined)
-		e.u32(uint32(len(out.Full)))
-		for _, blk := range out.Full {
-			e.block32(blk)
-		}
-		e.rows32(out.Partial)
+		e.sample(out)
 		return e.b, nil
 	case opSortedSlice:
 		dim := int(d.u32())

@@ -116,6 +116,19 @@ func (e *enc) rect(r geom.Rect) {
 	}
 }
 
+// sample encodes one shard's sample piece: examined, the covered-cell
+// row blocks, then the boundary-cell survivors. A lazy piece is
+// materialized here — the wire carries rows.
+func (e *enc) sample(s engine.ShardSample) {
+	full, partial := s.Blocks()
+	e.i64(s.Examined)
+	e.u32(uint32(len(full)))
+	for _, blk := range full {
+		e.block32(blk)
+	}
+	e.block32(partial)
+}
+
 // rows32 encodes row ids as int32: the engine's grid stores rows as
 // int32, so every id a shard can produce fits.
 func (e *enc) rows32(rows []int) {
@@ -240,6 +253,42 @@ func (d *dec) block32() []int32 {
 	return rows
 }
 
+// sample decodes enc.sample's frame into one flat row array at the
+// wire's int32 width — the blocks back to back, then the survivors —
+// sized by a pass over the length prefixes before anything is copied.
+func (d *dec) sample() engine.ShardSample {
+	examined := d.i64()
+	nf := d.count(4)
+	if d.err != nil {
+		return engine.ShardSample{}
+	}
+	total, at := 0, 0
+	for i := 0; i <= nf; i++ { // nf blocks, then the survivor list
+		if len(d.b)-at < 4 {
+			d.fail()
+			return engine.ShardSample{}
+		}
+		n := int(binary.LittleEndian.Uint32(d.b[at:]))
+		if n > (len(d.b)-at-4)/4 {
+			d.fail()
+			return engine.ShardSample{}
+		}
+		total += n
+		at += 4 + 4*n
+	}
+	rows := make([]int32, 0, total)
+	fullTotal := 0
+	for i := 0; i <= nf; i++ {
+		if i == nf {
+			fullTotal = len(rows)
+		}
+		for n := int(d.u32()); n > 0; n-- {
+			rows = append(rows, int32(d.u32()))
+		}
+	}
+	return engine.NewShardSample(examined, rows, fullTotal)
+}
+
 // ---- opBatch codec -------------------------------------------------
 //
 // A batch request is the shard index followed by N length-prefixed
@@ -339,12 +388,7 @@ func encodeBatchResults(e *enc, items []engine.ShardBatchItem, results []engine.
 			e.i64(r.Rows.Examined)
 			e.rows32(r.Rows.Rows)
 		default:
-			e.i64(r.Sample.Examined)
-			e.u32(uint32(len(r.Sample.Full)))
-			for _, blk := range r.Sample.Full {
-				e.block32(blk)
-			}
-			e.rows32(r.Sample.Partial)
+			e.sample(r.Sample)
 		}
 	}
 }
@@ -369,12 +413,7 @@ func decodeBatchResults(d *dec, items []engine.ShardBatchItem) ([]engine.ShardBa
 		case items[k].Kind == engine.BatchRows:
 			out[k].Rows = engine.ShardRows{Examined: d.i64(), Rows: d.rows32()}
 		default:
-			out[k].Sample.Examined = d.i64()
-			nf := d.count(4)
-			for i := 0; i < nf; i++ {
-				out[k].Sample.Full = append(out[k].Sample.Full, d.block32())
-			}
-			out[k].Sample.Partial = d.rows32()
+			out[k].Sample = d.sample()
 		}
 		if d.err != nil {
 			return nil, d.err
