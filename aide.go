@@ -207,7 +207,9 @@ func NewServiceServer(views map[string]*View) *ServiceServer {
 }
 
 // NewServiceClient creates a client for a server at baseURL; httpClient
-// may be nil.
+// may be nil. One client is one pooled transport that keeps a
+// sequential caller on a single keep-alive connection: create it once
+// and share it, across sessions and goroutines.
 func NewServiceClient(baseURL string, httpClient *http.Client) *ServiceClient {
 	return service.NewClient(baseURL, httpClient)
 }

@@ -242,6 +242,7 @@ func main() {
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
 		ReadHeaderTimeout: *readHeaderTimeout,
+		ConnState:         service.ConnState,
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,13 +28,14 @@ func TestTelemetrySmoke(t *testing.T) {
 	_, url := startChild(t, dataDir, "telemetry")
 	c := service.NewClient(url, nil)
 
+	const labels = 15
 	id, err := c.CreateSession(ctx, service.CreateSessionRequest{
 		View: "sdss", Seed: 3, SamplesPerIteration: 5, MaxIterations: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 15; i++ {
+	for i := 0; i < labels; i++ {
 		sample, err := c.NextSample(ctx, id)
 		if err != nil {
 			t.Fatalf("label %d: NextSample: %v", i, err)
@@ -59,6 +62,22 @@ func TestTelemetrySmoke(t *testing.T) {
 	}
 	if g, ok := m["go_goroutines"].(float64); !ok || g < 1 {
 		t.Errorf("go_goroutines = %v, want >= 1", m["go_goroutines"])
+	}
+
+	// The client lived on its keep-alive connection: every label was a
+	// request, and the server accepted next to no connections for them.
+	// Both expositions say so.
+	for _, view := range []struct {
+		name             string
+		accepted, labels float64
+	}{
+		{"/v1/metrics", jsonValue(m, "service.http.connections_accepted"), jsonValue(m, "service.http.requests.label")},
+		{"/metrics", promValue(raw, "service_http_connections_accepted"), promValue(raw, "service_http_requests_label")},
+	} {
+		if view.accepted < 1 || view.accepted > 2 || view.labels < labels {
+			t.Errorf("%s: %v connections accepted for %v label requests, want 1-2 for >= %d",
+				view.name, view.accepted, view.labels, labels)
+		}
 	}
 
 	// The SLO monitor is on by default and healthy under this traffic.
@@ -102,4 +121,25 @@ func TestTelemetrySmoke(t *testing.T) {
 	if err := c.Close(ctx, id); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// jsonValue reads one number of the /v1/metrics snapshot, -1 if absent.
+func jsonValue(m map[string]any, name string) float64 {
+	if v, ok := m[name].(float64); ok {
+		return v
+	}
+	return -1
+}
+
+// promValue reads one unlabeled sample of a Prometheus exposition, -1
+// if absent.
+func promValue(exposition []byte, series string) float64 {
+	for _, line := range strings.Split(string(exposition), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			if v, err := strconv.ParseFloat(rest, 64); err == nil {
+				return v
+			}
+		}
+	}
+	return -1
 }

@@ -47,7 +47,9 @@ type Client struct {
 
 // NewClient creates a client for a server at baseURL (e.g.
 // "http://localhost:8080"). httpClient may be nil for
-// http.DefaultClient.
+// http.DefaultClient. One Client is one pooled transport: a sequential
+// caller stays on a single keep-alive connection for the Client's whole
+// life. Share one (it is safe for concurrent use); don't make one per session.
 func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
@@ -227,6 +229,11 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 }
 
+// maxTailBytes bounds what doOnce reads beyond what its caller asked
+// for: the remainder drained before Close, and an error body. More than
+// this is closed unread, costing that connection, not an unbounded read.
+const maxTailBytes = 64 << 10
+
 // doOnce runs one attempt. retryAfter >= 0 marks the error retryable,
 // carrying the server's Retry-After ask (0 when absent).
 func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) (retryAfter time.Duration, err error) {
@@ -245,13 +252,21 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	if err != nil {
 		return -1, err
 	}
-	defer resp.Body.Close()
+	// The transport reuses a connection only if its body was read to EOF
+	// before Close. Every exit therefore drains what it left unread (all
+	// of it when out is nil, the final chunk behind a decoded JSON value)
+	// through tail, which also bounds the error-body decode.
+	tail := &io.LimitedReader{R: resp.Body, N: maxTailBytes}
+	defer func() {
+		io.Copy(io.Discard, tail)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode >= 400 {
 		var e struct {
 			Error string `json:"error"`
 		}
 		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		if json.NewDecoder(tail).Decode(&e) == nil && e.Error != "" {
 			msg = e.Error
 		}
 		err := fmt.Errorf("service: %s %s: %s", method, path, msg)

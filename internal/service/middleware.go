@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"runtime/debug"
 	"time"
@@ -30,6 +31,18 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// wrapStatus returns w as a statusWriter, wrapping it unless an outer
+// layer already did: middleware and ServeHTTP share one per request.
+func wrapStatus(w http.ResponseWriter) *statusWriter {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw
+	}
+	return &statusWriter{ResponseWriter: w, status: http.StatusOK}
+}
+
 // Flush forwards to the underlying writer so long-poll responses stream.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
@@ -47,7 +60,7 @@ func WithRecovery(logger *slog.Logger, next http.Handler) http.Handler {
 		logger = slog.Default()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := wrapStatus(w)
 		defer func() {
 			rec := recover()
 			if rec == nil {
@@ -102,7 +115,7 @@ func WithRequestLog(logger *slog.Logger, next http.Handler) http.Handler {
 			id = newID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := wrapStatus(w)
 		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 		logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("request_id", id),
@@ -113,4 +126,17 @@ func WithRequestLog(logger *slog.Logger, next http.Handler) http.Handler {
 			slog.String("remote", r.RemoteAddr),
 		)
 	})
+}
+
+// ConnState is an http.Server.ConnState hook feeding
+// service.http.connections_accepted and _open: requests per connection
+// accepted says whether clients keep their connections alive.
+func ConnState(_ net.Conn, state http.ConnState) {
+	switch state {
+	case http.StateNew:
+		obsConnsAccepted.Inc()
+		obsConnsOpen.Add(1)
+	case http.StateHijacked, http.StateClosed:
+		obsConnsOpen.Add(-1)
+	}
 }

@@ -10,6 +10,8 @@ import (
 var (
 	obsInflight        = obs.GetGauge("service.http.inflight")
 	obsHTTPErrors      = obs.GetCounter("service.http.errors")
+	obsConnsAccepted   = obs.GetCounter("service.http.connections_accepted")
+	obsConnsOpen       = obs.GetGauge("service.http.connections_open")
 	obsSampleWait      = obs.GetHistogram("service.sample_wait_seconds")
 	obsSessionsCreated = obs.GetCounter("service.sessions_created")
 	obsSessionsDeleted = obs.GetCounter("service.sessions_deleted")

@@ -363,6 +363,37 @@ func TestRequestLogMiddleware(t *testing.T) {
 	}
 }
 
+// TestMiddlewareSharesOneStatusWriter checks the chain wraps the writer
+// once per request, that the shared wrapper still shows the outer layer
+// the status an inner handler wrote, and that http.ResponseController
+// reaches the connection through it.
+func TestMiddlewareSharesOneStatusWriter(t *testing.T) {
+	var logBuf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw, ok := w.(*statusWriter)
+		if !ok {
+			t.Errorf("handler got a %T, want the chain's *statusWriter", w)
+		} else if _, nested := sw.ResponseWriter.(*statusWriter); nested {
+			t.Error("statusWriter wraps another statusWriter")
+		}
+		if err := http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
+			t.Errorf("ResponseController through statusWriter: %v", err)
+		}
+		w.WriteHeader(http.StatusTeapot)
+	})
+	ts := httptest.NewServer(WithRequestLog(logger, WithRecovery(logger, inner)))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !strings.Contains(logBuf.String(), `"status":418`) {
+		t.Errorf("request log missed the inner status: %s", logBuf.String())
+	}
+}
+
 func TestStatusWriterCapturesErrors(t *testing.T) {
 	// An error response increments service.http.errors.
 	tab := dataset.GenerateUniform(1_000, 2, 1)

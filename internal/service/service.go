@@ -625,10 +625,7 @@ type Bounds struct {
 // shed one.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	sw, ok := w.(*statusWriter)
-	if !ok {
-		sw = &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	}
+	sw := wrapStatus(w)
 	n := s.inflight.Add(1)
 	obsInflight.Add(1)
 	defer func() {

@@ -14,7 +14,7 @@ import (
 )
 
 // newTestServer builds a server over a small uniform view.
-func newTestServer(t *testing.T) (*Server, *engine.View) {
+func newTestServer(t testing.TB) (*Server, *engine.View) {
 	t.Helper()
 	tab := dataset.GenerateUniform(10_000, 2, 1)
 	v, err := engine.NewView(tab, []string{"a0", "a1"})
