@@ -141,17 +141,28 @@ func main() {
 	srv.HedgeAfter = *hedgeAfter
 	srv.ShardAddrs = shardAddrs
 	defer srv.Close()
-	if *sdssRows > 0 {
-		tab := dataset.GenerateSDSS(*sdssRows, *seed)
-		if err := srv.RegisterTable("sdss", tab, splitAttrs(*attrs), 0); err != nil {
-			fatal("building sdss view", "err", err)
+	// register builds one view and logs which path it took: local_index
+	// is false when every shard is remote, and heap_live_mb is the live
+	// heap as of the latest GC.
+	register := func(name string, tab *dataset.Table, attrs []string) {
+		if err := srv.RegisterTable(name, tab, attrs, 0); err != nil {
+			fatal("building view", "view", name, "err", err)
 		}
+		v := srv.View(name)
+		remote := 0
+		for _, h := range v.ShardHealth() {
+			if h.Remote {
+				remote++
+			}
+		}
+		logger.Info("view registered", "view", name, "rows", v.NumRows(),
+			"local_index", v.LocalIndex(), "remote_shards", remote, "heap_live_mb", obs.HeapLiveMB())
+	}
+	if *sdssRows > 0 {
+		register("sdss", dataset.GenerateSDSS(*sdssRows, *seed), splitAttrs(*attrs))
 	}
 	if *auctionRows > 0 {
-		tab := dataset.GenerateAuction(*auctionRows, *seed)
-		if err := srv.RegisterTable("auction", tab, []string{"current_price", "num_bids"}, 0); err != nil {
-			fatal("building auction view", "err", err)
-		}
+		register("auction", dataset.GenerateAuction(*auctionRows, *seed), []string{"current_price", "num_bids"})
 	}
 	for name, path := range csvs {
 		f, err := os.Open(path)
@@ -163,9 +174,7 @@ func main() {
 		if err != nil {
 			fatal("reading csv", "path", path, "err", err)
 		}
-		if err := srv.RegisterTable(name, tab, tab.Schema().Names(), 0); err != nil {
-			fatal("building csv view", "name", name, "err", err)
-		}
+		register(name, tab, tab.Schema().Names())
 	}
 	if len(srv.Views()) == 0 {
 		fatal("no views configured (use -sdss, -auction or -csv)")

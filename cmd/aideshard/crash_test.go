@@ -29,20 +29,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// startWorker launches an aideshard child serving shards 1 and 3 of a
-// 4-way SDSS view on the given unix socket and waits until it is
-// accepting (the addr file is written after Listen).
-func startWorker(t *testing.T, sock, tag string) *exec.Cmd {
+// killFlags has the kill test's worker serve shards 1 and 3 of a 4-way
+// SDSS view.
+var killFlags = []string{"-sdss", "4000", "-seed", "1", "-shards", "4", "-serve", "1,3"}
+
+// startWorker launches an aideshard child with the given dataset and
+// shard flags on the given unix socket and waits until it is accepting
+// (the addr file is written after Listen).
+func startWorker(t *testing.T, sock, tag string, flags ...string) *exec.Cmd {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr-"+tag)
-	cmd := exec.Command(os.Args[0],
-		"-listen", sock,
-		"-addr-file", addrFile,
-		"-sdss", "4000",
-		"-seed", "1",
-		"-shards", "4",
-		"-serve", "1,3",
-	)
+	cmd := exec.Command(os.Args[0], append([]string{"-listen", sock, "-addr-file", addrFile}, flags...)...)
 	cmd.Env = append(os.Environ(), crashChildEnv+"=1")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -93,7 +90,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	sock := filepath.Join(t.TempDir(), "w.sock")
-	worker := startWorker(t, sock, "1")
+	worker := startWorker(t, sock, "1", killFlags...)
 
 	// The coordinator builds the same view the worker flags describe.
 	tab := dataset.GenerateSDSS(4000, 1)
@@ -168,7 +165,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 
 	// Same flags, same socket: the replacement removes the stale socket
 	// file and resumes serving bit-identical shards.
-	startWorker(t, sock, "2")
+	startWorker(t, sock, "2", killFlags...)
 	full := geom.R(0, 100, 0, 100)
 	recovered := func() bool {
 		for _, h := range mixed.ShardHealth() {

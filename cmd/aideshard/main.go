@@ -1,11 +1,12 @@
-// Command aideshard runs a shard worker: it builds the same sharded
-// view an aideserver coordinator does — same dataset, same exploration
-// attributes, same shard count, so the same view fingerprint — and
-// serves a subset of the shards over the shardrpc framed protocol, on
-// TCP or a unix socket. The coordinator (aideserver -shard-addr, or
-// service.Server.ShardAddrs) dials it, verifies fingerprint and shard
-// count in the hello exchange, and routes the announced shards here;
-// shards no worker claims stay in the coordinator's process.
+// Command aideshard runs a shard worker: it builds the sharded view of
+// the same dataset, exploration attributes and shard count as its
+// aideserver coordinator — so the same view fingerprint — keeps only
+// the shards it serves, and serves them over the shardrpc framed
+// protocol, on TCP or a unix socket. The coordinator (aideserver
+// -shard-addr, or service.Server.ShardAddrs) dials it, verifies
+// fingerprint and shard count in the hello exchange, and routes the
+// announced shards here; shards no worker claims stay in the
+// coordinator's process.
 //
 //	aideshard -listen :9090      -sdss 100000 -shards 4 -serve 0,1
 //	aideshard -listen /tmp/s.sock -sdss 100000 -shards 4 -serve 2,3
@@ -23,6 +24,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,20 +91,14 @@ func main() {
 		fatal("no dataset configured (use -sdss, -auction or -csv)")
 	}
 
-	base, err := engine.NewViewWorkers(tab, exploreAttrs, *workers)
-	if err != nil {
-		fatal("building view", "err", err)
-	}
-	sharded := base.WithShards(engine.ShardOptions{Shards: *shards})
-	backends := sharded.LocalShardBackends()
-
 	indexes, err := parseServe(*serve, *shards)
 	if err != nil {
 		fatal("bad -serve", "err", err)
 	}
-	subset := make(map[int]engine.ShardBackend, len(indexes))
-	for _, i := range indexes {
-		subset[i] = backends[i]
+	rows := tab.NumRows()
+	subset, fp, err := setup(tab, exploreAttrs, *workers, *shards, indexes)
+	if err != nil {
+		fatal("building view", "err", err)
 	}
 
 	network := shardrpc.Network(*listen)
@@ -121,7 +117,7 @@ func main() {
 		}
 	}
 
-	srv := shardrpc.NewServer(base.Fingerprint(), *shards, subset)
+	srv := shardrpc.NewServer(fp, *shards, subset)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
@@ -132,12 +128,32 @@ func main() {
 
 	logger.Info("serving shards",
 		"listen", ln.Addr().String(), "network", network,
-		"fingerprint", base.Fingerprint(), "total_shards", *shards,
-		"serving", indexes, "rows", tab.NumRows())
+		"fingerprint", fp, "total_shards", *shards,
+		"serving", indexes, "rows", rows, "heap_live_mb", obs.HeapLiveMB())
 	if err := srv.Serve(ln); err != nil {
 		fatal("serve", "err", err)
 	}
 	logger.Info("bye")
+}
+
+// setup builds the sharded view over tab and returns only the served
+// shards' backends and the view fingerprint, leaving the table, the
+// global covering index and the unserved shards unreachable. Its final
+// forced GC returns them to the OS and restarts the GC pacer from what
+// the worker serves, not from the build's peak.
+func setup(tab *dataset.Table, attrs []string, workers, shards int, serve []int) (map[int]engine.ShardBackend, string, error) {
+	base, err := engine.NewViewWorkers(tab, attrs, workers)
+	if err != nil {
+		return nil, "", err
+	}
+	backends := base.WithShards(engine.ShardOptions{Shards: shards}).LocalShardBackends()
+	subset := make(map[int]engine.ShardBackend, len(serve))
+	for _, i := range serve {
+		subset[i] = backends[i]
+	}
+	fp := base.Fingerprint()
+	debug.FreeOSMemory()
+	return subset, fp, nil
 }
 
 // parseServe parses the -serve index list, defaulting to every shard.

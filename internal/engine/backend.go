@@ -14,6 +14,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/explore-by-example/aide/internal/geom"
 )
@@ -129,15 +130,46 @@ func (l *localShard) NumRows() int    { return l.sh.nrows }
 func (l *localShard) Ping() error     { return nil }
 func (l *localShard) Close() error    { return nil }
 
+// check rejects what the shard cores cannot evaluate: a rect whose arity
+// is not the view's or with a NaN or inverted interval, and a
+// covering-index slice of a dimension the view lacks or over such an
+// interval. A coordinator never sends one — its view drops invalid rects
+// before the scatter — so this guards the worker against a malformed
+// peer request, which becomes an error answer instead of an index panic.
+func (l *localShard) check(it ShardBatchItem) error {
+	dims := l.sh.grid.dims
+	if it.Sorted {
+		if it.Dim < 0 || it.Dim >= dims || !validInterval(it.Iv) {
+			return fmt.Errorf("engine: shard %d: covering-index slice of dim %d over %v in a %d-dim view", l.sh.index, it.Dim, it.Iv, dims)
+		}
+		return nil
+	}
+	if !wellFormed(it.Rect, dims) {
+		return fmt.Errorf("engine: shard %d: malformed rect %v for a %d-dim view", l.sh.index, it.Rect, dims)
+	}
+	return nil
+}
+
 func (l *localShard) Count(rect geom.Rect) (ShardCount, error) {
+	if err := l.check(ShardBatchItem{Rect: rect}); err != nil {
+		return ShardCount{}, err
+	}
 	return l.sh.count(rect), nil
 }
 
 func (l *localShard) RowsIn(rect geom.Rect) (ShardRows, error) {
+	if err := l.check(ShardBatchItem{Rect: rect}); err != nil {
+		return ShardRows{}, err
+	}
 	return l.sh.rowsIn(rect), nil
 }
 
 func (l *localShard) RowsInAny(rects []geom.Rect) (ShardRows, error) {
+	for _, rect := range rects {
+		if err := l.check(ShardBatchItem{Rect: rect}); err != nil {
+			return ShardRows{}, err
+		}
+	}
 	return l.sh.rowsAny(rects), nil
 }
 
@@ -150,6 +182,9 @@ func (l *localShard) SampleGrid(rect geom.Rect) (ShardSample, error) {
 }
 
 func (l *localShard) SortedSlice(dim int, iv geom.Interval) ([]int32, error) {
+	if err := l.check(ShardBatchItem{Sorted: true, Dim: dim, Iv: iv}); err != nil {
+		return nil, err
+	}
 	return l.sh.sortedSlice(dim, iv, l.ncols[dim]), nil
 }
 
@@ -158,6 +193,9 @@ func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, e
 	var grid []ShardBatchItem
 	var gridAt []int
 	for k, it := range items {
+		if err := l.check(it); err != nil {
+			return nil, err
+		}
 		if it.Sorted {
 			out[k].Sorted = l.sh.sortedSlice(it.Dim, it.Iv, l.ncols[it.Dim])
 			continue
@@ -183,10 +221,14 @@ func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, e
 // a sharded view, nil when the view is unsharded. This is the worker
 // surface: a shardrpc server (cmd/aideshard) builds the same sharded
 // view from the same dataset and serves a subset of these over the
-// wire.
+// wire. It panics on a view built by NewRemoteView, which holds no
+// shard partitions to serve.
 func (v *View) LocalShardBackends() []ShardBackend {
 	if v.shards == nil {
 		return nil
+	}
+	if v.shards.shards == nil {
+		panic("engine: LocalShardBackends on a view without local shards (NewRemoteView)")
 	}
 	out := make([]ShardBackend, v.shards.n)
 	for i, sh := range v.shards.shards {

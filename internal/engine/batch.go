@@ -348,7 +348,7 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 							out[k].Rows.Rows = rows
 						}
 					case BatchSample:
-						out[k].Sample.piece = e.plan.bind(v.shards.shards[b.ShardIndex()].grid)
+						out[k].Sample.piece = e.plan.bind(v.shards.planGrid(b.ShardIndex()))
 					}
 					continue
 				}

@@ -60,8 +60,9 @@ type View struct {
 	cols    []int // table column indexes of the exploration attributes
 	norm    *geom.Normalizer
 	ncols   [][]float64 // normalized column values, one slice per dimension
-	grid    *gridIndex
-	sorted  [][]int32 // per-dimension row ids in ascending value order
+	nanCol  []bool      // per dimension: the column holds a NaN
+	grid    *gridIndex  // nil on a view built by NewRemoteView
+	sorted  [][]int32   // per-dimension row ids in ascending value order; nil when grid is
 	stats   *Stats
 	fp      string          // content fingerprint, set at build (fingerprint.go)
 	cache   *Cache          // memoized counts, rows and sample plans; nil = uncached
@@ -113,6 +114,29 @@ func NewView(tab *dataset.Table, attrs []string) (*View, error) {
 // construction and subsequent scans: 0 means automatic, 1 forces the
 // sequential path. The built view is identical at every worker count.
 func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, error) {
+	v, err := normalizeView(tab, attrs, workers)
+	if err != nil {
+		return nil, err
+	}
+	// The per-attribute sorts are independent, so attributes build
+	// concurrently; the grid index then assigns rows to cells with a
+	// parallel coordinate pass. Every step writes disjoint slots, so the
+	// result is identical at any worker count.
+	v.sorted = make([][]int32, len(v.cols))
+	par.For(kernelIndex, workers, len(v.cols), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v.sorted[i] = sortedIndex(v.ncols[i])
+		}
+	})
+	v.grid = buildGridIndex(v.ncols, tab.NumRows(), workers)
+	return v, nil
+}
+
+// normalizeView is the step every view constructor shares: resolve the
+// attributes, fingerprint the view, and map each column into normalized
+// space (attributes concurrently), noting which columns hold a NaN. It
+// builds no index.
+func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, error) {
 	cols, err := tab.ColumnIndexes(attrs)
 	if err != nil {
 		return nil, err
@@ -124,28 +148,22 @@ func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, err
 	if err != nil {
 		return nil, err
 	}
-	v := &View{tab: tab, cols: cols, norm: norm, stats: &Stats{}, workers: workers}
-	v.fp = viewFingerprint(tab, attrs)
-	rows := tab.NumRows()
+	v := &View{tab: tab, cols: cols, norm: norm, stats: &Stats{}, workers: workers, fp: ViewFingerprint(tab, attrs)}
 	v.ncols = make([][]float64, len(cols))
-	v.sorted = make([][]int32, len(cols))
-	// The per-attribute work items — normalize the column, then sort its
-	// row ids — are independent, so attributes build concurrently; the
-	// grid index then assigns rows to cells with a parallel coordinate
-	// pass. Every step writes disjoint slots, so the result is identical
-	// at any worker count.
+	v.nanCol = make([]bool, len(cols))
 	par.For(kernelIndex, workers, len(cols), 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			src := tab.Col(v.cols[i])
+			src := tab.Col(cols[i])
 			nc := make([]float64, len(src))
 			for r, raw := range src {
 				nc[r] = norm.ToNormValue(i, raw)
+				if math.IsNaN(nc[r]) {
+					v.nanCol[i] = true
+				}
 			}
 			v.ncols[i] = nc
-			v.sorted[i] = sortedIndex(nc)
 		}
 	})
-	v.grid = buildGridIndex(v.ncols, rows, workers)
 	return v, nil
 }
 
@@ -265,8 +283,7 @@ func (v *View) scanCtx() context.Context {
 // this instead of walking grid cells. Equal values order by ascending
 // row id and NaNs sort after every number — a total order, so a k-way
 // merge of per-shard subsequences reproduces this exact sequence at any
-// shard count, and a column holds a NaN exactly when its last entry is
-// one.
+// shard count.
 func sortedIndex(vals []float64) []int32 {
 	idx := make([]int32, len(vals))
 	for i := range idx {
@@ -313,10 +330,8 @@ func (v *View) singleConstrainedDim(rect geom.Rect) int {
 		}
 		dim = i
 	}
-	if dim >= 0 {
-		if idx := v.sorted[dim]; len(idx) > 0 && math.IsNaN(v.ncols[dim][idx[len(idx)-1]]) {
-			return -1
-		}
+	if dim >= 0 && v.nanCol[dim] {
+		return -1
 	}
 	return dim
 }
@@ -327,16 +342,24 @@ func (v *View) singleConstrainedDim(rect geom.Rect) int {
 // results for it instead of feeding NaN into the grid-cell arithmetic
 // (where int(NaN) would index out of range). ±Inf endpoints are fine:
 // cellRange clamps them to the domain.
-func (v *View) validRect(rect geom.Rect) bool {
-	if len(rect) != len(v.cols) {
+func (v *View) validRect(rect geom.Rect) bool { return wellFormed(rect, len(v.cols)) }
+
+// wellFormed reports whether rect has dims NaN-free, non-inverted
+// intervals (validRect for a view, localShard.check for a shard).
+func wellFormed(rect geom.Rect, dims int) bool {
+	if len(rect) != dims {
 		return false
 	}
 	for _, iv := range rect {
-		if math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) || iv.Lo > iv.Hi {
+		if !validInterval(iv) {
 			return false
 		}
 	}
 	return true
+}
+
+func validInterval(iv geom.Interval) bool {
+	return !math.IsNaN(iv.Lo) && !math.IsNaN(iv.Hi) && iv.Lo <= iv.Hi
 }
 
 // Table returns the underlying table.
@@ -353,6 +376,10 @@ func (v *View) Attrs() []string {
 
 // Dims returns the dimensionality of the exploration space.
 func (v *View) Dims() int { return len(v.cols) }
+
+// LocalIndex reports whether the view holds its own grid and covering
+// index: false only for a view built by NewRemoteView.
+func (v *View) LocalIndex() bool { return v.grid != nil }
 
 // NumRows returns the number of rows visible through the view.
 func (v *View) NumRows() int { return v.tab.NumRows() }

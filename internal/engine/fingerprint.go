@@ -46,10 +46,11 @@ func TableFingerprint(tab *dataset.Table) uint64 {
 	return h.Sum64()
 }
 
-// viewFingerprint combines the table fingerprint with the ordered
-// exploration attributes: two views agree iff they project the same data
-// onto the same attributes.
-func viewFingerprint(tab *dataset.Table, attrs []string) string {
+// ViewFingerprint is the Fingerprint of a view over attrs of tab,
+// without building it: the table fingerprint combined with the ordered
+// exploration attributes, so two views agree iff they project the same
+// data onto the same attributes.
+func ViewFingerprint(tab *dataset.Table, attrs []string) string {
 	h := fnv.New64a()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], TableFingerprint(tab))

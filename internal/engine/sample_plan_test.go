@@ -194,16 +194,24 @@ func (w *wireShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, er
 }
 
 // planTopologies returns the view under every execution topology a plan
-// is built on: unsharded, 1 and 4 in-process shards, and 4 shards with
-// two of them behind the wire round trip — each bare and with a cache.
+// is built on: unsharded, 1 and 4 in-process shards, 4 shards with two
+// of them behind the wire round trip, and a NewRemoteView with no index
+// of its own over the same four backends — each bare and with a cache.
 func planTopologies(t testing.TB, base *View) map[string]*View {
 	t.Helper()
 	sharded4 := base.WithShards(ShardOptions{Shards: 4})
 	local := sharded4.LocalShardBackends()
-	mixed, err := sharded4.WithShardBackends(map[int]ShardBackend{
+	backends := map[int]ShardBackend{
+		0: local[0],
 		1: &wireShard{ShardBackend: local[1]},
+		2: local[2],
 		3: &wireShard{ShardBackend: local[3]},
-	})
+	}
+	mixed, err := sharded4.WithShardBackends(map[int]ShardBackend{1: backends[1], 3: backends[3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := NewRemoteView(base.Table(), base.Attrs(), 1, ShardOptions{Shards: 4}, backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +220,7 @@ func planTopologies(t testing.TB, base *View) map[string]*View {
 		"shards1":   base.WithShards(ShardOptions{Shards: 1}),
 		"shards4":   sharded4,
 		"mixed":     mixed,
+		"remote":    remote,
 	}
 	for name, v := range views {
 		views[name+"+cache"] = v.WithCache(NewCache(4 << 20))

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/explore-by-example/aide/internal/dataset"
 	"github.com/explore-by-example/aide/internal/faultinject"
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/obs"
@@ -135,18 +136,44 @@ func shardSalt(i int) uint64 { return uint64(i) + 1 }
 // returns an unsharded copy. The returned view keeps the receiver's
 // fingerprint: shard count is an execution detail, not a content
 // change, so WAL logs written against any shard count recover against
-// any other.
+// any other. It panics on a view built by NewRemoteView, which has no
+// grid to split.
 func (v *View) WithShards(opts ShardOptions) *View {
+	if v.grid == nil {
+		panic("engine: WithShards on a view without a local index (NewRemoteView)")
+	}
 	c := *v
 	if opts.Shards <= 0 {
 		c.shards = nil
 		return &c
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 2
-	}
 	c.shards = buildShardSet(v, opts)
 	return &c
+}
+
+// NewRemoteView builds a view whose every shard is served by one of
+// backends — remote shard workers, typically (internal/shardrpc). It
+// runs only NewViewWorkers' normalization step and builds no grid,
+// covering index or shard partitions; queries scatter as through
+// WithShardBackends, with the same results. It errors unless backends
+// holds a non-nil backend for every index in [0, opts.Shards).
+func NewRemoteView(tab *dataset.Table, attrs []string, workers int, opts ShardOptions, backends map[int]ShardBackend) (*View, error) {
+	if opts.Shards <= 0 || len(backends) != opts.Shards {
+		return nil, fmt.Errorf("engine: NewRemoteView got %d backends for %d shards", len(backends), opts.Shards)
+	}
+	ss := newShardSet(opts)
+	for i, b := range backends {
+		if i < 0 || i >= ss.n || b == nil {
+			return nil, fmt.Errorf("engine: NewRemoteView: backend %d is nil or outside [0,%d)", i, ss.n)
+		}
+		ss.backends[i], ss.remote[i] = b, true
+	}
+	v, err := normalizeView(tab, attrs, workers)
+	if err != nil {
+		return nil, err
+	}
+	v.shards = ss
+	return v, nil
 }
 
 // ShardCount returns the view's shard count, 0 when unsharded.
@@ -319,6 +346,36 @@ func (v *View) noteShardOutcome(healthy int) {
 	}
 }
 
+// newShardSet is the execution state of opts.Shards shards with no
+// partitions and no backends yet; opts.MaxAttempts defaults to 2.
+func newShardSet(opts ShardOptions) *shardSet {
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = 2
+	}
+	n := opts.Shards
+	return &shardSet{
+		n:        n,
+		opts:     opts,
+		backends: make([]ShardBackend, n),
+		remote:   make([]bool, n),
+		sup:      newSupervisor(n, opts),
+		domain:   par.NewDomain("engine.shards", 4*n),
+	}
+}
+
+// planGrid returns the grid a memoized lazy sample plan of shard i binds
+// to. A NewRemoteView view has no partitions: a remote backend's plans
+// are wire rows that bind to nothing; an in-process one has its grid.
+func (ss *shardSet) planGrid(i int) *gridIndex {
+	if ss.shards != nil {
+		return ss.shards[i].grid
+	}
+	if l, ok := ss.backends[i].(*localShard); ok {
+		return l.sh.grid
+	}
+	return nil
+}
+
 // buildShardSet splits v's grid at cell boundaries into opts.Shards
 // contiguous ranges balanced by row count. Cells never straddle a cut,
 // so every global scan order (cell-major slots, per-dimension sorted
@@ -343,15 +400,8 @@ func buildShardSet(v *View, opts ShardOptions) *shardSet {
 	// rowShard maps row id -> owning shard, for filtering the covering
 	// indexes in one pass per dimension.
 	rowShard := make([]int32, rows)
-	ss := &shardSet{
-		n:        n,
-		opts:     opts,
-		shards:   make([]*shard, n),
-		backends: make([]ShardBackend, n),
-		remote:   make([]bool, n),
-		sup:      newSupervisor(n, opts),
-		domain:   par.NewDomain("engine.shards", 4*n),
-	}
+	ss := newShardSet(opts)
+	ss.shards = make([]*shard, n)
 	for i := 0; i < n; i++ {
 		pt := faultinject.PointAt(FaultShardBuild, i)
 		faultinject.Latency(pt)

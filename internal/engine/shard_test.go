@@ -398,3 +398,63 @@ func TestAcquireShardedWorkersSharesAndFingerprints(t *testing.T) {
 		t.Fatalf("registry holds %d entries after release", r.Len())
 	}
 }
+
+// TestNewRemoteViewContract pins what a view with no local index is:
+// it needs a backend for every shard, keeps the built view's
+// fingerprint (so WALs and the shard hello match across topologies),
+// holds no grid, covering index or partitions, and refuses loudly to
+// be re-sharded or to hand out local shards it does not have.
+func TestNewRemoteViewContract(t *testing.T) {
+	tab := dataset.GenerateSDSS(5_000, 1)
+	attrs := []string{"rowc", "colc"}
+	base, err := NewViewWorkers(tab, attrs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := base.WithShards(ShardOptions{Shards: 2}).LocalShardBackends()
+	for name, backends := range map[string]map[int]ShardBackend{
+		"missing shard": {0: local[0]},
+		"nil backend":   {0: local[0], 1: nil},
+		"out of range":  {0: local[0], 2: local[1]},
+		"extra backend": {0: local[0], 1: local[1], 2: local[1]},
+	} {
+		if _, err := NewRemoteView(tab, attrs, 1, ShardOptions{Shards: 2}, backends); err == nil {
+			t.Errorf("%s: NewRemoteView succeeded", name)
+		}
+	}
+	if _, err := NewRemoteView(tab, attrs, 1, ShardOptions{}, nil); err == nil {
+		t.Error("zero shards: NewRemoteView succeeded")
+	}
+
+	rv, err := NewRemoteView(tab, attrs, 1, ShardOptions{Shards: 2}, map[int]ShardBackend{0: local[0], 1: local[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rv.Fingerprint() != base.Fingerprint() || rv.Fingerprint() != ViewFingerprint(tab, attrs) {
+		t.Fatalf("fingerprints: remote %s, built %s, computed %s", rv.Fingerprint(), base.Fingerprint(), ViewFingerprint(tab, attrs))
+	}
+	if rv.LocalIndex() || rv.grid != nil || rv.sorted != nil || rv.shards.shards != nil || !base.LocalIndex() {
+		t.Fatal("a remote view holds a local index or partitions")
+	}
+	for i, h := range rv.ShardHealth() {
+		if !h.Remote || h.Rows != local[i].NumRows() {
+			t.Fatalf("shard %d health %+v", i, h)
+		}
+	}
+	full := geom.R(0, 100, 0, 100)
+	if got, want := rv.RowsIn(full), base.RowsIn(full); !reflect.DeepEqual(got, want) {
+		t.Fatal("remote view RowsIn differs from the built view")
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a remote view did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("WithShards", func() { rv.WithShards(ShardOptions{Shards: 2}) })
+	mustPanic("WithShards(0)", func() { rv.WithShards(ShardOptions{}) })
+	mustPanic("LocalShardBackends", func() { rv.LocalShardBackends() })
+}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"sync"
 )
 
@@ -77,3 +78,13 @@ func EnableRuntimeMetrics(r *Registry) {
 }
 
 func init() { EnableRuntimeMetrics(Default) }
+
+// HeapLiveMB returns the heap the most recent GC cycle marked live, in
+// MB (runtime/metrics /gc/heap/live:bytes): what the process holds,
+// without the garbage its GC goal lets pile up between cycles, and
+// without the stop-the-world of ReadMemStats.
+func HeapLiveMB() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64() >> 20
+}

@@ -135,9 +135,11 @@ type Server struct {
 	HedgeAfter time.Duration
 	// ShardAddrs lists remote shard-worker addresses (host:port for TCP,
 	// filesystem paths for unix sockets). With Shards > 0, RegisterTable
-	// dials every worker, verifies it built the same view (fingerprint +
-	// shard count pinned in the hello exchange), and routes the shard
-	// indexes the worker announces over the shardrpc transport; shards no
+	// dials every worker before it builds anything, verifies it serves the
+	// same view (fingerprint + shard count pinned in the hello exchange),
+	// and routes the shard indexes the worker announces over the shardrpc
+	// transport. Workers covering every shard leave this process no index
+	// to build, only the table and its normalized columns; shards no
 	// worker claims stay in-process — a mixed local/remote topology,
 	// bit-identical to the all-local one. Workers must serve the view
 	// being registered, so ShardAddrs is typically used with exactly one
@@ -191,58 +193,68 @@ func (s *Server) registry() *engine.Registry {
 // process-wide, so after the first registration this is O(1). When
 // s.CacheBytes is positive the view also gets a shared predicate-result
 // cache memoizing Count/RowsIn across all of its sessions. Call Close to
-// release the acquired views.
+// release the acquired views. When ShardAddrs' workers announce every
+// shard, the view comes from engine.NewRemoteView instead, with no index.
 func (s *Server) RegisterTable(name string, tab *dataset.Table, attrs []string, workers int) error {
-	v, err := s.registry().AcquireShardedWorkers(tab, attrs, workers, engine.ShardOptions{
-		Shards:     s.Shards,
-		Deadline:   s.ShardDeadline,
-		HedgeAfter: s.HedgeAfter,
-	})
-	if err != nil {
-		return err
-	}
-	shared := v
-	if s.CacheBytes > 0 && shared.Cache() == nil {
-		shared = shared.WithCache(engine.NewCache(s.CacheBytes))
-	}
-	var clients []*shardrpc.Client
+	opts := engine.ShardOptions{Shards: s.Shards, Deadline: s.ShardDeadline, HedgeAfter: s.HedgeAfter}
+	var (
+		remote    map[int]engine.ShardBackend
+		clients   []*shardrpc.Client
+		v, shared *engine.View // v is the registry view Close releases; nil for a remote view
+		err       error
+	)
 	if s.Shards > 0 && len(s.ShardAddrs) > 0 {
-		var remote map[int]engine.ShardBackend
-		remote, clients, err = s.dialShardWorkers(shared)
-		if err == nil {
-			shared, err = shared.WithShardBackends(remote)
-		}
-		if err != nil {
-			for _, c := range clients {
-				c.Close()
-			}
-			s.registry().Release(v)
+		if remote, clients, err = s.dialShardWorkers(engine.ViewFingerprint(tab, attrs)); err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	if _, dup := s.views[name]; dup {
-		s.mu.Unlock()
+	if s.Shards > 0 && len(remote) == s.Shards {
+		shared, err = engine.NewRemoteView(tab, attrs, workers, opts, remote)
+	} else if v, err = s.registry().AcquireShardedWorkers(tab, attrs, workers, opts); err == nil {
+		shared, err = v.WithShardBackends(remote)
+	}
+	fail := func(err error) error {
 		for _, c := range clients {
 			c.Close()
 		}
 		s.registry().Release(v)
-		return fmt.Errorf("service: view %q already registered", name)
+		return err
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if s.CacheBytes > 0 && shared.Cache() == nil {
+		shared = shared.WithCache(engine.NewCache(s.CacheBytes))
+	}
+	s.mu.Lock()
+	if _, dup := s.views[name]; dup {
+		s.mu.Unlock()
+		return fail(fmt.Errorf("service: view %q already registered", name))
 	}
 	if s.views == nil {
 		s.views = make(map[string]*engine.View)
 	}
 	s.views[name] = shared
-	s.acquired = append(s.acquired, v)
+	if v != nil {
+		s.acquired = append(s.acquired, v)
+	}
 	s.shardClients = append(s.shardClients, clients...)
 	s.mu.Unlock()
 	return nil
 }
 
+// View returns the view registered under name, nil when there is none.
+func (s *Server) View(name string) *engine.View {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.views[name]
+}
+
 // dialShardWorkers connects to every configured shard worker for the
-// view and collects the remote backends they announce. Two workers
-// claiming the same shard is a topology error.
-func (s *Server) dialShardWorkers(v *engine.View) (map[int]engine.ShardBackend, []*shardrpc.Client, error) {
+// view with fingerprint fp, sharded s.Shards ways, and collects the
+// remote backends they announce. Two workers claiming the same shard is
+// a topology error.
+func (s *Server) dialShardWorkers(fp string) (map[int]engine.ShardBackend, []*shardrpc.Client, error) {
 	remote := make(map[int]engine.ShardBackend)
 	var clients []*shardrpc.Client
 	fail := func(err error) (map[int]engine.ShardBackend, []*shardrpc.Client, error) {
@@ -252,7 +264,7 @@ func (s *Server) dialShardWorkers(v *engine.View) (map[int]engine.ShardBackend, 
 		return nil, nil, err
 	}
 	for _, addr := range s.ShardAddrs {
-		c, err := shardrpc.Dial(addr, v.Fingerprint(), v.ShardCount(), s.ShardRPC)
+		c, err := shardrpc.Dial(addr, fp, s.Shards, s.ShardRPC)
 		if err != nil {
 			return fail(fmt.Errorf("service: shard worker %s: %w", addr, err))
 		}

@@ -167,6 +167,23 @@ func TestShardScatterRoundsExposed(t *testing.T) {
 // count and a sharded server replays logs written by an unsharded one —
 // to the identical predicate.
 func TestRecoverAcceptsAnyShardCount(t *testing.T) {
+	recoverOnShardedServer(t, nil)
+}
+
+// TestRecoverAcceptsAllRemoteShards is the same regression against a
+// coordinator whose four shards all live in two shard workers: its view
+// is built with no local index (engine.NewRemoteView) yet has the same
+// fingerprint, so WALs recover across topologies.
+func TestRecoverAcceptsAllRemoteShards(t *testing.T) {
+	recoverOnShardedServer(t, func(tab *dataset.Table) []string {
+		return startShardWorkers(t, tab, []string{"a0", "a1"}, 4, [][]int{{0, 1}, {2, 3}})
+	})
+}
+
+// recoverOnShardedServer writes a WAL on an unsharded server and replays
+// it on a 4-shard one, whose shards are served by the workers at the
+// addresses workers returns (nil: all in-process).
+func recoverOnShardedServer(t *testing.T, workers func(tab *dataset.Table) []string) {
 	dir := t.TempDir()
 	target := geom.R(30, 45, 50, 65)
 	req := CreateSessionRequest{
@@ -214,12 +231,18 @@ func TestRecoverAcceptsAnyShardCount(t *testing.T) {
 	srvB.Registry = engine.NewRegistry()
 	srvB.Shards = 4
 	srvB.SampleWait = 5 * time.Second
+	if workers != nil {
+		srvB.ShardAddrs = workers(tab)
+	}
 	if err := srvB.RegisterTable("uniform", tab, []string{"a0", "a1"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	defer srvB.Close()
 	if got, want := srvB.views["uniform"].Fingerprint(), vA.Fingerprint(); got != want {
 		t.Fatalf("sharded fingerprint %q != unsharded %q", got, want)
+	}
+	if got, want := srvB.views["uniform"].LocalIndex(), workers == nil; got != want {
+		t.Fatalf("sharded view LocalIndex = %v, want %v", got, want)
 	}
 	mB, err := durable.NewManager(dir, durable.Options{Fsync: durable.FsyncNever})
 	if err != nil {

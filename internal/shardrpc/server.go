@@ -11,9 +11,9 @@ import (
 )
 
 // Server serves a subset of one sharded view's shards over the framed
-// protocol. A worker process (cmd/aideshard) builds the same sharded
-// view the coordinator does — same dataset, same attrs, same shard
-// count, so the same fingerprint — and hands the shards it owns here.
+// protocol. A worker process (cmd/aideshard) builds the sharded view of
+// the coordinator's dataset, attrs and shard count — so the same
+// fingerprint — and hands the shards it owns here.
 //
 // The hello exchange pins the contract: the client sends its view
 // fingerprint and total shard count, the server rejects a mismatch
@@ -145,8 +145,15 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // handle dispatches one request. A returned error becomes an opErr
 // response; the connection stays usable (the request was well-framed,
-// merely unserviceable).
-func (s *Server) handle(op byte, payload []byte) ([]byte, error) {
+// merely unserviceable). The backends reject what they cannot evaluate;
+// a panic that slips past them still costs only this request, never the
+// worker and every shard it serves.
+func (s *Server) handle(op byte, payload []byte) (resp []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, fmt.Errorf("shardrpc: op %d panicked: %v", op, r)
+		}
+	}()
 	d := &dec{b: payload}
 	if op == opHello {
 		return s.handleHello(d)
