@@ -43,6 +43,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -141,28 +142,12 @@ func main() {
 	srv.HedgeAfter = *hedgeAfter
 	srv.ShardAddrs = shardAddrs
 	defer srv.Close()
-	// register builds one view and logs which path it took: local_index
-	// is false when every shard is remote, and heap_live_mb is the live
-	// heap as of the latest GC.
-	register := func(name string, tab *dataset.Table, attrs []string) {
-		if err := srv.RegisterTable(name, tab, attrs, 0); err != nil {
-			fatal("building view", "view", name, "err", err)
-		}
-		v := srv.View(name)
-		remote := 0
-		for _, h := range v.ShardHealth() {
-			if h.Remote {
-				remote++
-			}
-		}
-		logger.Info("view registered", "view", name, "rows", v.NumRows(),
-			"local_index", v.LocalIndex(), "remote_shards", remote, "heap_live_mb", obs.HeapLiveMB())
-	}
+	var views []viewSpec
 	if *sdssRows > 0 {
-		register("sdss", dataset.GenerateSDSS(*sdssRows, *seed), splitAttrs(*attrs))
+		views = append(views, viewSpec{"sdss", dataset.GenerateSDSS(*sdssRows, *seed), splitAttrs(*attrs)})
 	}
 	if *auctionRows > 0 {
-		register("auction", dataset.GenerateAuction(*auctionRows, *seed), []string{"current_price", "num_bids"})
+		views = append(views, viewSpec{"auction", dataset.GenerateAuction(*auctionRows, *seed), []string{"current_price", "num_bids"}})
 	}
 	for name, path := range csvs {
 		f, err := os.Open(path)
@@ -174,10 +159,13 @@ func main() {
 		if err != nil {
 			fatal("reading csv", "path", path, "err", err)
 		}
-		register(name, tab, tab.Schema().Names())
+		views = append(views, viewSpec{name, tab, tab.Schema().Names()})
 	}
-	if len(srv.Views()) == 0 {
+	if len(views) == 0 {
 		fatal("no views configured (use -sdss, -auction or -csv)")
+	}
+	if err := setup(srv, views, logger); err != nil {
+		fatal("building view", "err", err)
 	}
 
 	srv.SessionTTL = *sessionTTL
@@ -285,6 +273,39 @@ func main() {
 		}
 		logger.Info("bye")
 	}
+}
+
+// viewSpec is one view to register: a table and its exploration
+// attributes.
+type viewSpec struct {
+	name  string
+	tab   *dataset.Table
+	attrs []string
+}
+
+// setup registers every view with srv and logs which path each took:
+// local_index is false when every shard is remote, and heap_live_mb is
+// the live heap as of the latest GC. Its final forced GC returns the
+// build's scratch (the row-ordered normalized columns, the sort and
+// cell-assignment buffers) to the OS and restarts the GC pacer from what
+// the server keeps, not from a collection in the middle of the build.
+func setup(srv *service.Server, views []viewSpec, logger *slog.Logger) error {
+	for _, vs := range views {
+		if err := srv.RegisterTable(vs.name, vs.tab, vs.attrs, 0); err != nil {
+			return fmt.Errorf("view %s: %w", vs.name, err)
+		}
+		v := srv.View(vs.name)
+		remote := 0
+		for _, h := range v.ShardHealth() {
+			if h.Remote {
+				remote++
+			}
+		}
+		logger.Info("view registered", "view", vs.name, "rows", v.NumRows(),
+			"local_index", v.LocalIndex(), "remote_shards", remote, "heap_live_mb", obs.HeapLiveMB())
+	}
+	debug.FreeOSMemory()
+	return nil
 }
 
 // stringList collects a repeatable string flag.

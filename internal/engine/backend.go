@@ -117,12 +117,13 @@ type ShardBackend interface {
 }
 
 // localShard is the in-process ShardBackend: the shard's sequential
-// cores over its slab slices, plus the parent view's normalized columns
-// for covering-index lookups. It never errors — local failures surface
-// as panics, which the scatter layer isolates per attempt.
+// cores over its slab slices, plus the parent view's grid for covering-
+// index lookups — not the view, so a worker keeps neither the table nor
+// the global covering index alive. It never errors — local failures
+// surface as panics, which the scatter layer isolates per attempt.
 type localShard struct {
-	sh    *shard
-	ncols [][]float64 // parent view's normalized columns, for SortedSlice
+	sh *shard
+	pg *gridIndex
 }
 
 func (l *localShard) ShardIndex() int { return l.sh.index }
@@ -185,7 +186,7 @@ func (l *localShard) SortedSlice(dim int, iv geom.Interval) ([]int32, error) {
 	if err := l.check(ShardBatchItem{Sorted: true, Dim: dim, Iv: iv}); err != nil {
 		return nil, err
 	}
-	return l.sh.sortedSlice(dim, iv, l.ncols[dim]), nil
+	return l.sh.sortedSlice(dim, iv, l.pg), nil
 }
 
 func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, error) {
@@ -197,7 +198,7 @@ func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, e
 			return nil, err
 		}
 		if it.Sorted {
-			out[k].Sorted = l.sh.sortedSlice(it.Dim, it.Iv, l.ncols[it.Dim])
+			out[k].Sorted = l.sh.sortedSlice(it.Dim, it.Iv, l.pg)
 			continue
 		}
 		grid = append(grid, it)
@@ -232,7 +233,7 @@ func (v *View) LocalShardBackends() []ShardBackend {
 	}
 	out := make([]ShardBackend, v.shards.n)
 	for i, sh := range v.shards.shards {
-		out[i] = &localShard{sh: sh, ncols: v.ncols}
+		out[i] = &localShard{sh: sh, pg: v.grid}
 	}
 	return out
 }

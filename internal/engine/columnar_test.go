@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -28,7 +29,9 @@ import (
 // rect's cell range includes that cell.
 func gridVisible(v *View, rect geom.Rect, row int) bool {
 	g := v.grid
-	id := g.cellOf(v.ncols, row)
+	// The row's cell is the one whose slot range holds the row's slot.
+	slot := g.slotOf[row]
+	id := sort.Search(g.numCells(), func(c int) bool { return g.offsets[c+1] > slot })
 	for i := g.dims - 1; i >= 0; i-- {
 		c := id % g.cellsPerDim
 		id /= g.cellsPerDim
@@ -252,5 +255,31 @@ func TestColumnarDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s: Count=%d want %d", label, got, want)
 			}
 		}
+	}
+}
+
+// TestLocalViewRetainsOneNormalizedCopy measures, as an exact heap count,
+// what a built 4-attribute view keeps beyond its table: the slot-ordered
+// slabs (8 B/row/dim) are the only normalized copy of the columns, next
+// to the slot->row and row->slot maps (4 + 4 B/row) and the covering
+// index (4 B/row/dim) — about 57 B/row. A view that also kept its
+// row-ordered columns and a widened copy of the row ids retained 93.
+func TestLocalViewRetainsOneNormalizedCopy(t *testing.T) {
+	const rows = 200_000
+	tab := dataset.GenerateSDSS(rows, 3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v, err := NewViewWorkers(tab, []string{"rowc", "colc", "ra", "dec"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	perRow := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / rows
+	t.Logf("local 4-attribute view retains %d B/row", perRow)
+	if perRow > 60 {
+		t.Fatalf("local 4-attribute view retains %d B/row, want <= 60", perRow)
 	}
 }

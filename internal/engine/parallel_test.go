@@ -46,15 +46,13 @@ func TestViewBuildParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.ncols, seq.ncols) {
-			t.Fatalf("workers=%d: normalized columns differ", workers)
-		}
 		if !reflect.DeepEqual(got.sorted, seq.sorted) {
 			t.Fatalf("workers=%d: sorted indexes differ", workers)
 		}
 		if got.grid.cellsPerDim != seq.grid.cellsPerDim ||
 			!reflect.DeepEqual(got.grid.offsets, seq.grid.offsets) ||
-			!reflect.DeepEqual(got.grid.rows, seq.grid.rows) {
+			!reflect.DeepEqual(got.grid.rows, seq.grid.rows) ||
+			!reflect.DeepEqual(got.grid.slotOf, seq.grid.slotOf) {
 			t.Fatalf("workers=%d: grid cell layout differs", workers)
 		}
 		if !reflect.DeepEqual(got.grid.slabs, seq.grid.slabs) {

@@ -613,6 +613,10 @@ func TestSortedRangeMatchesLinear(t *testing.T) {
 			}
 		}
 		idx := sortedIndex(vals)
+		identity := make([]int32, n) // slot order = row order
+		for i := range identity {
+			identity[i] = int32(i)
+		}
 		// A shard's covering index is an order-preserving subsequence.
 		var sub []int32
 		for _, r := range idx {
@@ -636,7 +640,7 @@ func TestSortedRangeMatchesLinear(t *testing.T) {
 		}
 		for _, iv := range ivs {
 			for _, index := range [][]int32{idx, sub} {
-				lo, hi := sortedRangeIn(index, vals, iv)
+				lo, hi := sortedRangeIn(index, vals, identity, iv)
 				wlo, whi := linearSortedRange(index, vals, iv)
 				if lo != wlo || hi != whi {
 					t.Fatalf("trial %d iv %v: range [%d,%d), linear scan [%d,%d)", trial, iv, lo, hi, wlo, whi)
@@ -659,10 +663,9 @@ func TestSampleNaNColumnTakesGridPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d, idx := range base.sorted {
-		vals := base.ncols[d]
 		nans := 0
 		for i, r := range idx {
-			if math.IsNaN(vals[r]) {
+			if math.IsNaN(base.normAt(d, int(r))) {
 				nans++
 			} else if nans > 0 {
 				t.Fatalf("dim %d: a number at sorted position %d follows a NaN", d, i)
@@ -679,8 +682,8 @@ func TestSampleNaNColumnTakesGridPath(t *testing.T) {
 		want := base.RowsIn(rect)
 		sawNaN := false
 		for _, r := range want {
-			for d := range base.ncols {
-				sawNaN = sawNaN || math.IsNaN(base.ncols[d][r])
+			for d := range base.cols {
+				sawNaN = sawNaN || math.IsNaN(base.normAt(d, r))
 			}
 		}
 		if len(want) > 0 && !sawNaN {

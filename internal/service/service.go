@@ -139,7 +139,7 @@ type Server struct {
 	// same view (fingerprint + shard count pinned in the hello exchange),
 	// and routes the shard indexes the worker announces over the shardrpc
 	// transport. Workers covering every shard leave this process no index
-	// to build, only the table and its normalized columns; shards no
+	// to build, only the table and per-column NaN flags; shards no
 	// worker claims stay in-process — a mixed local/remote topology,
 	// bit-identical to the all-local one. Workers must serve the view
 	// being registered, so ShardAddrs is typically used with exactly one

@@ -2,8 +2,11 @@ package shardrpc
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/explore-by-example/aide/internal/engine"
@@ -109,8 +112,10 @@ func TestBatchRejectsOversizedItemCounts(t *testing.T) {
 // FuzzBatchCodec throws arbitrary bytes at the opBatch decoders (items
 // and results) and round-trips whatever valid batches the fuzzer
 // reaches: decoding must never panic, must respect the item-count
-// bound, and a re-encoded decode must be stable.
+// bound, and a re-encoded decode must be stable. Every batch that
+// decodes is then run on a real 2-shard view (checkDecodedBatch).
 func FuzzBatchCodec(f *testing.F) {
+	fx := newFuzzFixture(f)
 	// Seed corpus: a valid mixed batch, its matching results, and the
 	// torn/oversized shapes the decoder must reject gracefully.
 	items := []engine.ShardBatchItem{
@@ -160,6 +165,115 @@ func FuzzBatchCodec(f *testing.F) {
 			// Interpret the remaining bytes as results for these items;
 			// must not panic regardless of content.
 			_, _ = decodeBatchResults(&dec{b: payload}, decoded)
+			fx.check(t, decoded)
 		}
 	})
+}
+
+// fuzzFixture is a 2-shard view whose shards one worker serves over a
+// unix socket, next to the unsharded view every answer must match.
+type fuzzFixture struct {
+	base, remote *engine.View
+	srv          *Server
+}
+
+func newFuzzFixture(f *testing.F) *fuzzFixture {
+	const rows, shards = 3000, 2
+	base, _ := testViews(f, rows, shards)
+	addr, srv := startWorker(f, rows, shards, []int{0, 1})
+	c, err := Dial(addr, base.Fingerprint(), shards, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { c.Close() })
+	remote, err := engine.NewRemoteView(base.Table(), base.Attrs(), 1, engine.ShardOptions{Shards: shards}, c.Backends())
+	if err != nil {
+		f.Fatal(err)
+	}
+	return &fuzzFixture{base: base, remote: remote, srv: srv}
+}
+
+// check runs a decoded batch as the worker's opBatch for each shard: the
+// worker must reject it (opErr, never a recovered panic) exactly when an
+// item is malformed for the view. An accepted batch must match the
+// unsharded view item by item — counts summed and rows concatenated in
+// shard order — and so must the same batch asked of the view whose
+// shards are the worker's: counts, rows and seeded sample draws,
+// covering-index slices (merged coordinator-side) included.
+func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
+	dims := fx.base.Dims()
+	malformed := false
+	for _, it := range items {
+		malformed = malformed || !wellFormedItem(it, dims)
+	}
+	var raw [][]engine.ShardBatchResult
+	for shard := 0; shard < 2; shard++ {
+		e := &enc{}
+		e.u32(uint32(shard))
+		encodeBatchItems(e, items)
+		resp, err := fx.srv.handle(opBatch, e.b)
+		if err != nil {
+			if strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("shard %d: worker panicked on a decoded batch: %v", shard, err)
+			}
+			if !malformed {
+				t.Fatalf("shard %d: worker rejected a well-formed batch: %v", shard, err)
+			}
+			return
+		}
+		results, err := decodeBatchResults(&dec{b: resp}, items)
+		if err != nil {
+			t.Fatalf("shard %d: worker answer does not decode: %v", shard, err)
+		}
+		raw = append(raw, results)
+	}
+	if malformed {
+		t.Fatal("worker answered a batch with a malformed item")
+	}
+	queries := make([]engine.BatchQuery, len(items))
+	for k, it := range items {
+		queries[k] = engine.BatchQuery{Kind: it.Kind, Rect: it.Rect, N: 7}
+		if it.Sorted {
+			queries[k].Rect = singleDimRect(dims, it.Dim, it.Iv.Lo, it.Iv.Hi)
+		}
+	}
+	want := fx.base.ExecuteBatch(queries)
+	got := fx.remote.ExecuteBatch(queries)
+	wantRng, gotRng := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+	for k, q := range queries {
+		switch q.Kind {
+		case engine.BatchCount:
+			if n := raw[0][k].Count.Matched + raw[1][k].Count.Matched; int(n) != want.Count(k) || got.Count(k) != want.Count(k) {
+				t.Fatalf("item %d: count %d from the shards, %d from the view, want %d", k, n, got.Count(k), want.Count(k))
+			}
+		case engine.BatchRows:
+			rows := append(append([]int(nil), raw[0][k].Rows.Rows...), raw[1][k].Rows.Rows...)
+			if !slices.Equal(rows, want.Rows(k)) || !slices.Equal(got.Rows(k), want.Rows(k)) {
+				t.Fatalf("item %d: rows differ from the unsharded view", k)
+			}
+		default:
+			if w, g := want.Sample(k, wantRng), got.Sample(k, gotRng); !slices.Equal(g, w) {
+				t.Fatalf("item %d (%+v): sample %v, unsharded %v", k, items[k], g, w)
+			}
+		}
+	}
+}
+
+// wellFormedItem reports whether a shard of a dims-dimensional view can
+// evaluate it: a rect of the view's arity, or a covering-index slice of
+// one of its dimensions, with NaN-free, non-inverted intervals.
+func wellFormedItem(it engine.ShardBatchItem, dims int) bool {
+	valid := func(iv geom.Interval) bool { return !math.IsNaN(iv.Lo) && !math.IsNaN(iv.Hi) && iv.Lo <= iv.Hi }
+	if it.Sorted {
+		return it.Dim >= 0 && it.Dim < dims && valid(it.Iv)
+	}
+	if len(it.Rect) != dims {
+		return false
+	}
+	for _, iv := range it.Rect {
+		if !valid(iv) {
+			return false
+		}
+	}
+	return true
 }

@@ -37,7 +37,7 @@ func chaosSeed(t *testing.T) int64 {
 
 // testViews builds the deterministic base view plus its sharded
 // version, the same construction a worker performs.
-func testViews(t *testing.T, rows, shards int) (base, sharded *engine.View) {
+func testViews(t testing.TB, rows, shards int) (base, sharded *engine.View) {
 	t.Helper()
 	tab := dataset.GenerateSDSS(rows, 5)
 	base, err := engine.NewViewWorkers(tab, []string{"rowc", "colc"}, 1)
@@ -50,7 +50,7 @@ func testViews(t *testing.T, rows, shards int) (base, sharded *engine.View) {
 // startWorker serves the given shard indexes of a worker-built view
 // over a unix socket and returns its address. The worker view is built
 // independently from the same inputs, exactly like cmd/aideshard.
-func startWorker(t *testing.T, rows, totalShards int, indexes []int) (addr string, srv *Server) {
+func startWorker(t testing.TB, rows, totalShards int, indexes []int) (addr string, srv *Server) {
 	t.Helper()
 	_, workerView := testViews(t, rows, totalShards)
 	all := workerView.LocalShardBackends()
