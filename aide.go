@@ -294,14 +294,14 @@ func GenerateClusters(n, d int, specs []ClusterSpec, background float64, seed in
 }
 
 // NewView builds an indexed exploration view over the named attributes.
-// Index construction and subsequent scans use the automatic worker count
-// (the AIDE_WORKERS environment variable, else GOMAXPROCS).
+// Index construction uses the automatic worker count (the AIDE_WORKERS
+// environment variable, else GOMAXPROCS).
 func NewView(tab *Table, attrs []string) (*View, error) { return engine.NewView(tab, attrs) }
 
 // NewViewWorkers is NewView with an explicit worker count for index
-// construction and scans: 0 means automatic, 1 forces the sequential
-// path. The built view and every query result are identical at any
-// worker count; see the "Concurrency & performance" section of README.md.
+// construction: 0 means automatic, 1 forces the sequential path. The
+// built view and every query result are identical at any worker count;
+// see the "Concurrency & performance" section of README.md.
 func NewViewWorkers(tab *Table, attrs []string, workers int) (*View, error) {
 	return engine.NewViewWorkers(tab, attrs, workers)
 }

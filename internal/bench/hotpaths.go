@@ -200,10 +200,12 @@ func nearestRankNs(sorted []time.Duration, q float64) int64 {
 	return sorted[idx].Nanoseconds()
 }
 
-// RunHotpaths benchmarks the parallelized hot paths — CART training, grid
-// scanning, view index construction and k-means clustering — at
-// workers=1 versus the configured worker count, verifying on every kernel
-// that both sides produce identical output.
+// RunHotpaths benchmarks the hot paths — CART training, grid scanning
+// (unsharded against 4 shards), batching, view index construction,
+// sample planning and k-means clustering — each as a pair of sides,
+// workers=1 against the configured worker count unless the kernel's
+// comment names other sides, verifying on every kernel that both sides
+// produce identical output.
 func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 	def := DefaultHotpathConfig()
 	if cfg.Rows <= 0 {
@@ -251,45 +253,35 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		seqTree.String(nil) == parTree.String(nil)))
 
 	// grid_scan: Count + RowsIn over a large region of a 2-d view — the
-	// shape of evaluation queries and density probes.
+	// shape of evaluation queries and density probes. The w=1 column is
+	// the unsharded view, the wN column the same queries scattered over
+	// 4 supervised shards: the fan-out/gather overhead the robustness
+	// machinery costs on a healthy run, gated on bit-identical results.
 	tab := dataset.GenerateSDSS(cfg.Rows, cfg.Seed)
 	seqView, err := engine.NewViewWorkers(tab, []string{"rowc", "colc"}, 1)
 	if err != nil {
 		return nil, err
 	}
-	parView := seqView.WithWorkers(workers)
+	shardView := seqView.WithShards(engine.ShardOptions{Shards: 4})
 	rect := geom.R(10, 90, 10, 90)
-	scanIdentical := seqView.Count(rect) == parView.Count(rect) &&
-		reflect.DeepEqual(seqView.RowsIn(rect), parView.RowsIn(rect))
+	scanIdentical := seqView.Count(rect) == shardView.Count(rect) &&
+		reflect.DeepEqual(seqView.RowsIn(rect), shardView.RowsIn(rect))
 	rep.Results = append(rep.Results, hotpathResult("grid_scan",
 		measure(cfg.MinTime, nil, func() { seqView.Count(rect); seqView.RowsIn(rect) }),
-		measure(cfg.MinTime, benchKernelSeconds.With("grid_scan"), func() { parView.Count(rect); parView.RowsIn(rect) }),
+		measure(cfg.MinTime, benchKernelSeconds.With("grid_scan"), func() { shardView.Count(rect); shardView.RowsIn(rect) }),
 		scanIdentical))
-
-	// grid_scan_sharded: the same Count + RowsIn scattered over 4
-	// supervised shards, against the unsharded sequential baseline — the
-	// fan-out/gather overhead the robustness machinery costs on a healthy
-	// run, gated on bit-identical results.
-	shardView := seqView.WithShards(engine.ShardOptions{Shards: 4})
-	shardIdentical := seqView.Count(rect) == shardView.Count(rect) &&
-		reflect.DeepEqual(seqView.RowsIn(rect), shardView.RowsIn(rect))
-	rep.Results = append(rep.Results, hotpathResult("grid_scan_sharded",
-		measure(cfg.MinTime, nil, func() { seqView.Count(rect); seqView.RowsIn(rect) }),
-		measure(cfg.MinTime, benchKernelSeconds.With("grid_scan_sharded"), func() { shardView.Count(rect); shardView.RowsIn(rect) }),
-		shardIdentical))
 
 	// grid_scan_batched: 16 small probes marching across the clustered
 	// sky view's sparse dec tail, alternating Count / RowsIn — the shape
 	// of one session iteration's probe set, where per-query fixed cost
-	// dominates the shared row work. The w=1 column is the sequential
-	// per-rect loop over the engine's per-query kernels, the wN column is
-	// ONE ExecuteBatch. Both run on the same single-threaded view, so the
-	// speedup is pure batching: shared planning and cell walks, pooled
-	// scratch, one observation per pass instead of sixteen. Samples are
-	// left out on purpose: SampleRect is itself a batch of one, so a loop
-	// over it would time the batch kernel against itself; sample
-	// extraction has its own row below. Gated on bit-identical counts and
-	// rows.
+	// dominates the shared row work. The w=1 column is the per-rect loop,
+	// sixteen batches of one; the wN column is ONE ExecuteBatch of
+	// sixteen. Both run on the same single-threaded view, so the speedup
+	// is pure batching: shared planning and cell walks, one observation
+	// per pass instead of sixteen. Samples are left out: a loop of
+	// SampleRect batches of one would add the same draws to both sides;
+	// sample extraction has its own row below. Gated on bit-identical
+	// counts and rows.
 	skyView, err := engine.NewViewWorkers(tab, []string{"ra", "dec"}, 1)
 	if err != nil {
 		return nil, err

@@ -4,8 +4,8 @@ package engine
 // complete query surface of ONE shard — everything the scatter-gather
 // layer in shard.go needs from a shard, and nothing else — so the same
 // supervised fan-out drives two implementations: localShard (below),
-// which runs the sequential cores in-process over the shard's slab
-// slices, and internal/shardrpc's remote client, which ships the same
+// which runs the batch walk in-process over the shard's slab slices,
+// and internal/shardrpc's remote client, which ships the same
 // operations over a framed wire protocol to a worker process holding a
 // bit-identical copy of the shard. Results are plain data (row ids,
 // counts, sample plan pieces); randomness, caching and gather order
@@ -15,6 +15,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/explore-by-example/aide/internal/geom"
 )
@@ -26,7 +27,7 @@ type ShardCount struct {
 	Examined int64
 }
 
-// ShardRows is one shard's RowsIn/RowsInAny contribution, rows in the
+// ShardRows is one shard's Rows or RowsAny contribution, rows in the
 // shard's ascending slot (cell-major) order.
 type ShardRows struct {
 	Rows     []int
@@ -58,14 +59,20 @@ func (s ShardSample) Blocks() (full [][]int32, partial []int32) { return s.piece
 // ShardBatchItem is one sub-query of a batched scatter, as shipped to a
 // ShardBackend (and, for remote shards, over shardrpc's opBatch frame
 // in one round-trip). Kind selects the grid primitive; Sorted items are
-// covering-index slices instead (Dim/Iv used, Rect ignored).
+// covering-index slices instead (Dim/Iv used, Rect ignored), and
+// BatchRowsAny items read Rects instead of Rect.
 type ShardBatchItem struct {
 	Kind   BatchKind
 	Sorted bool
 	Rect   geom.Rect
+	Rects  []geom.Rect
 	Dim    int
 	Iv     geom.Interval
 }
+
+// cacheable reports whether the predicate cache memoizes the item's
+// answer: every grid item of a single rect.
+func (it *ShardBatchItem) cacheable() bool { return !it.Sorted && it.Kind != BatchRowsAny }
 
 // ShardBatchResult is one shard's answer to one ShardBatchItem; exactly
 // one field group is populated, matching the item's kind.
@@ -78,7 +85,7 @@ type ShardBatchResult struct {
 
 // ShardBackend serves one shard's queries. Implementations must be
 // safe for concurrent calls (attempts may overlap their own hedges) and
-// must return results bit-identical to the in-process shard cores: the
+// must return results bit-identical to the in-process localShard: the
 // scatter layer treats every backend — local or remote — as the same
 // shard, and the bit-identity guarantee rests on it.
 //
@@ -116,11 +123,12 @@ type ShardBackend interface {
 	Close() error
 }
 
-// localShard is the in-process ShardBackend: the shard's sequential
-// cores over its slab slices, plus the parent view's grid for covering-
-// index lookups — not the view, so a worker keeps neither the table nor
-// the global covering index alive. It never errors — local failures
-// surface as panics, which the scatter layer isolates per attempt.
+// localShard is the in-process ShardBackend: the batch walk over the
+// shard's slab slices, plus the parent view's grid for covering-index
+// lookups — not the view, so a worker keeps neither the table nor the
+// global covering index alive. It errors only on a malformed item
+// (check); other local failures surface as panics, which the scatter
+// layer isolates per attempt.
 type localShard struct {
 	sh *shard
 	pg *gridIndex
@@ -131,62 +139,66 @@ func (l *localShard) NumRows() int    { return l.sh.nrows }
 func (l *localShard) Ping() error     { return nil }
 func (l *localShard) Close() error    { return nil }
 
-// check rejects what the shard cores cannot evaluate: a rect whose arity
-// is not the view's or with a NaN or inverted interval, and a
+// check rejects what the shard cannot evaluate: a kind outside the
+// BatchKind enum; a rect whose arity is not the view's or with a NaN or
+// inverted interval; a RowsAny item with no rect or any such rect; and a
 // covering-index slice of a dimension the view lacks or over such an
 // interval. A coordinator never sends one — its view drops invalid rects
 // before the scatter — so this guards the worker against a malformed
-// peer request, which becomes an error answer instead of an index panic.
+// peer request, which becomes an error answer instead of an index panic
+// or a silently wrong one.
 func (l *localShard) check(it ShardBatchItem) error {
 	dims := l.sh.grid.dims
-	if it.Sorted {
+	switch {
+	case it.Kind > BatchRowsAny:
+		return fmt.Errorf("engine: shard %d: unknown batch item kind %d", l.sh.index, it.Kind)
+	case it.Sorted:
 		if it.Dim < 0 || it.Dim >= dims || !validInterval(it.Iv) {
 			return fmt.Errorf("engine: shard %d: covering-index slice of dim %d over %v in a %d-dim view", l.sh.index, it.Dim, it.Iv, dims)
 		}
-		return nil
-	}
-	if !wellFormed(it.Rect, dims) {
+	case it.Kind == BatchRowsAny:
+		if len(it.Rects) == 0 || slices.ContainsFunc(it.Rects, func(r geom.Rect) bool { return !wellFormed(r, dims) }) {
+			return fmt.Errorf("engine: shard %d: disjunction of %d rects with a malformed one or none for a %d-dim view", l.sh.index, len(it.Rects), dims)
+		}
+	case !wellFormed(it.Rect, dims):
 		return fmt.Errorf("engine: shard %d: malformed rect %v for a %d-dim view", l.sh.index, it.Rect, dims)
 	}
 	return nil
 }
 
-func (l *localShard) Count(rect geom.Rect) (ShardCount, error) {
-	if err := l.check(ShardBatchItem{Rect: rect}); err != nil {
-		return ShardCount{}, err
+// one runs a single item as a batch of one: the single-op methods below
+// are that, so they answer exactly what the batch would.
+func (l *localShard) one(it ShardBatchItem) (ShardBatchResult, error) {
+	out, err := l.ExecuteBatch([]ShardBatchItem{it})
+	if err != nil {
+		return ShardBatchResult{}, err
 	}
-	return l.sh.count(rect), nil
+	return out[0], nil
+}
+
+func (l *localShard) Count(rect geom.Rect) (ShardCount, error) {
+	r, err := l.one(ShardBatchItem{Kind: BatchCount, Rect: rect})
+	return r.Count, err
 }
 
 func (l *localShard) RowsIn(rect geom.Rect) (ShardRows, error) {
-	if err := l.check(ShardBatchItem{Rect: rect}); err != nil {
-		return ShardRows{}, err
-	}
-	return l.sh.rowsIn(rect), nil
+	r, err := l.one(ShardBatchItem{Kind: BatchRows, Rect: rect})
+	return r.Rows, err
 }
 
 func (l *localShard) RowsInAny(rects []geom.Rect) (ShardRows, error) {
-	for _, rect := range rects {
-		if err := l.check(ShardBatchItem{Rect: rect}); err != nil {
-			return ShardRows{}, err
-		}
-	}
-	return l.sh.rowsAny(rects), nil
+	r, err := l.one(ShardBatchItem{Kind: BatchRowsAny, Rects: rects})
+	return r.Rows, err
 }
 
 func (l *localShard) SampleGrid(rect geom.Rect) (ShardSample, error) {
-	out, err := l.ExecuteBatch([]ShardBatchItem{{Kind: BatchSample, Rect: rect}})
-	if err != nil {
-		return ShardSample{}, err
-	}
-	return out[0].Sample, nil
+	r, err := l.one(ShardBatchItem{Kind: BatchSample, Rect: rect})
+	return r.Sample, err
 }
 
 func (l *localShard) SortedSlice(dim int, iv geom.Interval) ([]int32, error) {
-	if err := l.check(ShardBatchItem{Sorted: true, Dim: dim, Iv: iv}); err != nil {
-		return nil, err
-	}
-	return l.sh.sortedSlice(dim, iv, l.pg), nil
+	r, err := l.one(ShardBatchItem{Kind: BatchSample, Sorted: true, Dim: dim, Iv: iv})
+	return r.Sorted, err
 }
 
 func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, error) {

@@ -1,13 +1,14 @@
 package engine
 
-// This file is the batched execution path. ExecuteBatch evaluates N
-// sub-queries (Count / RowsIn / SampleRect rectangles) in a single
-// pass: on an unsharded view the grid-path sub-queries share one
-// row-major walk over the union of their cell boxes (cells are pruned
-// once, every covering rect is evaluated per cell with shared scan
-// scratch); on a sharded view the whole batch rides ONE supervised
-// scatter — one backend call (one RPC round-trip, for remote shards)
-// per shard per batch instead of per query.
+// This file is the engine's one execution path. ExecuteBatch evaluates
+// N sub-queries (Count / RowsIn / RowsInAny / SampleRect) in a single
+// pass, and each of those methods is a batch of one. On an unsharded
+// view the grid-path sub-queries share one row-major walk over the
+// union of their cell boxes (cells are pruned once, every covering rect
+// is evaluated per cell with shared scan scratch); on a sharded view
+// the whole batch rides ONE supervised scatter — one backend call (one
+// RPC round-trip, for remote shards) per shard per batch instead of per
+// query.
 //
 // The contract that makes this more than a fast path: batched sampling
 // must consume the caller's rng in exactly the per-request order the
@@ -25,6 +26,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -45,12 +47,17 @@ const (
 	// BatchSample plans View.SampleRect's candidate layout for the rect;
 	// the rows are drawn later via BatchResults.Sample.
 	BatchSample
+	// BatchRowsAny evaluates View.RowsInAny for Rects. It is never
+	// cached.
+	BatchRowsAny
 )
 
 // BatchQuery is one sub-query of a batch.
 type BatchQuery struct {
 	Kind BatchKind
 	Rect geom.Rect
+	// Rects are BatchRowsAny's disjuncts (Rect is ignored for it).
+	Rects []geom.Rect
 	// N is the sample size for BatchSample (ignored otherwise). N <= 0
 	// yields an empty sample, like SampleRect.
 	N int
@@ -94,8 +101,8 @@ func (r *BatchResults) Count(i int) int {
 	return r.counts[i]
 }
 
-// Rows returns sub-query i's matched rows (nil for non-Rows
-// sub-queries). The slice is owned by the caller.
+// Rows returns sub-query i's matched rows (nil for sub-queries of
+// neither Rows kind). The slice is owned by the caller.
 func (r *BatchResults) Rows(i int) []int {
 	if r.rows == nil {
 		return nil
@@ -122,13 +129,22 @@ func (r *BatchResults) Sample(i int, rng *rand.Rand) []int {
 // for a complete answer; always full on unsharded views).
 func (r *BatchResults) Healthy() int { return r.healthy }
 
+// exactErr is ErrPartialResult when a shard could not serve the batch.
+func (r *BatchResults) exactErr() error {
+	if r.v.shards != nil && r.healthy < r.v.shards.n {
+		return ErrPartialResult
+	}
+	return nil
+}
+
 // ExecuteBatch evaluates the sub-queries in one pass and returns their
 // results. Fault-free results are bit-identical to running each
-// sub-query through Count/RowsIn/SampleRect sequentially (sample draws
-// included, via the lazy Sample contract above); on a sharded view the
-// whole batch is one scatter, so a failed shard degrades every
-// sub-query to the healthy subset at once, noted through the view's
-// ShardTracker as usual.
+// sub-query as a batch of its own (sample draws included, via the lazy
+// Sample contract above) and to the per-row reference scan; on a
+// sharded view the whole batch is one scatter, so a failed shard
+// degrades every sub-query to the healthy subset at once, noted through
+// the view's ShardTracker as usual. A cancelled batch (WithContext)
+// answers empty.
 func (v *View) ExecuteBatch(queries []BatchQuery) *BatchResults {
 	defer observeQuery(time.Now())
 	faultinject.Latency("engine.scan")
@@ -142,7 +158,7 @@ func (v *View) ExecuteBatch(queries []BatchQuery) *BatchResults {
 			if res.counts == nil {
 				res.counts = make([]int, len(queries))
 			}
-		case BatchRows:
+		case BatchRows, BatchRowsAny:
 			if res.rows == nil {
 				res.rows = make([][]int, len(queries))
 			}
@@ -170,6 +186,43 @@ func (v *View) ExecuteBatch(queries []BatchQuery) *BatchResults {
 		v.executeBatchLocal(res)
 	}
 	return res
+}
+
+// validQuery reports whether q asks for anything: a sample of no rows
+// and a kind outside the enum do not, and neither does a malformed rect
+// (counted as invalid), which matches no rows. For BatchRowsAny it
+// returns the well-formed disjuncts, each malformed one counted, and q
+// asks for something when any is left.
+func (v *View) validQuery(q BatchQuery) ([]geom.Rect, bool) {
+	switch q.Kind {
+	case BatchRowsAny:
+		if !slices.ContainsFunc(q.Rects, func(r geom.Rect) bool { return !v.validRect(r) }) {
+			return q.Rects, len(q.Rects) > 0
+		}
+		var rects []geom.Rect
+		for _, r := range q.Rects {
+			if v.validRect(r) {
+				rects = append(rects, r)
+			} else {
+				obsInvalidRects.Inc()
+			}
+		}
+		return rects, len(rects) > 0
+	case BatchSample:
+		if q.N <= 0 {
+			// SampleRect answers n<=0 before rect validation or any
+			// evaluation; mirror that (and skip the wasted work).
+			return nil, false
+		}
+	case BatchCount, BatchRows:
+	default:
+		return nil, false
+	}
+	if !v.validRect(q.Rect) {
+		obsInvalidRects.Inc()
+		return nil, false
+	}
+	return nil, true
 }
 
 // batchScratch is the reusable coordinator-side evaluation scratch of
@@ -201,16 +254,15 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 	items := sc.items[:0]
 	itemQuery := sc.itemQuery[:0]
 	for i, q := range res.queries {
-		if q.Kind == BatchSample && q.N <= 0 {
-			// SampleRect answers n<=0 before rect validation or any
-			// evaluation; mirror that (and skip the wasted work).
+		rects, ok := v.validQuery(q)
+		switch {
+		case !ok:
 			continue
-		}
-		if !v.validRect(q.Rect) {
-			obsInvalidRects.Inc()
+		case q.Kind == BatchRowsAny:
+			items = append(items, ShardBatchItem{Kind: BatchRowsAny, Rects: rects})
+			itemQuery = append(itemQuery, i)
 			continue
-		}
-		if q.Kind == BatchSample {
+		case q.Kind == BatchSample:
 			if dim := v.singleConstrainedDim(q.Rect); dim >= 0 {
 				obsPathIndex.Inc()
 				lo, hi := v.sortedRange(dim, q.Rect[dim])
@@ -268,10 +320,10 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 			if v.cache != nil {
 				v.cache.put(kindCount, 0, res.queries[i].Rect, res.counts[i], nil)
 			}
-		case BatchRows:
+		case BatchRows, BatchRowsAny:
 			examined += r.Rows.Examined
 			res.rows[i] = r.Rows.Rows
-			if v.cache != nil {
+			if v.cache != nil && items[k].cacheable() {
 				v.cache.put(kindRows, 0, res.queries[i].Rect, len(r.Rows.Rows), r.Rows.Rows)
 			}
 		case BatchSample:
@@ -299,11 +351,8 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 	hasSample := false
 	var gridItems int64
 	for i, q := range res.queries {
-		if q.Kind == BatchSample && q.N <= 0 {
-			continue
-		}
-		if !v.validRect(q.Rect) {
-			obsInvalidRects.Inc()
+		rects, ok := v.validQuery(q)
+		if !ok {
 			continue
 		}
 		if q.Kind == BatchSample {
@@ -316,7 +365,7 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 			}
 		}
 		gridItems++
-		items = append(items, ShardBatchItem{Kind: q.Kind, Rect: q.Rect})
+		items = append(items, ShardBatchItem{Kind: q.Kind, Rect: q.Rect, Rects: rects})
 		itemQuery = append(itemQuery, i)
 	}
 	obsPathGrid.Add(gridItems)
@@ -337,16 +386,15 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 		var miss []ShardBatchItem
 		var missAt []int
 		for k, it := range items {
-			if cache != nil && !it.Sorted {
+			if cache != nil && it.cacheable() {
 				if e, hit := cache.get(cacheKind(it.Kind), salt, it.Rect); hit {
 					switch it.Kind {
 					case BatchCount:
 						out[k].Count = ShardCount{Matched: int64(e.count)}
 					case BatchRows:
 						if e.rows != nil {
-							rows := make([]int, len(e.rows))
-							copy(rows, e.rows)
-							out[k].Rows.Rows = rows
+							out[k].Rows.Rows = getRowBuf(len(e.rows))
+							copy(out[k].Rows.Rows, e.rows)
 						}
 					case BatchSample:
 						out[k].Sample.piece = e.plan.bind(v.shards.planGrid(b.ShardIndex()))
@@ -369,7 +417,7 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 		}
 		for j, r := range rs {
 			out[missAt[j]] = r
-			if cache != nil && !miss[j].Sorted {
+			if cache != nil && miss[j].cacheable() {
 				switch miss[j].Kind {
 				case BatchCount:
 					cache.put(kindCount, salt, miss[j].Rect, int(r.Count.Matched), nil)
@@ -414,7 +462,7 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 				}
 			}
 			res.counts[i] = int(total)
-		case it.Kind == BatchRows:
+		case it.Kind == BatchRows || it.Kind == BatchRowsAny:
 			n := 0
 			for s := range perShard {
 				if ok[s] {
@@ -454,37 +502,48 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 // walks (still sharing scratch), since a union walk over mostly-empty
 // space would visit far more cells than the items own. Both modes
 // evaluate each (cell, item) pair with identical semantics, so results
-// are bit-identical to the sequential kernels either way.
+// are bit-identical either way. A RowsAny item walks its disjuncts into
+// one slot bitmap (rowsAny). Rows items emit in two passes: the walk
+// counts each item's matches and records its segments, then emitRows
+// fills exactly sized buffers from getRowBuf. A cancelled ctx stops the
+// walk within 64 cells and returns its error; a walk that finished first
+// answers in full.
 func batchGridEval(g *gridIndex, ctx context.Context, items []ShardBatchItem, out []ShardBatchResult) error {
-	n := len(items)
-	dims := g.dims
 	ws := batchWalkPool.Get().(*batchWalkScratch)
 	defer batchWalkPool.Put(ws)
-	if cap(ws.boxes) < n {
-		ws.boxes = make([]batchBox, n)
+	ws.reset(g.dims, len(items))
+	if err := ws.walk(g, ctx, items, out); err != nil {
+		return err
 	}
-	// One backing array for every box's coordinate ranges plus the union
-	// bounds and the odometer: 4 slices per box + 3 shared.
-	if need := (4*n + 3) * dims; cap(ws.backing) < need {
-		ws.backing = make([]int, need)
+	for k := range items {
+		if items[k].Kind == BatchRowsAny {
+			if err := ws.rowsAny(g, ctx, &ws.boxes[k], items[k].Rects, &out[k].Rows); err != nil {
+				return err
+			}
+		}
 	}
-	boxes := ws.boxes[:n]
-	backing := ws.backing
-	carve := func() []int {
-		s := backing[:dims:dims]
-		backing = backing[dims:]
-		return s
-	}
+	ws.emitRows(g, out)
+	return nil
+}
+
+// walk evaluates the batch's single-rect items cell by cell: over the
+// union of their boxes in one row-major walk when that at least halves
+// the visits, item by item otherwise.
+func (ws *batchWalkScratch) walk(g *gridIndex, ctx context.Context, items []ShardBatchItem, out []ShardBatchResult) error {
+	dims := g.dims
+	boxes, uLo, uHi, coord := ws.boxes, ws.uLo, ws.uHi, ws.coord
 	active := false
-	uLo, uHi, coord := carve(), carve(), carve()
 	unionCells, sumCells := 1, 0
 	for d := 0; d < dims; d++ {
 		uLo[d], uHi[d] = g.cellsPerDim, -1
 	}
 	for k := range items {
 		b := &boxes[k]
-		b.lo, b.hi, b.cLo, b.cHi = carve(), carve(), carve(), carve()
-		if items[k].Kind == BatchSample {
+		b.ok = false
+		switch items[k].Kind {
+		case BatchRowsAny:
+			continue
+		case BatchSample:
 			out[k].Sample.piece = samplePiece{g: g, rect: items[k].Rect}
 		}
 		if b.ok = g.fillBox(b, items[k].Rect); !b.ok {
@@ -511,7 +570,6 @@ func batchGridEval(g *gridIndex, ctx context.Context, items []ShardBatchItem, ou
 	for d := 0; d < dims; d++ {
 		unionCells *= uHi[d] - uLo[d] + 1
 	}
-	var scratch []uint64
 	// Cells are row-major, so the innermost dimension's cells have
 	// contiguous flat ids: both walks below iterate each innermost run
 	// with a single increment instead of re-deriving the id from the
@@ -543,7 +601,7 @@ func batchGridEval(g *gridIndex, ctx context.Context, items []ShardBatchItem, ou
 						if !b.covers(dims, coord) {
 							continue
 						}
-						evalBatchCell(g, &items[k], &out[k], b.coveredAt(dims, coord), int32(id), off, end, &scratch)
+						ws.evalBatchCell(g, k, &items[k], &out[k], b.coveredAt(dims, coord), int32(id), off, end)
 					}
 				}
 				id++
@@ -561,26 +619,94 @@ func batchGridEval(g *gridIndex, ctx context.Context, items []ShardBatchItem, ou
 			}
 		}
 	}
-	var it *ShardBatchItem
-	var o *ShardBatchResult
+	var k int
 	span := func(slo, shi int32) bool {
-		evalBatchCell(g, it, o, true, -1, slo, shi, &scratch)
+		ws.evalBatchCell(g, k, &items[k], &out[k], true, -1, slo, shi)
 		return true
 	}
 	cell := func(id, off, end int32) bool {
-		evalBatchCell(g, it, o, false, id, off, end, &scratch)
+		ws.evalBatchCell(g, k, &items[k], &out[k], false, id, off, end)
 		return true
 	}
-	for k := range items {
+	for k = range items {
 		if !boxes[k].ok {
 			continue
 		}
-		it, o = &items[k], &out[k]
 		if err := g.walkBox(ctx, &boxes[k], coord, span, cell); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rowsAny evaluates a RowsAny item: each disjunct walks its own box
+// (reusing b) with the Rows item's covered/zonemap/per-row split, ORing
+// into one bitmap over g's slots, whose set bits are then emitted once,
+// in slot order — so every row appears once however many rects hold it.
+func (ws *batchWalkScratch) rowsAny(g *gridIndex, ctx context.Context, b *batchBox, rects []geom.Rect, out *ShardRows) error {
+	bm := newSlotBitmap(len(g.rows))
+	for _, rect := range rects {
+		if !g.fillBox(b, rect) {
+			continue
+		}
+		err := g.walkBox(ctx, b, ws.coord, func(slo, shi int32) bool {
+			bm.setRange(slo, shi)
+			return true
+		}, func(id, off, end int32) bool {
+			switch g.zoneClassify(rect, id) {
+			case zoneCovered:
+				bm.setRange(off, end)
+			case zonePartial:
+				out.Examined += int64(end - off)
+				ws.words = g.evalCellBits(rect, id, off, end, ws.words[:0])
+				bm.orCellBits(off, ws.words)
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if n := bm.count(); n > 0 {
+		out.Rows = getRowBuf(n)
+		fillBits(out.Rows, g, 0, bm)
+	}
+	return nil
+}
+
+// emitRows is the Rows items' second pass: each item's buffer is sized
+// exactly from the first pass's match count, then filled by replaying
+// the recorded segments in walk order — covered spans widen their slots'
+// row ids, boundary cells read their bitmap words back.
+func (ws *batchWalkScratch) emitRows(g *gridIndex, out []ShardBatchResult) {
+	for k, m := range ws.matched {
+		if m > 0 {
+			out[k].Rows.Rows = getRowBuf(m)
+		}
+		ws.matched[k] = 0 // from here on, the item's fill cursor
+	}
+	for _, sg := range ws.segs {
+		dst := out[sg.item].Rows.Rows[ws.matched[sg.item]:]
+		if sg.word < 0 {
+			ws.matched[sg.item] += widen(dst, g.rows[sg.lo:sg.hi])
+			continue
+		}
+		nw := int(sg.hi-sg.lo+63) >> 6
+		ws.matched[sg.item] += fillBits(dst, g, sg.lo, ws.arena[sg.word:int(sg.word)+nw])
+	}
+}
+
+// fillBits writes the row ids of words' set bits (bit i of word w is
+// slot off+64w+i) into dst in slot order and returns how many it wrote.
+func fillBits(dst []int, g *gridIndex, off int32, words []uint64) int {
+	k := 0
+	for w, bw := range words {
+		for ; bw != 0; bw &= bw - 1 {
+			dst[k] = int(g.rows[int(off)+w<<6+bits.TrailingZeros64(bw)])
+			k++
+		}
+	}
+	return k
 }
 
 // walkBox visits one item's cell box in row-major order — the order
@@ -635,16 +761,67 @@ func (g *gridIndex) walkBox(ctx context.Context, b *batchBox, coord []int, span 
 	}
 }
 
-// batchWalkScratch is batchGridEval's reusable walk state — the item
-// boxes and the integer backing their coordinate ranges are carved
-// from. Everything in it is overwritten before use and nothing escapes
-// into results, so pooling it is invisible to callers.
+// batchWalkScratch is batchGridEval's reusable walk state: the item
+// boxes, the integer backing their coordinate ranges, the union bounds
+// and the odometer are carved from, and the Rows items' first pass.
+// Everything in it is overwritten before use and nothing escapes into
+// results, so pooling it is invisible to callers.
 type batchWalkScratch struct {
-	boxes   []batchBox
-	backing []int
+	boxes           []batchBox
+	backing         []int
+	uLo, uHi, coord []int
+	matched         []int    // per item: Rows matches, then emitRows' fill cursor
+	segs            []rowSeg // every Rows item's segments, in walk order
+	arena           []uint64 // the boundary cells' bitmap words the segments point into
+	words           []uint64 // rowsAny's per-cell bitmap
 }
 
+// rowSeg is one segment of a Rows item's first pass: the slots [lo, hi)
+// of covered cells, whose rows all match (word < 0), or of one boundary
+// cell, whose matches are the set bits of the arena from word on.
+type rowSeg struct{ item, lo, hi, word int32 }
+
 var batchWalkPool = sync.Pool{New: func() any { return new(batchWalkScratch) }}
+
+// reset sizes the scratch for n items on a dims-dimensional grid,
+// carving 4 ranges per box plus the union bounds and the odometer from
+// one backing array.
+func (ws *batchWalkScratch) reset(dims, n int) {
+	if cap(ws.boxes) < n {
+		ws.boxes = make([]batchBox, n)
+	}
+	ws.boxes = ws.boxes[:n]
+	if need := (4*n + 3) * dims; cap(ws.backing) < need {
+		ws.backing = make([]int, need)
+	}
+	backing := ws.backing
+	carve := func() []int {
+		s := backing[:dims:dims]
+		backing = backing[dims:]
+		return s
+	}
+	ws.uLo, ws.uHi, ws.coord = carve(), carve(), carve()
+	for k := range ws.boxes {
+		b := &ws.boxes[k]
+		b.lo, b.hi, b.cLo, b.cHi = carve(), carve(), carve(), carve()
+	}
+	ws.matched = slices.Grow(ws.matched[:0], n)[:n]
+	clear(ws.matched)
+	ws.segs, ws.arena = ws.segs[:0], ws.arena[:0]
+}
+
+// addSpan records slots [lo, hi) of covered cells for Rows item k,
+// extending the item's previous span when it ends where this one starts.
+func (ws *batchWalkScratch) addSpan(k int, lo, hi int32) {
+	ws.matched[k] += int(hi - lo)
+	if n := len(ws.segs); n > 0 {
+		if last := &ws.segs[n-1]; last.item == int32(k) && last.word < 0 && last.hi == lo {
+			last.hi = hi
+			return
+		}
+	}
+	ws.segs = append(ws.segs, rowSeg{item: int32(k), lo: lo, hi: hi, word: -1})
+}
 
 // batchBox is one item's precomputed cell box: the overlapping cell
 // coordinate range per dimension plus the geometrically covered
@@ -693,15 +870,15 @@ func (b *batchBox) coveredAt(dims int, coord []int) bool {
 	return true
 }
 
-// evalBatchCell evaluates one (cell, item) pair with the sequential
-// kernels' exact semantics: geometrically covered cells are answered
-// from offsets alone, zonemap-covered cells emit whole blocks,
-// zonemap-disjoint cells emit nothing, and straddling cells run the
-// per-row columnar filter. Emission happens in the walk's row-major
-// cell order with rows ascending per cell — the order every sequential
-// kernel produces. A sample item emits no rows: it records what its
-// plan needs to find a drawn row again in that same order.
-func evalBatchCell(g *gridIndex, it *ShardBatchItem, out *ShardBatchResult, covered bool, id, off, end int32, scratch *[]uint64) {
+// evalBatchCell evaluates one (cell, item) pair — item k, whose result is
+// out: geometrically covered cells are answered from offsets alone,
+// zonemap-covered cells take whole blocks, zonemap-disjoint cells
+// nothing, and straddling cells run the per-row columnar filter. Walks
+// visit cells in row-major order with rows ascending per cell, the
+// order every result is emitted in. A Rows item records its segments
+// for emitRows; a sample item emits no rows, only what its plan needs
+// to find a drawn row again in that same order.
+func (ws *batchWalkScratch) evalBatchCell(g *gridIndex, k int, it *ShardBatchItem, out *ShardBatchResult, covered bool, id, off, end int32) {
 	switch it.Kind {
 	case BatchCount:
 		if covered {
@@ -718,14 +895,21 @@ func evalBatchCell(g *gridIndex, it *ShardBatchItem, out *ShardBatchResult, cove
 		}
 		switch zone {
 		case zoneCovered:
-			n := len(out.Rows.Rows)
-			out.Rows.Rows = slices.Grow(out.Rows.Rows, int(end-off))[:n+int(end-off)]
-			widen(out.Rows.Rows[n:], g.rows[off:end])
-		case zoneDisjoint:
-		default:
+			ws.addSpan(k, off, end)
+		case zonePartial:
 			out.Rows.Examined += int64(end - off)
-			*scratch = g.evalCellBits(it.Rect, id, off, end, (*scratch)[:0])
-			emitBits(&out.Rows.Rows, g, off, *scratch)
+			base := len(ws.arena)
+			ws.arena = g.evalCellBits(it.Rect, id, off, end, ws.arena)
+			m := 0
+			for _, w := range ws.arena[base:] {
+				m += bits.OnesCount64(w)
+			}
+			if m == 0 {
+				ws.arena = ws.arena[:base]
+				return
+			}
+			ws.matched[k] += m
+			ws.segs = append(ws.segs, rowSeg{item: int32(k), lo: off, hi: end, word: int32(base)})
 		}
 	case BatchSample:
 		if covered {
@@ -738,13 +922,13 @@ func evalBatchCell(g *gridIndex, it *ShardBatchItem, out *ShardBatchResult, cove
 	}
 }
 
-// countCellBatched is zoneClassify + countCell fused into one zonemap
-// pass: the batch walk evaluates each (cell, item) pair exactly once,
-// so the classify-then-count split the sequential kernels share would
-// scan the cell's zonemap twice per pair. Classification, straddled-
-// clause selection, sweeps, and the examined-row accounting (end-off
-// for straddling cells, 0 when the zonemap alone answers) are all
-// bit-identical to the sequential pair.
+// countCellBatched counts the rows of one cell inside rect in a single
+// zonemap pass: a zonemap-disjoint cell matches nothing and a
+// zonemap-covered one everything, both answered from metadata (0
+// examined); otherwise each clause the zonemap does not settle sweeps
+// its contiguous column slab, folding a branchless 0/1 per row, and the
+// cell's end-off rows count as examined. The common boundary cell
+// straddles the rect in exactly one dimension: a single column sweep.
 func (g *gridIndex) countCellBatched(rect geom.Rect, id, off, end int32) (matched, examined int64) {
 	n := int64(end - off)
 	var a0, a1 int
@@ -799,7 +983,18 @@ func (g *gridIndex) countCellBatched(rect geom.Rect, id, off, end int32) (matche
 		}
 		return int64(m), n
 	}
-	// Three or more straddled clauses: rare corner cells — the generic
-	// sweep re-derives the clause set, which is fine off the hot path.
-	return int64(g.countCell(rect, id, off, end)), n
+	// Three or more straddled clauses: rare corner cells, where a per-row
+	// sweep over every clause is fine off the hot path.
+	m := 0
+	for s := off; s < end; s++ {
+		keep := 1
+		for d := 0; d < g.dims; d++ {
+			if v := g.slabs[d][s]; v < rect[d].Lo || v > rect[d].Hi {
+				keep = 0
+				break
+			}
+		}
+		m += keep
+	}
+	return int64(m), n
 }

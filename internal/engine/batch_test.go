@@ -47,8 +47,8 @@ func randomBatch(dims int, rng *rand.Rand) []BatchQuery {
 	return out
 }
 
-// runSequential is the reference: each sub-query through the sequential
-// engine API in order (samples through the materializing
+// runSequential is the reference: each sub-query in order through the
+// per-row reference scan (samples through the materializing
 // referenceSample), sharing one rng exactly like the session loop. v
 // must be unsharded.
 func runSequential(v *View, queries []BatchQuery, rng *rand.Rand) (counts []int, rows [][]int, samples [][]int) {
@@ -58,9 +58,9 @@ func runSequential(v *View, queries []BatchQuery, rng *rand.Rand) (counts []int,
 	for i, q := range queries {
 		switch q.Kind {
 		case BatchCount:
-			counts[i] = v.Count(q.Rect)
+			counts[i] = len(scanRows(v, q.Rect))
 		case BatchRows:
-			rows[i] = v.RowsIn(q.Rect)
+			rows[i] = scanRows(v, q.Rect)
 		case BatchSample:
 			samples[i] = referenceSample(v, q.Rect, q.N, rng)
 		}
@@ -182,7 +182,7 @@ func TestBatchHaltLeavesRNGSequential(t *testing.T) {
 // TestBatchGridEvalUnionAndPerItemAgree forces both kernel modes over
 // the same items: tightly overlapping rects take the shared union walk,
 // scattered rects the per-item fallback, and both must match the
-// sequential cores cell for cell. The scattered set makes the union box
+// reference scan row for row. The scattered set makes the union box
 // mostly empty space, which is exactly when the fallback triggers.
 func TestBatchGridEvalUnionAndPerItemAgree(t *testing.T) {
 	tab := dataset.GenerateSDSS(12_000, 11)

@@ -225,8 +225,8 @@ func (g *gridIndex) coveredRange(iv geom.Interval, lo, hi int) (int, int) {
 // visitCells invokes fn for every non-empty cell overlapping rect, in
 // row-major cell order. full is true when the cell lies geometrically
 // entirely inside rect, so its rows need no verification. fn returning
-// false stops the visit. This is the sequential reference walk; the
-// production scans use collectCellRuns + walkRun.
+// false stops the visit. This is the sequential reference walk; queries
+// use walkBox (batch.go).
 func (g *gridIndex) visitCells(rect geom.Rect, fn func(id int32, rows []int32, full bool) bool) {
 	lo := make([]int, g.dims)
 	hi := make([]int, g.dims)
@@ -270,78 +270,6 @@ func (g *gridIndex) visitCells(rect geom.Rect, fn func(id int32, rows []int32, f
 	}
 }
 
-// cellRun is a maximal innermost-dimension span of grid cells
-// overlapping a query rect. Because cell ids are row-major, the run's
-// cells have contiguous flat ids starting at idStart — and therefore
-// contiguous slot ranges — which is what lets Count/RowsIn answer whole
-// sub-spans with offset arithmetic. [fullLo, fullHi] is the range of
-// innermost coordinates whose cells are geometrically covered by the
-// rect (empty when fullLo > fullHi, e.g. when any outer dimension of
-// this run is only partially covered).
-type cellRun struct {
-	idStart int32
-	loInner int32
-	n       int32
-	fullLo  int32
-	fullHi  int32
-}
-
-// collectCellRuns returns the cell runs overlapping rect in ascending
-// flat-id (row-major) order — the work list Count/RowsIn chunk over.
-// buf, when non-nil, is reused as the backing array.
-func (g *gridIndex) collectCellRuns(rect geom.Rect, buf []cellRun) []cellRun {
-	out := buf[:0]
-	d := g.dims
-	lo := make([]int, d)
-	hi := make([]int, d)
-	for i := 0; i < d; i++ {
-		l, h, ok := g.cellRange(rect[i])
-		if !ok {
-			return out
-		}
-		lo[i], hi[i] = l, h
-	}
-	inner := d - 1
-	iFullLo, iFullHi := g.coveredRange(rect[inner], lo[inner], hi[inner])
-	n := int32(hi[inner] - lo[inner] + 1)
-	coord := make([]int, d) // odometer over the outer dimensions
-	copy(coord, lo)
-	for {
-		idStart := 0
-		outerFull := true
-		for i := 0; i < inner; i++ {
-			idStart = idStart*g.cellsPerDim + coord[i]
-			cellLo := geom.NormMin + float64(coord[i])*g.cellWidth
-			if cellLo < rect[i].Lo || cellLo+g.cellWidth > rect[i].Hi {
-				outerFull = false
-			}
-		}
-		idStart = idStart*g.cellsPerDim + lo[inner]
-		run := cellRun{
-			idStart: int32(idStart),
-			loInner: int32(lo[inner]),
-			n:       n,
-			fullLo:  1, // empty covered range
-			fullHi:  0,
-		}
-		if outerFull {
-			run.fullLo, run.fullHi = int32(iFullLo), int32(iFullHi)
-		}
-		out = append(out, run)
-		i := inner - 1
-		for ; i >= 0; i-- {
-			coord[i]++
-			if coord[i] <= hi[i] {
-				break
-			}
-			coord[i] = lo[i]
-		}
-		if i < 0 {
-			return out
-		}
-	}
-}
-
 // Zonemap classification of one cell against a query rect.
 const (
 	zonePartial  = iota // zonemap straddles the rect: per-row filter needed
@@ -368,57 +296,6 @@ func (g *gridIndex) zoneClassify(rect geom.Rect, id int32) int {
 		return zoneCovered
 	}
 	return zonePartial
-}
-
-// walkRun decomposes one cell run into segments in ascending slot
-// order: fullSpan(lo, hi) for maximal slot spans whose rows are all
-// provably inside rect (geometrically covered middle cells and
-// zonemap-covered boundary cells, merged across adjacent and empty
-// cells), and partial(id, off, end) for cells that need the per-row
-// range filter. Zonemap-disjoint cells are skipped entirely. The
-// decomposition is a pure function of (run, rect), so parallel scan
-// passes replay it deterministically.
-func (g *gridIndex) walkRun(run cellRun, rect geom.Rect, fullSpan func(lo, hi int32), partial func(id, off, end int32)) {
-	spanLo, spanEnd := int32(-1), int32(-1)
-	flush := func() {
-		if spanLo >= 0 {
-			fullSpan(spanLo, spanEnd)
-			spanLo = -1
-		}
-	}
-	for k := int32(0); k < run.n; k++ {
-		inner := run.loInner + k
-		if inner >= run.fullLo && inner <= run.fullHi {
-			// Geometrically covered middle: one offsets lookup covers the
-			// whole sub-span, empty cells and all.
-			idLo := run.idStart + (run.fullLo - run.loInner)
-			idHi := run.idStart + (run.fullHi - run.loInner)
-			if spanLo < 0 {
-				spanLo = g.offsets[idLo]
-			}
-			spanEnd = g.offsets[idHi+1]
-			k = run.fullHi - run.loInner
-			continue
-		}
-		id := run.idStart + k
-		off, end := g.offsets[id], g.offsets[id+1]
-		if off == end {
-			continue // empty cell: slots stay contiguous, span survives
-		}
-		switch g.zoneClassify(rect, id) {
-		case zoneCovered:
-			if spanLo < 0 {
-				spanLo = off
-			}
-			spanEnd = end
-		case zoneDisjoint:
-			flush() // rows present but excluded: the slot span breaks here
-		default:
-			flush()
-			partial(id, off, end)
-		}
-	}
-	flush()
 }
 
 // evalCellBits appends one bit per slot of cell id to dst (bit i of
@@ -495,76 +372,6 @@ func (g *gridIndex) evalCellBits(rect geom.Rect, id, off, end int32, dst []uint6
 		}
 	}
 	return dst
-}
-
-// countCell returns how many of the cell's rows lie inside rect,
-// without materializing a bitmap: each clause the zonemap doesn't
-// already satisfy sweeps its contiguous column slab, folding a
-// branchless 0/1 per row. The common boundary cell straddles the rect
-// in exactly one dimension, so this is usually a single column sweep.
-func (g *gridIndex) countCell(rect geom.Rect, id, off, end int32) int {
-	n := int(end - off)
-	var a0, a1 int
-	na := 0
-	for d := 0; d < g.dims; d++ {
-		if g.zoneMin[d][id] >= rect[d].Lo && g.zoneMax[d][id] <= rect[d].Hi {
-			continue
-		}
-		switch na {
-		case 0:
-			a0 = d
-		case 1:
-			a1 = d
-		}
-		na++
-	}
-	switch na {
-	case 0:
-		return n
-	case 1:
-		lo, hi := rect[a0].Lo, rect[a0].Hi
-		col := g.slabs[a0][off:end]
-		matched := 0
-		for _, v := range col {
-			keep := 1
-			if v < lo || v > hi {
-				keep = 0
-			}
-			matched += keep
-		}
-		return matched
-	case 2:
-		lo0, hi0 := rect[a0].Lo, rect[a0].Hi
-		lo1, hi1 := rect[a1].Lo, rect[a1].Hi
-		col0 := g.slabs[a0][off:end]
-		col1 := g.slabs[a1][off:end]
-		matched := 0
-		for i, v := range col0 {
-			keep := 1
-			if v < lo0 || v > hi0 {
-				keep = 0
-			}
-			w := col1[i]
-			if w < lo1 || w > hi1 {
-				keep = 0
-			}
-			matched += keep
-		}
-		return matched
-	}
-	// Three or more straddled clauses: corner cells in high dimensions.
-	matched := 0
-	for s := off; s < end; s++ {
-		keep := 1
-		for d := 0; d < g.dims; d++ {
-			if v := g.slabs[d][s]; v < rect[d].Lo || v > rect[d].Hi {
-				keep = 0
-				break
-			}
-		}
-		matched += keep
-	}
-	return matched
 }
 
 // slotBitmap is a dense bitmap over the view's slots (one bit per row,

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,11 +15,14 @@ import (
 )
 
 // This file holds the oracle tests for the columnar grid engine: every
-// pruned / bitmap / parallel fast path in Count, RowsIn and RowsInAny
-// must return exactly what a naive per-row Contains scan returns, on
-// tables engineered to hit empty cells, single-row cells, duplicate-value
-// cells and rect edges that land exactly on cell boundaries or data
-// values. Run with -race to exercise the deterministic parallel replay.
+// pruned / bitmap fast path of Count, RowsIn and RowsInAny — unsharded,
+// on 1, 2 and 4 local shards, and on a view whose shards a loopback
+// shardrpc worker serves — must return exactly the rows, in exactly the
+// order, of the per-row reference scan (scanRect, itself held to a naive
+// Contains scan), and move the view's Stats as the reference walk says.
+// The tables are engineered to hit empty cells, single-row cells,
+// duplicate-value cells, NaN-poisoned cells and rect edges that land
+// exactly on cell boundaries or data values.
 
 // gridVisible reports whether row's grid cell is overlapped by rect —
 // the pruning granularity at which the engine can see a row. For rows
@@ -162,9 +167,122 @@ func equalRowSets(t *testing.T, label string, got, want []int) {
 	equalRows(t, label, sorted, want)
 }
 
+// LoopbackRemoteView returns a NewRemoteView of v whose shards a
+// shardrpc worker serves over a unix socket. loopback_test.go sets it:
+// shardrpc imports this package, so only the external test package can
+// import it.
+var LoopbackRemoteView func(tb testing.TB, v *View, shards int) *View
+
+type namedView struct {
+	name string
+	v    *View
+}
+
+// queryViews returns the views every reference test queries: v itself,
+// its 1-, 2- and 4-shard versions, and a 2-shard NewRemoteView of it
+// served by a loopback shardrpc worker.
+func queryViews(tb testing.TB, v *View) []namedView {
+	out := []namedView{{"unsharded", v}}
+	for _, n := range []int{1, 2, 4} {
+		out = append(out, namedView{fmt.Sprintf("shards=%d", n), v.WithShards(ShardOptions{Shards: n})})
+	}
+	return append(out, namedView{"remote", LoopbackRemoteView(tb, v, 2)})
+}
+
+// scanRows is the reference for RowsIn: scanRect's rows, in its
+// row-major cell order.
+func scanRows(v *View, rect geom.Rect) []int {
+	var out []int
+	v.scanRect(rect, func(r int) bool { out = append(out, r); return true })
+	return out
+}
+
+// refExamined is the examined-row count a query for rect must add to the
+// view's Stats: the rows of every cell scanRect's walk visits that
+// neither geometry nor the cell's zonemap decides.
+func refExamined(v *View, rect geom.Rect) int64 {
+	if !v.validRect(rect) {
+		return 0
+	}
+	var n int64
+	v.grid.visitCells(rect, func(id int32, rows []int32, full bool) bool {
+		if !full && v.grid.zoneClassify(rect, id) == zonePartial {
+			n += int64(len(rows))
+		}
+		return true
+	})
+	return n
+}
+
+// checkQueries runs Count and RowsIn for rect and RowsInAny for rects on
+// every view and holds each call to the reference on base: the same rows
+// in the same order (slot order, each row once, for the disjunction),
+// one Stats query, and refExamined's examined rows.
+func checkQueries(t *testing.T, label string, base *View, views []namedView, rect geom.Rect, rects []geom.Rect) {
+	t.Helper()
+	// The naive scan has no notion of a malformed rect, which matches
+	// nothing: it only checks scanRect on well-formed ones.
+	want := scanRows(base, rect)
+	if base.validRect(rect) {
+		equalRowSets(t, label+" scanRect", want, naiveRows(base, rect))
+	}
+	wantEx := refExamined(base, rect)
+	var anyWant []int
+	var anyEx int64
+	var valid []geom.Rect
+	seen := map[int]bool{}
+	for _, r := range rects {
+		if base.validRect(r) {
+			valid = append(valid, r)
+		}
+		anyEx += refExamined(base, r)
+		for _, row := range scanRows(base, r) {
+			if !seen[row] {
+				seen[row] = true
+				anyWant = append(anyWant, row)
+			}
+		}
+	}
+	slices.SortFunc(anyWant, func(a, b int) int { return int(base.grid.slotOf[a] - base.grid.slotOf[b]) })
+	equalRowSets(t, label+" scanRect union", anyWant, naiveRowsAny(base, valid))
+	for _, nv := range views {
+		l := label + " " + nv.name
+		call := func(what string, wantEx int64, query func()) {
+			t.Helper()
+			q0, e0 := nv.v.Stats().Snapshot()
+			query()
+			q1, e1 := nv.v.Stats().Snapshot()
+			if q1-q0 != 1 || e1-e0 != wantEx {
+				t.Fatalf("%s %s: Stats moved by %d queries and %d examined rows, want 1 and %d", l, what, q1-q0, e1-e0, wantEx)
+			}
+		}
+		var count int
+		var rows, anyRows []int
+		call("Count", wantEx, func() { count = nv.v.Count(rect) })
+		call("RowsIn", wantEx, func() { rows = nv.v.RowsIn(rect) })
+		call("RowsInAny", anyEx, func() { anyRows = nv.v.RowsInAny(rects) })
+		if count != len(want) {
+			t.Fatalf("%s: Count=%d want %d", l, count, len(want))
+		}
+		equalRows(t, l+" RowsIn", rows, want)
+		equalRows(t, l+" RowsInAny", anyRows, anyWant)
+	}
+}
+
+// malformedRects are rects every query answers empty: a NaN bound and an
+// inverted interval.
+func malformedRects(d int) []geom.Rect {
+	nan, inverted := geom.NewRect(d), geom.NewRect(d)
+	nan[0].Lo = math.NaN()
+	inverted[d-1] = geom.Interval{Lo: 60, Hi: 40}
+	return []geom.Rect{nan, inverted}
+}
+
 // TestColumnarMatchesNaiveReference is the main oracle property: for
 // randomized tables and rects, Count / RowsIn agree exactly with the
-// naive scan, across worker counts and with scan-buffer reuse.
+// reference scan on every view of queryViews. Rect pairs also run as
+// two-rect disjunctions. The SDSS case carries the rect sets that once
+// checked scan worker counts and scan-buffer reuse.
 func TestColumnarMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
@@ -176,64 +294,60 @@ func TestColumnarMatchesNaiveReference(t *testing.T) {
 		{2, 3, false},   // fewer rows than cells: mostly empty cells
 		{2, 60, false},  // sparse: many single-row cells
 		{2, 400, true},  // dense with NaN-poisoned cells
-		{3, 250, false}, // 3-dim odometer / run decomposition
+		{3, 250, false}, // 3-dim odometer / walk decomposition
 		{3, 500, true},
 	}
 	for ci, tc := range cases {
 		tab := randomColumnarTable(tc.d, tc.rows, rng, tc.nan)
-		attrs := tab.Schema().Names()
-		for _, workers := range []int{1, 4} {
-			v, err := NewViewWorkers(tab, attrs, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vb := v.WithScanBuffer()
-			for ri, rect := range boundaryRects(tc.d, rng) {
-				label := fmt.Sprintf("case=%d w=%d rect=%d", ci, workers, ri)
-				want := naiveRows(v, rect)
-				if got := v.Count(rect); got != len(want) {
-					t.Fatalf("%s: Count=%d want %d", label, got, len(want))
-				}
-				equalRowSets(t, label+" RowsIn", v.RowsIn(rect), want)
-				// Scan-buffer path must be bit-identical too.
-				if got := vb.Count(rect); got != len(want) {
-					t.Fatalf("%s: buffered Count=%d want %d", label, got, len(want))
-				}
-				equalRowSets(t, label+" buffered RowsIn", vb.RowsIn(rect), want)
-			}
+		v, err := NewView(tab, tab.Schema().Names())
+		if err != nil {
+			t.Fatal(err)
 		}
+		views := queryViews(t, v)
+		rects := append(boundaryRects(tc.d, rng), malformedRects(tc.d)...)
+		for ri, rect := range rects {
+			checkQueries(t, fmt.Sprintf("case=%d rect=%d", ci, ri), v, views, rect, []geom.Rect{rect, rects[(ri+1)%len(rects)]})
+		}
+	}
+	v, err := NewView(dataset.GenerateSDSS(20_000, 21), []string{"rowc", "colc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := queryViews(t, v)
+	rects := append(randomRects(40, 2, rand.New(rand.NewSource(11))), randomRects(80, 2, rand.New(rand.NewSource(17)))...)
+	for ri, rect := range rects {
+		checkQueries(t, fmt.Sprintf("sdss rect=%d", ri), v, views, rect, []geom.Rect{rect, rects[(ri+1)%len(rects)]})
 	}
 }
 
 // TestRowsInAnyMatchesNaiveReference checks the bitmap-OR disjunction
-// path: the union over k rects equals the naive MatchesAny scan, with
-// rows deduplicated and in ascending order.
+// path on every view of queryViews: the union over k rects — duplicates
+// and malformed disjuncts included — equals the reference, each row once
+// and in slot order.
 func TestRowsInAnyMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{1, 2, 3} {
 		tab := randomColumnarTable(d, 300, rng, d == 2)
-		attrs := tab.Schema().Names()
-		for _, workers := range []int{1, 4} {
-			v, err := NewViewWorkers(tab, attrs, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for trial := 0; trial < 6; trial++ {
-				k := 1 + rng.Intn(4)
-				rects := boundaryRects(d, rng)[:k]
-				// Overlapping copies stress dedup.
-				rects = append(rects, rects[0])
-				want := naiveRowsAny(v, rects)
-				label := fmt.Sprintf("d=%d w=%d trial=%d", d, workers, trial)
-				equalRowSets(t, label, v.RowsInAny(rects), want)
-			}
+		v, err := NewView(tab, tab.Schema().Names())
+		if err != nil {
+			t.Fatal(err)
 		}
+		views := queryViews(t, v)
+		for trial := 0; trial < 6; trial++ {
+			k := 1 + rng.Intn(4)
+			rects := boundaryRects(d, rng)[:k]
+			// Overlapping copies stress dedup; a malformed disjunct adds
+			// nothing.
+			rects = append(rects, rects[0], malformedRects(d)[trial%2])
+			checkQueries(t, fmt.Sprintf("d=%d trial=%d", d, trial), v, views, rects[0], rects)
+		}
+		checkQueries(t, fmt.Sprintf("d=%d no rects", d), v, views, geom.NewRect(d), nil)
 	}
 }
 
-// TestColumnarDeterministicAcrossWorkers pins the cross-worker
-// bit-identity contract: any worker count yields the same rows in the
-// same order.
+// TestColumnarDeterministicAcrossWorkers pins that the index build's
+// worker count changes nothing on a table with NaN-poisoned cells: grid
+// layout, zonemaps, covering indexes and NaN flags are identical.
 func TestColumnarDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tab := randomColumnarTable(2, 800, rng, true)
@@ -242,18 +356,21 @@ func TestColumnarDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rects := boundaryRects(2, rng)
 	for _, workers := range []int{2, 3, 8} {
 		v, err := NewViewWorkers(tab, attrs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ri, rect := range rects {
-			label := fmt.Sprintf("w=%d rect=%d", workers, ri)
-			equalRows(t, label, v.RowsIn(rect), ref.RowsIn(rect))
-			if got, want := v.Count(rect), ref.Count(rect); got != want {
-				t.Fatalf("%s: Count=%d want %d", label, got, want)
-			}
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		g, rg := v.grid, ref.grid
+		same := reflect.DeepEqual(v.sorted, ref.sorted) && slices.Equal(v.nanCol, ref.nanCol) &&
+			slices.Equal(g.offsets, rg.offsets) && slices.Equal(g.rows, rg.rows) && slices.Equal(g.slotOf, rg.slotOf) &&
+			reflect.DeepEqual(g.zoneMin, rg.zoneMin) && reflect.DeepEqual(g.zoneMax, rg.zoneMax)
+		for d := range g.slabs {
+			same = same && slices.EqualFunc(g.slabs[d], rg.slabs[d], sameBits) // NaN rows: compare bits
+		}
+		if !same {
+			t.Fatalf("workers=%d: the built index differs from the sequential build", workers)
 		}
 	}
 }

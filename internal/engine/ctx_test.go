@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/explore-by-example/aide/internal/dataset"
@@ -45,9 +46,10 @@ func TestWithContextUncancelledIdentical(t *testing.T) {
 	}
 }
 
-// TestWithContextCancelledScanReturnsEarly: the contract is that a scan
-// under a cancelled context returns quickly and the caller discards the
-// result after checking ctx.Err().
+// TestWithContextCancelledScanReturnsEarly: a scan under a cancelled
+// context returns quickly, unsharded and sharded, and answers either
+// empty (the walk noticed) or in full (it finished first) — never a
+// torn result; the caller discards it after checking ctx.Err().
 func TestWithContextCancelledScanReturnsEarly(t *testing.T) {
 	tab := dataset.GenerateUniform(50_000, 2, 5)
 	v, err := NewView(tab, []string{"a0", "a1"})
@@ -58,11 +60,22 @@ func TestWithContextCancelledScanReturnsEarly(t *testing.T) {
 	cancel()
 	cv := v.WithContext(ctx)
 	rect := geom.R(0, 0, 100, 100)
-	// Results under a cancelled ctx are unspecified; the call must simply
-	// not block and the caller must notice cancellation.
-	_ = cv.Count(rect)
-	_ = cv.RowsIn(rect)
-	_ = cv.SampleRect(rect, 10, rand.New(rand.NewSource(1)))
+	// A boundary-heavy rect makes the walk long enough to notice.
+	ragged := []geom.Rect{rect, geom.R(0.5, 99.5, 0.5, 99.5)}
+	for _, view := range []*View{cv, cv.WithShards(ShardOptions{Shards: 2})} {
+		for _, r := range ragged {
+			if n, want := view.Count(r), v.Count(r); n != 0 && n != want {
+				t.Fatalf("cancelled Count(%v) = %d, want 0 or %d", r, n, want)
+			}
+			if rows, want := view.RowsIn(r), v.RowsIn(r); rows != nil && !slices.Equal(rows, want) {
+				t.Fatalf("cancelled RowsIn(%v) answered %d rows, want none or all %d", r, len(rows), len(want))
+			}
+		}
+		if rows, want := view.RowsInAny(ragged), v.RowsInAny(ragged); rows != nil && !slices.Equal(rows, want) {
+			t.Fatalf("cancelled RowsInAny answered %d rows, want none or all %d", len(rows), len(want))
+		}
+		_ = view.SampleRect(rect, 10, rand.New(rand.NewSource(1)))
+	}
 	if ctx.Err() == nil {
 		t.Fatal("ctx should be cancelled")
 	}

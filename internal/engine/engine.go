@@ -16,14 +16,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"github.com/explore-by-example/aide/internal/dataset"
-	"github.com/explore-by-example/aide/internal/faultinject"
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/par"
 )
@@ -64,53 +61,24 @@ type View struct {
 	stats   *Stats
 	fp      string          // content fingerprint, set at build (fingerprint.go)
 	cache   *Cache          // memoized counts, rows and sample plans; nil = uncached
-	buf     *scanBuf        // single-owner scan scratch; nil on shared views
-	workers int             // scan worker knob: 0 auto, 1 sequential
 	ctx     context.Context // scan cancellation; nil = never cancelled
 	shards  *shardSet       // sharded scatter-gather execution; nil = unsharded (shard.go)
 	tracker *ShardTracker   // per-session partial-result sink; nil = untracked
 }
 
-// scanBuf is per-owner scratch reused across grid scans. A view carrying
-// one must be confined to a single goroutine (each exploration session
-// wraps the shared view with its own via WithScanBuffer); the base
-// shared view carries none and stays safe for concurrent readers.
-// arenas and segs are indexed by scan-chunk id: each chunk of a parallel
-// scan runs exactly once per call, so per-chunk slots never race.
-type scanBuf struct {
-	runs   []cellRun
-	arenas [][]uint64
-	segs   [][]scanSeg
-}
-
-// scanSeg is one segment of a chunk's pass-1 scan decomposition: a slot
-// range whose rows either all match (partial false) or filter through
-// the chunk arena's next bitmap words (partial true). RowsIn's pass 2
-// replays segments instead of re-walking and re-classifying cells.
-type scanSeg struct {
-	lo, hi  int32
-	partial bool
-}
-
-// Parallel scan kernels. minScanRuns is the smallest number of cell runs
-// worth chunking: below it, per-chunk bookkeeping dwarfs the scan.
-var (
-	kernelScan  = par.NewKernel("engine.scan")
-	kernelIndex = par.NewKernel("engine.index_build")
-)
-
-const minScanRuns = 4
+var kernelIndex = par.NewKernel("engine.index_build")
 
 // NewView builds a View over the named exploration attributes, creating
 // the covering index (sorted indexes + columnar grid index) with the
-// default worker count (AIDE_WORKERS or GOMAXPROCS).
+// default build worker count (AIDE_WORKERS or GOMAXPROCS).
 func NewView(tab *dataset.Table, attrs []string) (*View, error) {
 	return NewViewWorkers(tab, attrs, 0)
 }
 
-// NewViewWorkers is NewView with an explicit worker count for both index
-// construction and subsequent scans: 0 means automatic, 1 forces the
-// sequential path. The built view is identical at every worker count.
+// NewViewWorkers is NewView with an explicit worker count for the index
+// build: 0 means automatic, 1 forces the sequential path. The built view
+// is identical at every worker count, and its queries do not depend on
+// it.
 func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, error) {
 	v, ncols, err := normalizeView(tab, attrs, workers)
 	if err != nil {
@@ -148,7 +116,7 @@ func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, [][]
 	if err != nil {
 		return nil, nil, err
 	}
-	v := &View{tab: tab, cols: cols, norm: norm, stats: &Stats{}, workers: workers, fp: ViewFingerprint(tab, attrs)}
+	v := &View{tab: tab, cols: cols, norm: norm, stats: &Stats{}, fp: ViewFingerprint(tab, attrs)}
 	ncols := make([][]float64, len(cols))
 	v.nanCol = make([]bool, len(cols))
 	par.For(kernelIndex, workers, len(cols), 1, func(_, lo, hi int) {
@@ -167,26 +135,14 @@ func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, [][]
 	return v, ncols, nil
 }
 
-// WithWorkers returns a view sharing this view's table, indexes and
-// stats, whose scans use the given worker count (0 automatic, 1
-// sequential). It is the per-session worker knob: the underlying view
-// stays immutable and safe for concurrent readers.
-func (v *View) WithWorkers(workers int) *View {
-	c := *v
-	c.workers = workers
-	return &c
-}
-
-// Workers returns the view's scan worker knob (0 = automatic).
-func (v *View) Workers() int { return v.workers }
-
 // WithContext returns a view sharing this view's table, indexes and
-// stats whose scans cooperatively stop — at the next chunk boundary —
-// once ctx is cancelled. A cancelled scan returns partial, meaningless
-// results (Count/RowsIn/SampleRect keep their error-free signatures), so
-// callers MUST check ctx.Err() after each query and discard results on
-// cancellation; the steering loop in internal/explore does exactly that.
-// A nil ctx restores the never-cancelled default.
+// stats whose scans cooperatively stop once ctx is cancelled: a grid
+// walk checks it every 64 cells. A read the cancellation stops answers
+// empty — a count of zero, no rows, no grid sample — and is not cached;
+// one whose walk finished first answers in full. Neither is torn, and a
+// caller that checks ctx.Err() after each query and discards results on
+// cancellation (the steering loop in internal/explore does) acts on
+// neither. A nil ctx restores the never-cancelled default.
 func (v *View) WithContext(ctx context.Context) *View {
 	c := *v
 	if ctx == context.Background() {
@@ -194,79 +150,6 @@ func (v *View) WithContext(ctx context.Context) *View {
 	}
 	c.ctx = ctx
 	return &c
-}
-
-// WithScanBuffer returns a view sharing this view's table, indexes and
-// stats that reuses private scratch buffers (cell-run lists, cell-block
-// lists, bitmap arenas) across grid scans instead of allocating fresh
-// ones per query. The returned view must be confined to one goroutine
-// (sessions are); the receiver is unchanged and stays safe for
-// concurrent readers.
-func (v *View) WithScanBuffer() *View {
-	c := *v
-	c.buf = &scanBuf{}
-	return &c
-}
-
-// collectRuns returns the cell runs overlapping rect, reusing the view's
-// scan buffer when it has one. The returned slice is valid until the
-// owner's next query.
-func (v *View) collectRuns(rect geom.Rect) []cellRun {
-	if v.buf == nil {
-		return v.grid.collectCellRuns(rect, nil)
-	}
-	v.buf.runs = v.grid.collectCellRuns(rect, v.buf.runs)
-	return v.buf.runs
-}
-
-// ensureArenas sizes the per-chunk scratch tables before a parallel
-// scan launches. It must run on the caller's goroutine: the kernels only
-// index the tables, never grow them, so per-chunk slots can't race.
-func (v *View) ensureArenas(chunks int) {
-	if v.buf == nil || len(v.buf.arenas) >= chunks {
-		return
-	}
-	a := make([][]uint64, chunks)
-	copy(a, v.buf.arenas)
-	v.buf.arenas = a
-	s := make([][]scanSeg, chunks)
-	copy(s, v.buf.segs)
-	v.buf.segs = s
-}
-
-// chunkArena returns the reusable bitmap arena for one scan chunk,
-// reset to length zero. Chunk indexes are dense and each runs exactly
-// once per scan, so per-chunk slots never race even though chunks
-// execute on pool workers. Bufferless views get a fresh arena with
-// enough capacity that a typical boundary shell never regrows it.
-func (v *View) chunkArena(chunk int) []uint64 {
-	if v.buf == nil {
-		return make([]uint64, 0, 512)
-	}
-	return v.buf.arenas[chunk][:0]
-}
-
-// saveChunkArena stows a chunk's (possibly grown) arena back into the
-// scan buffer for reuse by the next query.
-func (v *View) saveChunkArena(chunk int, arena []uint64) {
-	if v.buf != nil {
-		v.buf.arenas[chunk] = arena
-	}
-}
-
-// chunkSegs returns the reusable segment list for one scan chunk, reset
-// to length zero; saveChunkSegs stows it back after the scan.
-func (v *View) chunkSegs(chunk int) []scanSeg {
-	if v.buf == nil {
-		return make([]scanSeg, 0, 256)
-	}
-	return v.buf.segs[chunk][:0]
-}
-
-func (v *View) saveChunkSegs(chunk int, segs []scanSeg) {
-	if v.buf != nil {
-		v.buf.segs[chunk] = segs
-	}
 }
 
 // scanCtx returns the view's cancellation context (Background when
@@ -439,284 +322,43 @@ func (v *View) MatchesAny(rects []geom.Rect, row int) bool {
 	return false
 }
 
-// Count returns the number of rows inside rect (normalized space).
-// Maximal slot spans whose cells are covered by rect — geometrically or
-// by their zonemaps — are answered from offset arithmetic alone; only
-// boundary cells whose zonemaps straddle the rect run the columnar range
-// filter. Cell runs are counted in parallel. With a cache attached
-// (WithCache), repeated rects return the memoized count — bit-identical
-// to a fresh scan, since the view is immutable.
+// Count returns the number of rows inside rect (normalized space). It is
+// a batch of one: ExecuteBatch answers slot spans of covered cells from
+// offset arithmetic, zonemap-decided cells from metadata, and only
+// straddling cells run the columnar range filter. With a cache attached
+// (WithCache), repeated rects return the memoized count.
 func (v *View) Count(rect geom.Rect) int {
-	defer observeQuery(time.Now())
-	faultinject.Latency("engine.scan")
-	faultinject.Panic("engine.scan")
-	v.stats.Queries.Add(1)
-	if !v.validRect(rect) {
-		obsInvalidRects.Inc()
-		return 0
-	}
-	if v.shards != nil {
-		obsPathGrid.Inc()
-		matched, healthy := v.countShardedCore(rect)
-		v.noteShardOutcome(healthy)
-		return matched
-	}
-	if v.cache != nil {
-		if e, ok := v.cache.get(kindCount, 0, rect); ok {
-			return e.count
-		}
-	}
-	obsPathGrid.Inc()
-	g := v.grid
-	runs := v.collectRuns(rect)
-	type counts struct{ matched, examined int64 }
-	parts, err := par.MapCtx(v.scanCtx(), kernelScan, v.workers, len(runs), minScanRuns, func(_, lo, hi int) counts {
-		var c counts
-		for _, run := range runs[lo:hi] {
-			g.walkRun(run, rect,
-				func(slo, shi int32) { c.matched += int64(shi - slo) },
-				func(id, off, end int32) {
-					c.examined += int64(end - off)
-					c.matched += int64(g.countCell(rect, id, off, end))
-				})
-		}
-		return c
-	})
-	var total counts
-	for _, c := range parts {
-		total.matched += c.matched
-		total.examined += c.examined
-	}
-	v.stats.RowsExamined.Add(total.examined)
-	obsRowsExamined.Add(total.examined)
-	if v.cache != nil && err == nil {
-		// Never memoize a cancelled scan: its partial result is garbage by
-		// contract, and a poisoned entry would outlive the cancellation.
-		v.cache.put(kindCount, 0, rect, int(total.matched), nil)
-	}
-	return int(total.matched)
+	return v.ExecuteBatch([]BatchQuery{{Kind: BatchCount, Rect: rect}}).Count(0)
 }
 
-// RowsIn returns all row ids inside rect (normalized space). The order is
-// unspecified but deterministic: grid cells in row-major order, rows
-// ascending within each cell, independent of the worker count. The scan
-// is two deterministic parallel passes over the overlapping cell runs:
-// pass one answers metadata-covered slot spans from offsets and
-// evaluates boundary cells into per-chunk match bitmaps (word-wise AND
-// of the per-attribute range clauses); pass two converts spans and
-// bitmaps into row ids, each chunk writing a disjoint range of the
-// exactly-sized result. With a cache attached (WithCache), repeated
-// rects return a copy of the memoized rows in that same order.
+// RowsIn returns all row ids inside rect (normalized space), in the
+// engine's deterministic order: grid cells row-major, rows ascending
+// within each cell, at any shard count. It is a batch of one, emitted in
+// two passes into an exactly sized slice owned by the caller. With a
+// cache attached (WithCache), repeated rects return a copy of the
+// memoized rows in that same order.
 func (v *View) RowsIn(rect geom.Rect) []int {
-	defer observeQuery(time.Now())
-	faultinject.Latency("engine.scan")
-	faultinject.Panic("engine.scan")
-	v.stats.Queries.Add(1)
-	if !v.validRect(rect) {
-		obsInvalidRects.Inc()
-		return nil
-	}
-	if v.shards != nil {
-		obsPathGrid.Inc()
-		rows, healthy := v.rowsShardedCore(rect)
-		v.noteShardOutcome(healthy)
-		return rows
-	}
-	if v.cache != nil {
-		if e, ok := v.cache.get(kindRows, 0, rect); ok {
-			if e.rows == nil {
-				return nil
-			}
-			// Callers may mutate the returned slice, so every hit hands out
-			// a private copy.
-			out := make([]int, len(e.rows))
-			copy(out, e.rows)
-			return out
-		}
-	}
-	obsPathGrid.Inc()
-	g := v.grid
-	runs := v.collectRuns(rect)
-	// Pass 1: per-chunk match counts and boundary-cell bitmaps. The arena
-	// holds each partial cell's bitmap consecutively in cell order, so
-	// pass 2 can replay the same walk and consume words sequentially.
-	type chunkScan struct {
-		arena    []uint64
-		segs     []scanSeg
-		matched  int64
-		examined int64
-	}
-	v.ensureArenas(par.ChunkCount(v.workers, len(runs), minScanRuns))
-	parts, err := par.MapCtx(v.scanCtx(), kernelScan, v.workers, len(runs), minScanRuns, func(chunk, lo, hi int) chunkScan {
-		c := chunkScan{arena: v.chunkArena(chunk), segs: v.chunkSegs(chunk)}
-		for _, run := range runs[lo:hi] {
-			g.walkRun(run, rect,
-				func(slo, shi int32) {
-					c.matched += int64(shi - slo)
-					c.segs = append(c.segs, scanSeg{lo: slo, hi: shi})
-				},
-				func(id, off, end int32) {
-					c.examined += int64(end - off)
-					base := len(c.arena)
-					c.arena = g.evalCellBits(rect, id, off, end, c.arena)
-					for _, w := range c.arena[base:] {
-						c.matched += int64(bits.OnesCount64(w))
-					}
-					c.segs = append(c.segs, scanSeg{lo: off, hi: end, partial: true})
-				})
-		}
-		return c
-	})
-	if err != nil {
-		// Cancelled mid-scan: the parts are torn garbage by contract.
-		return nil
-	}
-	var examined, n int64
-	for _, c := range parts {
-		examined += c.examined
-		n += c.matched
-	}
-	v.stats.RowsExamined.Add(examined)
-	obsRowsExamined.Add(examined)
-	if n == 0 {
-		for chunk := range parts {
-			v.saveChunkArena(chunk, parts[chunk].arena)
-			v.saveChunkSegs(chunk, parts[chunk].segs)
-		}
-		if v.cache != nil {
-			v.cache.put(kindRows, 0, rect, 0, nil)
-		}
-		return nil
-	}
-	// Pass 2: emit row ids by replaying each chunk's recorded segments —
-	// full spans widen their slots' row ids, partial segments walk their
-	// arena bitmap words. Chunk boundaries are recomputed identically
-	// (same workers/n/minChunk), so parts[chunk] lines up with its runs,
-	// and each chunk writes out[offs[chunk]:offs[chunk+1]] — disjoint,
-	// deterministic, race-free.
-	out := make([]int, n)
-	pre := int64(0)
-	offs := make([]int64, len(parts)+1)
-	for i, c := range parts {
-		offs[i] = pre
-		pre += c.matched
-	}
-	offs[len(parts)] = pre
-	err = par.ForCtx(v.scanCtx(), kernelScan, v.workers, len(runs), minScanRuns, func(chunk, _, _ int) {
-		dst := out[offs[chunk]:offs[chunk+1]]
-		arena := parts[chunk].arena
-		k, aw := 0, 0
-		for _, sg := range parts[chunk].segs {
-			if !sg.partial {
-				k += widen(dst[k:], g.rows[sg.lo:sg.hi])
-				continue
-			}
-			nw := int(sg.hi-sg.lo+63) >> 6
-			for w := 0; w < nw; w++ {
-				bw := arena[aw+w]
-				s := int(sg.lo) + w<<6
-				for bw != 0 {
-					t := bits.TrailingZeros64(bw)
-					dst[k] = int(g.rows[s+t])
-					k++
-					bw &= bw - 1
-				}
-			}
-			aw += nw
-		}
-		v.saveChunkArena(chunk, arena)
-		v.saveChunkSegs(chunk, parts[chunk].segs)
-	})
-	if err != nil {
-		return nil
-	}
-	if v.cache != nil {
-		// The cache stores its own copy (see Cache.put): never a cancelled
-		// scan's garbage, never memory the caller can mutate.
-		v.cache.put(kindRows, 0, rect, len(out), out)
-	}
-	return out
+	return v.ExecuteBatch([]BatchQuery{{Kind: BatchRows, Rect: rect}}).Rows(0)
 }
 
 // RowsInAny returns all row ids inside at least one of the rects — the
-// disjunction primitive behind Query.Execute — in RowsIn's deterministic
-// order (grid cells row-major, rows ascending within each cell). Each
-// disjunct is evaluated with the same zonemap/offset metadata fast paths
-// as RowsIn, but results accumulate by bitwise OR into one dense bitmap
-// over the cell-major slot space, so overlapping areas dedup for free
-// and row ids materialize exactly once at the end. A single-rect
-// disjunction delegates to RowsIn to keep the predicate cache in play.
+// disjunction primitive behind Query.Execute — in RowsIn's order, each
+// row once. It is a batch of one BatchRowsAny item: every disjunct ORs
+// into one bitmap over the slot space, so overlapping areas dedup for
+// free and row ids materialize once at the end. A single-rect
+// disjunction is RowsIn, which keeps the predicate cache in play.
 func (v *View) RowsInAny(rects []geom.Rect) []int {
 	if len(rects) == 1 {
 		return v.RowsIn(rects[0])
 	}
-	defer observeQuery(time.Now())
-	faultinject.Latency("engine.scan")
-	faultinject.Panic("engine.scan")
-	v.stats.Queries.Add(1)
-	if len(rects) == 0 {
-		return nil
-	}
-	if v.shards != nil {
-		valid := make([]geom.Rect, 0, len(rects))
-		for _, rect := range rects {
-			if v.validRect(rect) {
-				valid = append(valid, rect)
-			} else {
-				obsInvalidRects.Inc()
-			}
-		}
-		obsPathGrid.Inc()
-		rows, healthy := v.rowsAnyShardedCore(valid)
-		v.noteShardOutcome(healthy)
-		return rows
-	}
-	g := v.grid
-	bm := newSlotBitmap(len(g.rows))
-	var examined int64
-	var scratch []uint64
-	for _, rect := range rects {
-		if v.scanCtx().Err() != nil {
-			return nil
-		}
-		if !v.validRect(rect) {
-			obsInvalidRects.Inc()
-			continue
-		}
-		obsPathGrid.Inc()
-		for _, run := range v.collectRuns(rect) {
-			g.walkRun(run, rect,
-				func(slo, shi int32) { bm.setRange(slo, shi) },
-				func(id, off, end int32) {
-					examined += int64(end - off)
-					scratch = g.evalCellBits(rect, id, off, end, scratch[:0])
-					bm.orCellBits(off, scratch)
-				})
-		}
-	}
-	v.stats.RowsExamined.Add(examined)
-	obsRowsExamined.Add(examined)
-	n := bm.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for w, bw := range bm {
-		base := w << 6
-		for bw != 0 {
-			t := bits.TrailingZeros64(bw)
-			out = append(out, int(g.rows[base+t]))
-			bw &= bw - 1
-		}
-	}
-	return out
+	return v.ExecuteBatch([]BatchQuery{{Kind: BatchRowsAny, Rects: rects}}).Rows(0)
 }
 
 // scanRect visits every row inside rect via the grid index, invoking fn
 // for each; fn returning false stops the scan. Rows of cells fully
 // contained in rect are emitted without per-row verification. This is
-// the sequential per-row reference path; Count/RowsIn use the chunked
-// cell-run scan with the zonemap/offset metadata fast paths instead
+// the sequential per-row reference path the tests hold every query
+// against; queries run through ExecuteBatch's cell walk instead
 // (benchmarked against this in bench_test.go).
 func (v *View) scanRect(rect geom.Rect, fn func(row int) bool) {
 	if !v.validRect(rect) {

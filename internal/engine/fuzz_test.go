@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,11 +42,13 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
-// FuzzRectQuery throws arbitrary rect coordinates and table shapes at the
-// columnar grid engine and checks the pruned/bitmap paths against the
-// naive per-row Contains scan. Invalid rects (NaN edges, Lo > Hi) must
-// yield zero results; valid rects — including degenerate, inverted-ish
-// boundary and out-of-domain ones — must match the reference exactly.
+// FuzzRectQuery throws arbitrary rect coordinates and table shapes (with
+// NaN values) at every view of queryViews — unsharded, 1/2/4 local
+// shards, and shards served over a loopback shardrpc worker — and holds
+// Count, RowsIn and the rect's self-union to the per-row reference scan:
+// rows, their order and the Stats deltas (checkQueries). Malformed rects
+// (NaN edges, Lo > Hi) must yield nothing; valid ones — degenerate,
+// infinite or out of the domain included — must match exactly.
 func FuzzRectQuery(f *testing.F) {
 	f.Add(int64(1), uint8(0), 0.0, 100.0, 0.0, 100.0)    // empty table, full domain
 	f.Add(int64(2), uint8(1), 50.0, 50.0, 50.0, 50.0)    // single row, degenerate rect
@@ -57,27 +60,11 @@ func FuzzRectQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rows uint8, lo0, hi0, lo1, hi1 float64) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomColumnarTable(2, int(rows), rng, true)
-		v, err := NewViewWorkers(tab, tab.Schema().Names(), 1+int(seed&3))
+		v, err := NewView(tab, tab.Schema().Names())
 		if err != nil {
 			t.Fatal(err)
 		}
 		rect := geom.Rect{{Lo: lo0, Hi: hi0}, {Lo: lo1, Hi: hi1}}
-		valid := !math.IsNaN(lo0) && !math.IsNaN(hi0) && lo0 <= hi0 &&
-			!math.IsNaN(lo1) && !math.IsNaN(hi1) && lo1 <= hi1
-		count := v.Count(rect)
-		got := v.RowsIn(rect)
-		if !valid {
-			if count != 0 || len(got) != 0 {
-				t.Fatalf("invalid rect %v: Count=%d rows=%d, want empty", rect, count, len(got))
-			}
-			return
-		}
-		want := naiveRows(v, rect)
-		if count != len(want) {
-			t.Fatalf("rect %v: Count=%d, naive=%d", rect, count, len(want))
-		}
-		equalRowSets(t, "RowsIn", got, want)
-		union := v.RowsInAny([]geom.Rect{rect, rect})
-		equalRowSets(t, "RowsInAny self-union", union, want)
+		checkQueries(t, fmt.Sprintf("rect %v", rect), v, queryViews(t, v), rect, []geom.Rect{rect, rect})
 	})
 }

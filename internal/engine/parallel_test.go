@@ -65,48 +65,6 @@ func TestViewBuildParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanParallelEquivalence asserts Count, RowsIn and SampleRect return
-// identical results (and identical examined-row accounting) at workers=1
-// and workers=8 across random rects.
-func TestScanParallelEquivalence(t *testing.T) {
-	tab := dataset.GenerateSDSS(30_000, 3)
-	base, err := NewViewWorkers(tab, []string{"rowc", "colc"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parV := base.WithWorkers(8)
-	// Give the parallel view its own stats so accounting can be compared.
-	parV.stats = &Stats{}
-
-	rng := rand.New(rand.NewSource(11))
-	for _, rect := range randomRects(40, 2, rng) {
-		base.stats.Reset()
-		parV.stats.Reset()
-		if got, want := parV.Count(rect), base.Count(rect); got != want {
-			t.Fatalf("Count(%v): workers=8 got %d, workers=1 got %d", rect, got, want)
-		}
-		if got, want := parV.RowsIn(rect), base.RowsIn(rect); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RowsIn(%v): workers=8 returned %d rows in different order/content than workers=1 (%d rows)",
-				rect, len(got), len(want))
-		}
-		_, seqExam := base.stats.Snapshot()
-		_, parExam := parV.stats.Snapshot()
-		if seqExam != parExam {
-			t.Fatalf("rect %v: rows examined %d (workers=1) vs %d (workers=8)", rect, seqExam, parExam)
-		}
-
-		// Sampling must be bit-identical for the same rng state because
-		// the candidate layout is worker-count independent.
-		seqRng := rand.New(rand.NewSource(99))
-		parRng := rand.New(rand.NewSource(99))
-		want := base.SampleRect(rect, 15, seqRng)
-		got := parV.SampleRect(rect, 15, parRng)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SampleRect(%v): workers=8 sampled %v, workers=1 sampled %v", rect, got, want)
-		}
-	}
-}
-
 // TestCountMatchesScanRect pins the full-cell fast path to the per-row
 // reference scan.
 func TestCountMatchesScanRect(t *testing.T) {

@@ -2,33 +2,17 @@ package engine
 
 import "sync"
 
-// Scatter-gather used to allocate its scan state — cell runs, bitmap
-// arenas, segment lists, and above all the per-shard row-id buffers —
-// fresh on every attempt, which is why the sharded scan path weighed
-// in at ~5x the unsharded bytes/op. The pools here close that gap:
-// shard cores borrow their scratch per attempt, and the per-shard row
-// buffers they return are adopted by the gather and recycled once the
-// rows are copied into the final result. Only the final, caller-owned
-// slice is freshly allocated per query.
-
-// shardScratch is one attempt's worth of shard-core scan state. Hedged
-// attempts on the same shard each borrow their own, so cores stay safe
-// for concurrent calls.
-type shardScratch struct {
-	runs  []cellRun
-	arena []uint64
-	segs  []scanSeg
-}
-
-var shardScratchPool = sync.Pool{New: func() any { return &shardScratch{} }}
-
-func getShardScratch() *shardScratch  { return shardScratchPool.Get().(*shardScratch) }
-func putShardScratch(s *shardScratch) { shardScratchPool.Put(s) }
+// Rows items hand their row-id buffers from the shard that filled them
+// to the gather, which copies them into the caller's slice. Allocating
+// those per-shard buffers fresh on every call is what once made the
+// sharded scan path weigh ~5x the unsharded bytes/op; the pool here
+// closes that gap, so only the final, caller-owned slice is freshly
+// allocated per query.
 
 // rowBufPool recycles row-id buffers that flow from shard backends to
-// the gather. Ownership transfers with the buffer: a core (or a cache
-// hit copy, or the remote client's decoder) hands its buffer to the
-// scatter result, and gatherRows releases it after copying the rows
+// the gather. Ownership transfers with the buffer: a batch walk (or a
+// cache hit copy, or the remote client's decoder) hands its buffer to
+// the scatter result, and the gather releases it after copying the rows
 // into the caller's slice.
 var rowBufPool sync.Pool
 

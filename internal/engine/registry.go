@@ -47,9 +47,9 @@ type regEntry struct {
 //
 // Acquire and Release bracket a view's use; when the last reference is
 // released the view is dropped and the memory becomes collectable.
-// Callers typically wrap the shared view per session (WithWorkers,
-// WithContext, WithCache, WithScanBuffer are all cheap struct copies)
-// but must pass the exact pointer Acquire returned back to Release.
+// Callers typically wrap the shared view per session (WithContext,
+// WithCache and WithShardTracker are all cheap struct copies) but must
+// pass the exact pointer Acquire returned back to Release.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[regKey]*regEntry

@@ -1,8 +1,7 @@
 package engine
 
 import (
-	"math/rand"
-	"reflect"
+	"context"
 	"sync"
 	"testing"
 
@@ -142,7 +141,7 @@ func TestFingerprint(t *testing.T) {
 		t.Fatalf("fingerprint unstable: %q vs %q", v1.Fingerprint(), v1b.Fingerprint())
 	}
 	// Wrappers preserve it.
-	if w := v1.WithWorkers(8).WithCache(NewCache(1 << 16)).WithScanBuffer(); w.Fingerprint() != v1.Fingerprint() {
+	if w := v1.WithCache(NewCache(1 << 16)).WithContext(context.Background()); w.Fingerprint() != v1.Fingerprint() {
 		t.Fatal("wrappers changed the fingerprint")
 	}
 	// Different data, row count, or attrs → different fingerprint.
@@ -187,34 +186,6 @@ func TestFingerprint(t *testing.T) {
 		}
 		if v.Fingerprint() != v1.Fingerprint() {
 			t.Fatal("content-identical tables produced different fingerprints")
-		}
-	}
-}
-
-// TestScanBufferEquivalence asserts a scratch-bearing view returns the
-// same results as the base view across a query sequence (the buffer is
-// reused between queries, so corruption would show as cross-query
-// bleed).
-func TestScanBufferEquivalence(t *testing.T) {
-	tab := dataset.GenerateSDSS(20_000, 21)
-	base, err := NewView(tab, []string{"rowc", "colc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buffered := base.WithScanBuffer()
-	rng := rand.New(rand.NewSource(17))
-	for _, rect := range randomRects(80, 2, rng) {
-		if got, want := buffered.Count(rect), base.Count(rect); got != want {
-			t.Fatalf("Count(%v): buffered %d, base %d", rect, got, want)
-		}
-		if got, want := buffered.RowsIn(rect), base.RowsIn(rect); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RowsIn(%v): buffered and base differ", rect)
-		}
-		seed := int64(rect[0].Lo * 1000)
-		got := buffered.SampleRect(rect, 9, rand.New(rand.NewSource(seed)))
-		want := base.SampleRect(rect, 9, rand.New(rand.NewSource(seed)))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SampleRect(%v): buffered and base differ", rect)
 		}
 	}
 }

@@ -432,7 +432,7 @@ func TestSamplePlanConcurrentSessions(t *testing.T) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				session := v.WithScanBuffer()
+				session := v
 				order := rand.New(rand.NewSource(int64(s))).Perm(len(rects))
 				for round := 0; round < 3; round++ {
 					queries := make([]BatchQuery, len(order))

@@ -4,12 +4,12 @@ package engine
 // splits a view's columnar grid into N contiguous cell-range shards —
 // each owning its own slot slab range, rebased CSR offsets,
 // per-dimension covering indexes and predicate-cache partition — and
-// routes Count/RowsIn/RowsInAny and batches (batch.go; SampleRect is a
-// batch of one) through a supervised fan-out: every shard runs a
-// sequential core, a per-shard supervisor
-// tracks health (supervisor.go) with retries, optional deadlines and
-// hedged second attempts, and the gather step reassembles results in
-// shard order. Because shards cut at cell boundaries and gather in
+// routes every batch (batch.go; Count, RowsIn, RowsInAny and SampleRect
+// are batches of one) through a supervised fan-out: every shard answers
+// the whole batch in one backend call, a per-shard supervisor tracks
+// health (supervisor.go) with retries, optional deadlines and hedged
+// second attempts, and the gather step reassembles results in shard
+// order. Because shards cut at cell boundaries and gather in
 // cell order, a fault-free sharded query is bit-identical to the
 // unsharded path at any shard count; when a shard cannot serve, the
 // query returns the healthy shards' rows plus a named degradation
@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -37,7 +36,8 @@ import (
 // Per-shard fault points. Chaos tests select them with the base name
 // (every shard) or faultinject.PointAt(name, i) (one shard).
 const (
-	// FaultShardScan fires inside Count/RowsIn/RowsInAny shard attempts.
+	// FaultShardScan fires inside the shard attempts of a batch that
+	// carries no sample (Count, RowsIn and RowsInAny are such batches).
 	FaultShardScan = "engine.shard.scan"
 	// FaultShardSample fires inside the shard attempts of a batch that
 	// carries a sample (SampleRect is such a batch, of one).
@@ -419,7 +419,7 @@ func buildShardSet(v *View, opts ShardOptions) *shardSet {
 			zoneMax:     g.zoneMax,
 		}
 		// Clamp-and-rebase the CSR offsets: cells outside the shard's
-		// range collapse to empty (off == end), which walkRun skips while
+		// range collapse to empty (off == end), which walkBox skips while
 		// keeping covered-middle spans — clamped — correct.
 		for c, o := range g.offsets {
 			if o < slotLo {
@@ -631,231 +631,12 @@ func execShard[T any](ss *shardSet, i int, pt string, rollFaults bool, fn func(b
 	return fn(ss.backends[i])
 }
 
-// ---------------------------------------------------------------------
-// Sharded query cores and gathers. Every core is sequential and pure
-// over the shard's immutable indexes (local scratch only): attempts may
-// run concurrently with their own hedges, and shardSets are shared
-// across sessions.
-
-// count is Count restricted to one shard: the same zonemap/offset
-// walk as the unsharded kernel, sequential. Caching happens
-// coordinator-side in countShardedCore so local and remote backends
-// share one cache discipline.
-func (sh *shard) count(rect geom.Rect) ShardCount {
-	g := sh.grid
-	var out ShardCount
-	sc := getShardScratch()
-	runs := g.collectCellRuns(rect, sc.runs)
-	for _, run := range runs {
-		g.walkRun(run, rect,
-			func(slo, shi int32) { out.Matched += int64(shi - slo) },
-			func(id, off, end int32) {
-				out.Examined += int64(end - off)
-				out.Matched += int64(g.countCell(rect, id, off, end))
-			})
-	}
-	sc.runs = runs
-	putShardScratch(sc)
-	return out
-}
-
-// rowsIn is RowsIn restricted to one shard, rows in ascending slot
-// (cell-major) order — the shard-order concatenation of these is
-// exactly the unsharded order.
-func (sh *shard) rowsIn(rect geom.Rect) ShardRows {
-	// Two passes, mirroring the unsharded RowsIn: pass 1 sizes the
-	// result exactly (match spans + boundary-cell bitmaps recorded in
-	// pooled scratch), pass 2 fills a pooled right-sized buffer. No
-	// append growth, no garbage — the gather recycles the buffer after
-	// copying it out.
-	g := sh.grid
-	var out ShardRows
-	sc := getShardScratch()
-	runs := g.collectCellRuns(rect, sc.runs)
-	arena := sc.arena[:0]
-	segs := sc.segs[:0]
-	var matched int64
-	for _, run := range runs {
-		g.walkRun(run, rect,
-			func(slo, shi int32) {
-				matched += int64(shi - slo)
-				segs = append(segs, scanSeg{lo: slo, hi: shi})
-			},
-			func(id, off, end int32) {
-				out.Examined += int64(end - off)
-				base := len(arena)
-				arena = g.evalCellBits(rect, id, off, end, arena)
-				for _, w := range arena[base:] {
-					matched += int64(bits.OnesCount64(w))
-				}
-				segs = append(segs, scanSeg{lo: off, hi: end, partial: true})
-			})
-	}
-	if matched > 0 {
-		rows := getRowBuf(int(matched))
-		k, aw := 0, 0
-		for _, sg := range segs {
-			if !sg.partial {
-				k += widen(rows[k:], g.rows[sg.lo:sg.hi])
-				continue
-			}
-			nw := int(sg.hi-sg.lo+63) >> 6
-			for w := 0; w < nw; w++ {
-				bw := arena[aw+w]
-				s := int(sg.lo) + w<<6
-				for bw != 0 {
-					t := bits.TrailingZeros64(bw)
-					rows[k] = int(g.rows[s+t])
-					k++
-					bw &= bw - 1
-				}
-			}
-			aw += nw
-		}
-		out.Rows = rows
-	}
-	sc.runs, sc.arena, sc.segs = runs, arena, segs
-	putShardScratch(sc)
-	return out
-}
-
-// rowsAny is RowsInAny restricted to one shard: a dense bitmap over the
-// shard's slots ORs every rect, then materializes once in slot order.
-func (sh *shard) rowsAny(rects []geom.Rect) ShardRows {
-	g := sh.grid
-	bm := newSlotBitmap(len(g.rows))
-	var out ShardRows
-	var scratch []uint64
-	for _, rect := range rects {
-		for _, run := range g.collectCellRuns(rect, nil) {
-			g.walkRun(run, rect,
-				func(slo, shi int32) { bm.setRange(slo, shi) },
-				func(id, off, end int32) {
-					out.Examined += int64(end - off)
-					scratch = g.evalCellBits(rect, id, off, end, scratch[:0])
-					bm.orCellBits(off, scratch)
-				})
-		}
-	}
-	if n := bm.count(); n > 0 {
-		out.Rows = make([]int, 0, n)
-		emitBits(&out.Rows, g, 0, []uint64(bm))
-	}
-	return out
-}
-
 // sortedSlice returns the shard's covering-index candidates for an
 // interval of one dimension, in (value, row id) order. Its index holds
 // global row ids, so their values come from pg, the parent view's grid.
 func (sh *shard) sortedSlice(dim int, iv geom.Interval, pg *gridIndex) []int32 {
 	lo, hi := sortedRangeIn(sh.sorted[dim], pg.slabs[dim], pg.slotOf, iv)
 	return sh.sorted[dim][lo:hi]
-}
-
-// emitBits appends the row ids of set bits (based at slot off) to dst.
-func emitBits(dst *[]int, g *gridIndex, off int32, words []uint64) {
-	for w, bw := range words {
-		for bw != 0 {
-			t := bits.TrailingZeros64(bw)
-			*dst = append(*dst, int(g.rows[int(off)+w<<6+t]))
-			bw &= bw - 1
-		}
-	}
-}
-
-// countShardedCore scatters Count and sums the healthy shards. The
-// per-shard predicate cache is consulted coordinator-side — keyed by
-// shardSalt — so cached answers short-circuit local cores and remote
-// round-trips alike.
-func (v *View) countShardedCore(rect geom.Rect) (matched, healthy int) {
-	cache := v.cache
-	res, ok, healthy := scatterShards(v.shards, v.scanCtx(), FaultShardScan, func(b ShardBackend) (ShardCount, error) {
-		salt := shardSalt(b.ShardIndex())
-		if cache != nil {
-			if e, hit := cache.get(kindCount, salt, rect); hit {
-				return ShardCount{Matched: int64(e.count)}, nil
-			}
-		}
-		out, err := b.Count(rect)
-		if err != nil {
-			return ShardCount{}, err
-		}
-		if cache != nil {
-			cache.put(kindCount, salt, rect, int(out.Matched), nil)
-		}
-		return out, nil
-	})
-	var total ShardCount
-	for i, r := range res {
-		if ok[i] {
-			total.Matched += r.Matched
-			total.Examined += r.Examined
-		}
-	}
-	v.stats.RowsExamined.Add(total.Examined)
-	obsRowsExamined.Add(total.Examined)
-	return int(total.Matched), healthy
-}
-
-// rowsShardedCore scatters RowsIn and concatenates in shard order.
-func (v *View) rowsShardedCore(rect geom.Rect) (rows []int, healthy int) {
-	cache := v.cache
-	res, ok, healthy := scatterShards(v.shards, v.scanCtx(), FaultShardScan, func(b ShardBackend) (ShardRows, error) {
-		salt := shardSalt(b.ShardIndex())
-		if cache != nil {
-			if e, hit := cache.get(kindRows, salt, rect); hit {
-				out := ShardRows{}
-				if e.rows != nil {
-					out.Rows = getRowBuf(len(e.rows))
-					copy(out.Rows, e.rows)
-				}
-				return out, nil
-			}
-		}
-		out, err := b.RowsIn(rect)
-		if err != nil {
-			return ShardRows{}, err
-		}
-		if cache != nil {
-			cache.put(kindRows, salt, rect, len(out.Rows), out.Rows)
-		}
-		return out, nil
-	})
-	return gatherRows(v, res, ok), healthy
-}
-
-// rowsAnyShardedCore scatters RowsInAny and concatenates in shard order.
-func (v *View) rowsAnyShardedCore(rects []geom.Rect) (rows []int, healthy int) {
-	res, ok, healthy := scatterShards(v.shards, v.scanCtx(), FaultShardScan, func(b ShardBackend) (ShardRows, error) {
-		return b.RowsInAny(rects)
-	})
-	return gatherRows(v, res, ok), healthy
-}
-
-func gatherRows(v *View, res []ShardRows, ok []bool) []int {
-	var examined int64
-	n := 0
-	for i := range res {
-		if ok[i] {
-			examined += res[i].Examined
-			n += len(res[i].Rows)
-		}
-	}
-	v.stats.RowsExamined.Add(examined)
-	obsRowsExamined.Add(examined)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := range res {
-		if ok[i] {
-			out = append(out, res[i].Rows...)
-			// The per-shard buffer's rows now live in out; recycle it.
-			releaseRowBuf(res[i].Rows)
-			res[i].Rows = nil
-		}
-	}
-	return out
 }
 
 // val returns row r's normalized value along the range's dimension.
@@ -921,40 +702,12 @@ func sortedRangeIn(idx []int32, slab []float64, slotOf []int32, iv geom.Interval
 // — evaluation harnesses, the golden tests — use this instead of
 // tolerating a silently partial answer.
 func (v *View) CountExact(rect geom.Rect) (int, error) {
-	if v.shards == nil {
-		return v.Count(rect), nil
-	}
-	defer observeQuery(time.Now())
-	v.stats.Queries.Add(1)
-	if !v.validRect(rect) {
-		obsInvalidRects.Inc()
-		return 0, nil
-	}
-	obsPathGrid.Inc()
-	matched, healthy := v.countShardedCore(rect)
-	v.noteShardOutcome(healthy)
-	if healthy < v.shards.n {
-		return matched, ErrPartialResult
-	}
-	return matched, nil
+	res := v.ExecuteBatch([]BatchQuery{{Kind: BatchCount, Rect: rect}})
+	return res.Count(0), res.exactErr()
 }
 
 // RowsInExact is RowsIn with CountExact's exactness contract.
 func (v *View) RowsInExact(rect geom.Rect) ([]int, error) {
-	if v.shards == nil {
-		return v.RowsIn(rect), nil
-	}
-	defer observeQuery(time.Now())
-	v.stats.Queries.Add(1)
-	if !v.validRect(rect) {
-		obsInvalidRects.Inc()
-		return nil, nil
-	}
-	obsPathGrid.Inc()
-	rows, healthy := v.rowsShardedCore(rect)
-	v.noteShardOutcome(healthy)
-	if healthy < v.shards.n {
-		return rows, ErrPartialResult
-	}
-	return rows, nil
+	res := v.ExecuteBatch([]BatchQuery{{Kind: BatchRows, Rect: rect}})
+	return res.Rows(0), res.exactErr()
 }

@@ -77,7 +77,4 @@ func TestOptionsWorkersValidation(t *testing.T) {
 	if got := s.Options().Tree.Workers; got != 4 {
 		t.Errorf("Tree.Workers = %d, want 4 (inherited from Options.Workers)", got)
 	}
-	if got := s.View().Workers(); got != 4 {
-		t.Errorf("view Workers = %d, want 4", got)
-	}
 }

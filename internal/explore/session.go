@@ -125,20 +125,11 @@ func NewSession(view *engine.View, oracle Oracle, opts Options) (*Session, error
 		return nil, err
 	}
 	start := time.Now()
-	if opts.Workers != 0 {
-		// Route this session's scans through the requested worker count
-		// without touching the (possibly shared) underlying view.
-		view = view.WithWorkers(opts.Workers)
-	}
 	if opts.CacheBytes > 0 && view.Cache() == nil {
 		// Session-private predicate result cache; a shared cache already on
 		// the view wins, keeping cross-session reuse.
 		view = view.WithCache(engine.NewCache(opts.CacheBytes))
 	}
-	// Sessions are single-goroutine, so the session's view copy gets a
-	// private scan scratch buffer; the underlying shared view (and any
-	// other session's copy) is untouched.
-	view = view.WithScanBuffer()
 	var tracker *engine.ShardTracker
 	if view.ShardCount() > 0 {
 		// Sharded view: attach a session-private tracker so partial

@@ -204,9 +204,6 @@ func Resume(r io.Reader, view *engine.View, oracle Oracle) (*Session, error) {
 		return nil, fmt.Errorf("explore: corrupt snapshot: %d rows vs %d labels", len(snap.Rows), len(snap.Labels))
 	}
 
-	if snap.Options.Workers != 0 {
-		view = view.WithWorkers(snap.Options.Workers)
-	}
 	s := &Session{
 		view:   view,
 		oracle: oracle,

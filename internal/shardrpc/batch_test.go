@@ -123,15 +123,19 @@ func FuzzBatchCodec(f *testing.F) {
 		{Kind: engine.BatchRows, Rect: geom.R(0, 100, 0, 100)},
 		{Kind: engine.BatchSample, Rect: geom.R(5, 6, 7, 8)},
 		{Kind: engine.BatchSample, Sorted: true, Dim: 1, Iv: geom.Interval{Lo: 25, Hi: 75}},
+		{Kind: engine.BatchRowsAny, Rects: []geom.Rect{geom.R(0, 30, 0, 30), geom.R(20, 60, 10, 40)}},
 	}
 	eItems := &enc{}
-	encodeBatchItems(eItems, items)
+	if err := encodeBatchItems(eItems, items); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(eItems.b)
 	results := []engine.ShardBatchResult{
 		{Count: engine.ShardCount{Matched: 7, Examined: 21}},
 		{Rows: engine.ShardRows{Rows: []int{1, 2, 3}, Examined: 3}},
 		{Sample: engine.NewShardSample(9, []int32{4, 5, 6}, 2)},
 		{Sorted: []int32{8, 9, 10}},
+		{Rows: engine.ShardRows{Rows: []int{11, 4, 7}, Examined: 5}},
 	}
 	eResults := &enc{}
 	encodeBatchResults(eResults, items, results)
@@ -152,7 +156,9 @@ func FuzzBatchCodec(f *testing.F) {
 			// compare bytes (byte comparison, not struct equality, so NaN
 			// rect endpoints — which the fuzzer will find — stay comparable).
 			re := &enc{}
-			encodeBatchItems(re, decoded)
+			if err := encodeBatchItems(re, decoded); err != nil {
+				t.Fatalf("re-encode of decoded items failed: %v", err)
+			}
 			again, err := decodeBatchItems(&dec{b: re.b})
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded items failed: %v", err)
@@ -210,7 +216,9 @@ func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 	for shard := 0; shard < 2; shard++ {
 		e := &enc{}
 		e.u32(uint32(shard))
-		encodeBatchItems(e, items)
+		if err := encodeBatchItems(e, items); err != nil {
+			t.Fatal(err)
+		}
 		resp, err := fx.srv.handle(opBatch, e.b)
 		if err != nil {
 			if strings.Contains(err.Error(), "panicked") {
@@ -232,7 +240,7 @@ func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 	}
 	queries := make([]engine.BatchQuery, len(items))
 	for k, it := range items {
-		queries[k] = engine.BatchQuery{Kind: it.Kind, Rect: it.Rect, N: 7}
+		queries[k] = engine.BatchQuery{Kind: it.Kind, Rect: it.Rect, Rects: it.Rects, N: 7}
 		if it.Sorted {
 			queries[k].Rect = singleDimRect(dims, it.Dim, it.Iv.Lo, it.Iv.Hi)
 		}
@@ -246,7 +254,7 @@ func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 			if n := raw[0][k].Count.Matched + raw[1][k].Count.Matched; int(n) != want.Count(k) || got.Count(k) != want.Count(k) {
 				t.Fatalf("item %d: count %d from the shards, %d from the view, want %d", k, n, got.Count(k), want.Count(k))
 			}
-		case engine.BatchRows:
+		case engine.BatchRows, engine.BatchRowsAny:
 			rows := append(append([]int(nil), raw[0][k].Rows.Rows...), raw[1][k].Rows.Rows...)
 			if !slices.Equal(rows, want.Rows(k)) || !slices.Equal(got.Rows(k), want.Rows(k)) {
 				t.Fatalf("item %d: rows differ from the unsharded view", k)
@@ -260,20 +268,19 @@ func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 }
 
 // wellFormedItem reports whether a shard of a dims-dimensional view can
-// evaluate it: a rect of the view's arity, or a covering-index slice of
-// one of its dimensions, with NaN-free, non-inverted intervals.
+// evaluate it: a rect of the view's arity, a disjunction of one or more
+// such rects, or a covering-index slice of one of its dimensions, with
+// NaN-free, non-inverted intervals.
 func wellFormedItem(it engine.ShardBatchItem, dims int) bool {
 	valid := func(iv geom.Interval) bool { return !math.IsNaN(iv.Lo) && !math.IsNaN(iv.Hi) && iv.Lo <= iv.Hi }
-	if it.Sorted {
+	validRect := func(r geom.Rect) bool {
+		return len(r) == dims && !slices.ContainsFunc(r, func(iv geom.Interval) bool { return !valid(iv) })
+	}
+	switch {
+	case it.Sorted:
 		return it.Dim >= 0 && it.Dim < dims && valid(it.Iv)
+	case it.Kind == engine.BatchRowsAny:
+		return len(it.Rects) > 0 && !slices.ContainsFunc(it.Rects, func(r geom.Rect) bool { return !validRect(r) })
 	}
-	if len(it.Rect) != dims {
-		return false
-	}
-	for _, iv := range it.Rect {
-		if !valid(iv) {
-			return false
-		}
-	}
-	return true
+	return validRect(it.Rect)
 }

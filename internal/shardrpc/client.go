@@ -508,7 +508,9 @@ func (r *remoteShard) ExecuteBatch(items []engine.ShardBatchItem) ([]engine.Shar
 	}
 	e := &enc{}
 	e.u32(uint32(r.index))
-	encodeBatchItems(e, items)
+	if err := encodeBatchItems(e, items); err != nil {
+		return nil, err
+	}
 	resp, err := r.c.call(r.index, opBatch, e.b)
 	if err != nil {
 		return nil, err

@@ -13,12 +13,15 @@ import (
 )
 
 // TestWorkerRejectsMalformedBatch sends, raw and after a valid hello,
-// every well-framed, CRC-valid request a worker's shard cores cannot
-// evaluate — a rect of the wrong arity, a NaN or inverted bound, a
-// covering-index slice of dimension 99 — through opBatch and the single
-// ops. Each must be answered with opErr from the backend's validation
-// (not a recovered panic), on the same connection, which then still
-// answers a well-formed batch bit-identically to the local shard.
+// every well-framed, CRC-valid request a worker's shard cannot evaluate
+// — a rect of the wrong arity, a NaN or inverted bound, a covering-index
+// slice of dimension 99, a disjunction of no rects or of a malformed
+// one, an item kind the protocol does not define — through opBatch and
+// the single ops. Each must be answered with opErr from validation (not
+// a recovered panic), on the same connection, which then still answers a
+// well-formed batch bit-identically to the local shard. The local shard
+// itself must refuse the malformed items, and the encoder must refuse to
+// send a kind it cannot name rather than send it as another kind.
 func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	const shard = 1
 	_, sharded := testViews(t, 4000, 2)
@@ -55,9 +58,16 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	batch := func(items ...engine.ShardBatchItem) []byte {
 		e := &enc{}
 		e.u32(shard)
-		encodeBatchItems(e, items)
+		if err := encodeBatchItems(e, items); err != nil {
+			t.Fatal(err)
+		}
 		return e.b
 	}
+	unknownKind := &enc{}
+	unknownKind.u32(shard)
+	unknownKind.u32(1)
+	unknownKind.u8(9)
+	unknownKind.rect(geom.R(0, 100, 0, 100))
 	single := func(rects ...geom.Rect) []byte {
 		e := &enc{}
 		e.u32(shard)
@@ -95,6 +105,10 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 		{"batch sorted dim 99", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchSample, Sorted: true, Dim: 99, Iv: geom.Interval{Lo: 0, Hi: 100}})},
 		{"batch sorted NaN", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchSample, Sorted: true, Dim: 0, Iv: geom.Interval{Lo: nan, Hi: 100}})},
 		{"batch valid then malformed", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchCount, Rect: full}, engine.ShardBatchItem{Kind: engine.BatchCount, Rect: short})},
+		{"batch rows_any no rects", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny})},
+		{"batch rows_any one wrong arity", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: []geom.Rect{full, short}})},
+		{"batch rows_any NaN", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: []geom.Rect{nanRect}})},
+		{"batch unknown kind", opBatch, unknownKind.b},
 		{"count wrong arity", opCount, single(short)},
 		{"rows_in NaN", opRowsIn, single(nanRect)},
 		{"rows_in_any one wrong arity", opRowsInAny, anyOf(full, short)},
@@ -112,10 +126,26 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 		}
 	}
 
+	local := sharded.LocalShardBackends()[shard]
+	for _, it := range []engine.ShardBatchItem{
+		{Kind: engine.BatchRowsAny},
+		{Kind: engine.BatchRowsAny, Rects: []geom.Rect{full, short}},
+		{Kind: engine.BatchRowsAny, Rects: []geom.Rect{inverted}},
+		{Kind: engine.BatchRowsAny + 1, Rect: full},
+	} {
+		if _, err := local.ExecuteBatch([]engine.ShardBatchItem{it}); err == nil {
+			t.Fatalf("local shard answered the malformed item %+v", it)
+		}
+	}
+	if err := encodeBatchItems(&enc{}, []engine.ShardBatchItem{{Kind: engine.BatchRowsAny + 1, Rect: full}}); err == nil {
+		t.Fatal("encoder sent an item kind it has no wire form for")
+	}
+
 	items := []engine.ShardBatchItem{
 		{Kind: engine.BatchCount, Rect: geom.R(10, 60, 20, 80)},
 		{Kind: engine.BatchRows, Rect: geom.R(30, 50, 30, 50)},
 		{Kind: engine.BatchSample, Sorted: true, Dim: 1, Iv: geom.Interval{Lo: 20, Hi: 40}},
+		{Kind: engine.BatchRowsAny, Rects: []geom.Rect{geom.R(50, 100, 0, 60), geom.R(80, 100, 30, 70)}},
 	}
 	rop, resp := exchange(opBatch, batch(items...))
 	if rop != opOK {
@@ -125,11 +155,12 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sharded.LocalShardBackends()[shard].ExecuteBatch(items)
+	want, err := local.ExecuteBatch(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Count != want[0].Count || !reflect.DeepEqual(got[1].Rows, want[1].Rows) || !reflect.DeepEqual(got[2].Sorted, want[2].Sorted) {
+	if got[0].Count != want[0].Count || !reflect.DeepEqual(got[1].Rows, want[1].Rows) || !reflect.DeepEqual(got[2].Sorted, want[2].Sorted) ||
+		len(want[3].Rows.Rows) == 0 || !reflect.DeepEqual(got[3].Rows, want[3].Rows) {
 		t.Fatal("well-formed batch after the malformed ones differs from the local shard")
 	}
 }

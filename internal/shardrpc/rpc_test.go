@@ -166,6 +166,23 @@ func TestHelloRejectsMismatches(t *testing.T) {
 	if _, err := Dial(addr, sharded.Fingerprint(), 8, Options{}); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Fatalf("wrong shard count accepted: %v", err)
 	}
+	// A version-1 coordinator knows no RowsAny item: a mixed deploy fails
+	// here, at hello, instead of degrading to shard_partial later.
+	conn, err := net.Dial("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	v1 := &enc{}
+	v1.u32(1)
+	v1.str(sharded.Fingerprint())
+	v1.u32(4)
+	if err := writeFrame(conn, opHello, v1.b); err != nil {
+		t.Fatal(err)
+	}
+	if op, resp, err := readFrame(conn); err != nil || op != opErr || !strings.Contains((&dec{b: resp}).str(), "protocol version 1") {
+		t.Fatalf("version-1 hello answered op %d (%v), want a protocol version error", op, err)
+	}
 	c, err := Dial(addr, sharded.Fingerprint(), 4, Options{})
 	if err != nil {
 		t.Fatalf("matching hello rejected: %v", err)

@@ -57,8 +57,9 @@ const headerSize = 8
 const maxFrameSize = 64 << 20
 
 // protocolVersion is pinned inside the hello exchange; a mismatch is a
-// deploy error and fails the handshake.
-const protocolVersion = 1
+// deploy error and fails the handshake. Version 2 added the RowsAny
+// batch item, which a version-1 worker would misread.
+const protocolVersion = 2
 
 // crcOf is the frame checksum: crc32-IEEE over op byte + payload.
 func crcOf(body []byte) uint32 { return crc32.ChecksumIEEE(body) }
@@ -303,41 +304,46 @@ func (d *dec) sample() engine.ShardSample {
 // proportional to real payloads.
 const maxBatchItems = 4096
 
-// Wire kinds of one batch sub-query. Grid kinds mirror engine.BatchKind
-// values; sorted is the covering-index slice, which has no BatchKind
-// because the engine plans it from a sample rect.
+// Wire kinds of one batch sub-query. The first three mirror their
+// engine.BatchKind values; sorted is the covering-index slice, which has
+// no BatchKind because the engine plans it from a sample rect.
 const (
-	batchWireCount  = byte(0)
-	batchWireRows   = byte(1)
-	batchWireSample = byte(2)
-	batchWireSorted = byte(3)
+	batchWireCount   = byte(0)
+	batchWireRows    = byte(1)
+	batchWireSample  = byte(2)
+	batchWireSorted  = byte(3)
+	batchWireRowsAny = byte(4)
 )
 
 func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 
 // encodeBatchItems appends N sub-queries: u32 count, then per item a
-// kind byte followed by the rect (grid kinds) or u32 dim + interval
-// endpoints (sorted).
-func encodeBatchItems(e *enc, items []engine.ShardBatchItem) {
+// kind byte followed by the rect (single-rect grid kinds), u32 count +
+// rects (RowsAny) or u32 dim + interval endpoints (sorted). A kind it
+// cannot name is an error, never another kind.
+func encodeBatchItems(e *enc, items []engine.ShardBatchItem) error {
 	e.u32(uint32(len(items)))
 	for _, it := range items {
-		if it.Sorted {
+		switch {
+		case it.Sorted:
 			e.u8(batchWireSorted)
 			e.u32(uint32(it.Dim))
 			e.f64(it.Iv.Lo)
 			e.f64(it.Iv.Hi)
-			continue
-		}
-		switch it.Kind {
-		case engine.BatchCount:
-			e.u8(batchWireCount)
-		case engine.BatchRows:
-			e.u8(batchWireRows)
+		case it.Kind == engine.BatchRowsAny:
+			e.u8(batchWireRowsAny)
+			e.u32(uint32(len(it.Rects)))
+			for _, r := range it.Rects {
+				e.rect(r)
+			}
+		case it.Kind == engine.BatchCount, it.Kind == engine.BatchRows, it.Kind == engine.BatchSample:
+			e.u8(byte(it.Kind))
+			e.rect(it.Rect)
 		default:
-			e.u8(batchWireSample)
+			return fmt.Errorf("shardrpc: batch item kind %d has no wire form", it.Kind)
 		}
-		e.rect(it.Rect)
 	}
+	return nil
 }
 
 // decodeBatchItems is the bounded inverse of encodeBatchItems.
@@ -361,6 +367,18 @@ func decodeBatchItems(d *dec) ([]engine.ShardBatchItem, error) {
 			})
 		case batchWireCount, batchWireRows, batchWireSample:
 			items = append(items, engine.ShardBatchItem{Kind: engine.BatchKind(kind), Rect: d.rect()})
+		case batchWireRowsAny:
+			// Bounded like the item count: each rect costs at least its
+			// 4-byte arity, and no more than maxBatchItems ride one item.
+			if n := d.count(4); n <= maxBatchItems {
+				it := engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: make([]geom.Rect, n)}
+				for r := range it.Rects {
+					it.Rects[r] = d.rect()
+				}
+				items = append(items, it)
+			} else if d.err == nil {
+				d.err = fmt.Errorf("shardrpc: batch item of %d rects exceeds %d", n, maxBatchItems)
+			}
 		default:
 			if d.err == nil {
 				d.err = fmt.Errorf("shardrpc: batch item kind %d unknown", kind)
@@ -384,7 +402,7 @@ func encodeBatchResults(e *enc, items []engine.ShardBatchItem, results []engine.
 		case items[k].Kind == engine.BatchCount:
 			e.i64(r.Count.Matched)
 			e.i64(r.Count.Examined)
-		case items[k].Kind == engine.BatchRows:
+		case items[k].Kind == engine.BatchRows, items[k].Kind == engine.BatchRowsAny:
 			e.i64(r.Rows.Examined)
 			e.rows32(r.Rows.Rows)
 		default:
@@ -410,7 +428,7 @@ func decodeBatchResults(d *dec, items []engine.ShardBatchItem) ([]engine.ShardBa
 			out[k].Sorted = d.block32()
 		case items[k].Kind == engine.BatchCount:
 			out[k].Count = engine.ShardCount{Matched: d.i64(), Examined: d.i64()}
-		case items[k].Kind == engine.BatchRows:
+		case items[k].Kind == engine.BatchRows, items[k].Kind == engine.BatchRowsAny:
 			out[k].Rows = engine.ShardRows{Examined: d.i64(), Rows: d.rows32()}
 		default:
 			out[k].Sample = d.sample()
