@@ -286,9 +286,10 @@ type viewSpec struct {
 // setup registers every view with srv and logs which path each took:
 // local_index is false when every shard is remote, and heap_live_mb is
 // the live heap as of the latest GC. Its final forced GC returns the
-// build's scratch (the row-ordered normalized columns, the sort and
-// cell-assignment buffers) to the OS and restarts the GC pacer from what
-// the server keeps, not from a collection in the middle of the build.
+// build's scratch (the census and sort buffers) to the OS and restarts
+// the GC pacer from what the server keeps, not from a collection in the
+// middle of the build; obs.PaceStaticHeap then sizes the GC goal for
+// that static heap, and the last log line reports both.
 func setup(srv *service.Server, views []viewSpec, logger *slog.Logger) error {
 	for _, vs := range views {
 		if err := srv.RegisterTable(vs.name, vs.tab, vs.attrs, 0); err != nil {
@@ -305,6 +306,9 @@ func setup(srv *service.Server, views []viewSpec, logger *slog.Logger) error {
 			"local_index", v.LocalIndex(), "remote_shards", remote, "heap_live_mb", obs.HeapLiveMB())
 	}
 	debug.FreeOSMemory()
+	obs.PaceStaticHeap()
+	logger.Info("views ready", "views", len(views),
+		"heap_live_mb", obs.HeapLiveMB(), "gc_percent", obs.GCPercent(), "heap_goal_mb", obs.HeapGoalMB())
 	return nil
 }
 

@@ -1,12 +1,11 @@
-// Command aideshard runs a shard worker: it builds the sharded view of
-// the same dataset, exploration attributes and shard count as its
-// aideserver coordinator — so the same view fingerprint — keeps only
-// the shards it serves, and serves them over the shardrpc framed
-// protocol, on TCP or a unix socket. The coordinator (aideserver
-// -shard-addr, or service.Server.ShardAddrs) dials it, verifies
-// fingerprint and shard count in the hello exchange, and routes the
-// announced shards here; shards no worker claims stay in the
-// coordinator's process.
+// Command aideshard runs a shard worker: from the same dataset,
+// exploration attributes and shard count as its aideserver coordinator —
+// so the same view fingerprint — it builds only the shards it serves,
+// and serves them over the shardrpc framed protocol, on TCP or a unix
+// socket. The coordinator (aideserver -shard-addr, or
+// service.Server.ShardAddrs) dials it, verifies fingerprint and shard
+// count in the hello exchange, and routes the announced shards here;
+// shards no worker claims stay in the coordinator's process.
 //
 //	aideshard -listen :9090      -sdss 100000 -shards 4 -serve 0,1
 //	aideshard -listen /tmp/s.sock -sdss 100000 -shards 4 -serve 2,3
@@ -126,33 +125,34 @@ func main() {
 		srv.Close()
 	}()
 
+	served := 0
+	for _, b := range subset {
+		served += b.NumRows()
+	}
 	logger.Info("serving shards",
 		"listen", ln.Addr().String(), "network", network,
 		"fingerprint", fp, "total_shards", *shards,
-		"serving", indexes, "rows", rows, "heap_live_mb", obs.HeapLiveMB())
+		"serving", indexes, "rows", rows, "served_rows", served,
+		"heap_live_mb", obs.HeapLiveMB(), "gc_percent", obs.GCPercent(), "heap_goal_mb", obs.HeapGoalMB())
 	if err := srv.Serve(ln); err != nil {
 		fatal("serve", "err", err)
 	}
 	logger.Info("bye")
 }
 
-// setup builds the sharded view over tab and returns only the served
-// shards' backends and the view fingerprint, leaving the table, the
-// global covering index and the unserved shards unreachable. Its final
-// forced GC returns them to the OS and restarts the GC pacer from what
-// the worker serves, not from the build's peak.
+// setup builds only the served shards of the view over tab and returns
+// their backends and the view fingerprint, leaving the table and the
+// build's scratch unreachable. Its final forced GC returns them to the
+// OS and restarts the GC pacer from what the worker serves, not from the
+// build's peak, and obs.PaceStaticHeap then sizes the GC goal for that
+// static heap.
 func setup(tab *dataset.Table, attrs []string, workers, shards int, serve []int) (map[int]engine.ShardBackend, string, error) {
-	base, err := engine.NewViewWorkers(tab, attrs, workers)
+	subset, fp, err := engine.NewServedShards(tab, attrs, workers, shards, serve)
 	if err != nil {
 		return nil, "", err
 	}
-	backends := base.WithShards(engine.ShardOptions{Shards: shards}).LocalShardBackends()
-	subset := make(map[int]engine.ShardBackend, len(serve))
-	for _, i := range serve {
-		subset[i] = backends[i]
-	}
-	fp := base.Fingerprint()
 	debug.FreeOSMemory()
+	obs.PaceStaticHeap()
 	return subset, fp, nil
 }
 

@@ -123,15 +123,13 @@ type ShardBackend interface {
 	Close() error
 }
 
-// localShard is the in-process ShardBackend: the batch walk over the
-// shard's slab slices, plus the parent view's grid for covering-index
-// lookups — not the view, so a worker keeps neither the table nor the
-// global covering index alive. It errors only on a malformed item
-// (check); other local failures surface as panics, which the scatter
-// layer isolates per attempt.
+// localShard is the in-process ShardBackend: the batch walk and the
+// covering-index lookups over the shard's own grid — not the view's, so
+// a worker keeps neither the table nor any other shard alive. It errors
+// only on a malformed item (check); other local failures surface as
+// panics, which the scatter layer isolates per attempt.
 type localShard struct {
 	sh *shard
-	pg *gridIndex
 }
 
 func (l *localShard) ShardIndex() int { return l.sh.index }
@@ -210,7 +208,7 @@ func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, e
 			return nil, err
 		}
 		if it.Sorted {
-			out[k].Sorted = l.sh.sortedSlice(it.Dim, it.Iv, l.pg)
+			out[k].Sorted = l.sh.sortedSlice(it.Dim, it.Iv)
 			continue
 		}
 		grid = append(grid, it)
@@ -231,11 +229,11 @@ func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, e
 }
 
 // LocalShardBackends returns the in-process backend for every shard of
-// a sharded view, nil when the view is unsharded. This is the worker
-// surface: a shardrpc server (cmd/aideshard) builds the same sharded
-// view from the same dataset and serves a subset of these over the
-// wire. It panics on a view built by NewRemoteView, which holds no
-// shard partitions to serve.
+// a sharded view, nil when the view is unsharded. A shard worker
+// (cmd/aideshard) serves the same backends over the wire without
+// building the view: NewServedShards builds only the ones it serves. It
+// panics on a view built by NewRemoteView, which holds no shard
+// partitions to serve.
 func (v *View) LocalShardBackends() []ShardBackend {
 	if v.shards == nil {
 		return nil
@@ -245,7 +243,7 @@ func (v *View) LocalShardBackends() []ShardBackend {
 	}
 	out := make([]ShardBackend, v.shards.n)
 	for i, sh := range v.shards.shards {
-		out[i] = &localShard{sh: sh, pg: v.grid}
+		out[i] = &localShard{sh: sh}
 	}
 	return out
 }

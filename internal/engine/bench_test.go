@@ -138,7 +138,7 @@ func BenchmarkMergedRangeResolve(b *testing.B) {
 			m := &mergedRange{v: base, dim: dim}
 			total := 0
 			for _, sh := range ss.shards {
-				if part := sh.sortedSlice(dim, iv, base.grid); len(part) > 0 {
+				if part := sh.sortedSlice(dim, iv); len(part) > 0 {
 					m.parts = append(m.parts, part)
 					total += len(part)
 				}

@@ -57,15 +57,11 @@ func widen(dst []int, src []int32) int {
 	return len(src)
 }
 
-// buildGridIndex picks a resolution so the average cell holds a modest
-// number of rows without exploding the cell count in high dimensions.
-// Cell assignment (the per-row coordinate arithmetic) is chunked across
-// the worker pool; rows are then laid out cell-major in one flat
-// counting-sort pass, so each cell's slots stay in ascending row order
-// regardless of worker count. The column slabs and zonemaps derive from
-// that fixed layout dimension-by-dimension, also worker-count-invariant.
-func buildGridIndex(ncols [][]float64, rows, workers int) *gridIndex {
-	d := len(ncols)
+// newGridIndex returns an empty grid for rows rows in d dimensions, at a
+// resolution where the average cell holds a modest number of rows
+// without exploding the cell count in high dimensions. countCells
+// counts the rows into its offsets, and layout lays them out.
+func newGridIndex(d, rows int) *gridIndex {
 	// Target ~64 rows per cell, capped to keep memory bounded.
 	target := float64(rows) / 64
 	if target < 1 {
@@ -83,80 +79,100 @@ func buildGridIndex(ncols [][]float64, rows, workers int) *gridIndex {
 	if per < 2 {
 		per = 2
 	}
-	g := &gridIndex{
+	cells := 1
+	for i := 0; i < d; i++ {
+		cells *= per
+	}
+	return &gridIndex{
 		dims:        d,
 		cellsPerDim: per,
 		cellWidth:   (geom.NormMax - geom.NormMin) / float64(per),
+		offsets:     make([]int32, cells+1),
 	}
-	total := 1
-	for i := 0; i < d; i++ {
-		total *= per
+}
+
+// countCells is the build's census of v's rows, one parallel pass that
+// stores nothing per row: it returns, per par.For chunk (contiguous row
+// ranges, the same at every call with the same worker count), how many
+// rows fall in each of g's cells, and sets g's offsets to each cell's
+// first slot over all rows.
+func (g *gridIndex) countCells(v *View, workers int) (chunks [][]int32) {
+	cells := len(g.offsets) - 1
+	rows := v.NumRows()
+	chunks = make([][]int32, par.ChunkCount(workers, rows, 1024))
+	par.For(kernelIndex, workers, rows, 1024, func(c, lo, hi int) {
+		counts := make([]int32, cells)
+		for r := lo; r < hi; r++ {
+			counts[g.cellOf(v, r)]++
+		}
+		chunks[c] = counts
+	})
+	for _, counts := range chunks {
+		for id, n := range counts {
+			g.offsets[id+1] += n
+		}
 	}
-	g.offsets = make([]int32, total+1)
-	g.zoneMin = make([][]float64, d)
-	g.zoneMax = make([][]float64, d)
-	g.slabs = make([][]float64, d)
-	if rows == 0 {
-		for i := 0; i < d; i++ {
-			g.zoneMin[i] = make([]float64, total)
-			g.zoneMax[i] = make([]float64, total)
-			for c := 0; c < total; c++ {
-				g.zoneMin[i][c] = math.Inf(1)
-				g.zoneMax[i][c] = math.Inf(-1)
+	for i := 1; i <= cells; i++ {
+		g.offsets[i] += g.offsets[i-1]
+	}
+	return chunks
+}
+
+// layout returns the grid of g's cells [c0, c1) over v's rows, from
+// countCells' census: the view's grid is the full range, a shard's grid
+// its own cells. g's offsets are rebased to the range (cells outside it
+// are empty). A second parallel pass over the census chunks
+// counting-sorts the range's rows by cell, each chunk's rows after the
+// earlier chunks', so rows ascend within a cell at any worker count.
+// The slabs then gather each dimension's normalized values (normAt, the
+// expression every reader recomputes) into slot order and fold the
+// per-cell zonemaps in the same sweep.
+func (g *gridIndex) layout(v *View, chunks [][]int32, c0, c1, workers int) *gridIndex {
+	out := &gridIndex{dims: g.dims, cellsPerDim: g.cellsPerDim, cellWidth: g.cellWidth, offsets: rebase(g.offsets, c0, c1)}
+	cells := g.numCells()
+	out.rows = make([]int32, out.offsets[cells])
+	next := make([][]int32, len(chunks)) // per chunk: the next free slot of each cell in range
+	run := make([]int32, c1-c0)
+	copy(run, out.offsets[c0:c1])
+	for c, counts := range chunks {
+		next[c] = slices.Clone(run)
+		for id := range run {
+			run[id] += counts[c0+id]
+		}
+	}
+	par.For(kernelIndex, workers, v.NumRows(), 1024, func(c, lo, hi int) {
+		nx := next[c]
+		for r := lo; r < hi; r++ {
+			if id := g.cellOf(v, r) - c0; uint(id) < uint(len(nx)) {
+				out.rows[nx[id]] = int32(r)
+				nx[id]++
 			}
 		}
-		return g
-	}
-	// Pass 1 (parallel): flat cell id of every row.
-	ids := make([]int32, rows)
-	par.For(kernelIndex, workers, rows, 1024, func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			ids[r] = int32(g.cellOf(ncols, r))
-		}
 	})
-	// Pass 2 (sequential, cheap integer work): counting sort into the
-	// slot array, rows ascending within each cell.
-	counts := g.offsets
-	for _, id := range ids {
-		counts[id+1]++
-	}
-	for i := 1; i <= total; i++ {
-		counts[i] += counts[i-1]
-	}
-	g.rows = make([]int32, rows)
-	g.slotOf = make([]int32, rows)
-	next := make([]int32, total)
-	copy(next, counts[:total])
-	for r := 0; r < rows; r++ {
-		id := ids[r]
-		g.rows[next[id]] = int32(r)
-		g.slotOf[r] = next[id]
-		next[id]++
-	}
-	// Pass 3 (parallel per dimension): gather each column into slot
-	// order and fold the per-cell zonemaps in the same sweep.
-	par.For(kernelIndex, workers, d, 1, func(_, dlo, dhi int) {
+	out.slabs = make([][]float64, g.dims)
+	out.zoneMin = make([][]float64, g.dims)
+	out.zoneMax = make([][]float64, g.dims)
+	par.For(kernelIndex, workers, g.dims, 1, func(_, dlo, dhi int) {
 		for i := dlo; i < dhi; i++ {
-			col := ncols[i]
-			slab := make([]float64, rows)
-			zmin := make([]float64, total)
-			zmax := make([]float64, total)
-			for c := 0; c < total; c++ {
-				lo, hi := counts[c], counts[c+1]
+			slab := make([]float64, len(out.rows))
+			zmin := make([]float64, cells)
+			zmax := make([]float64, cells)
+			for c := 0; c < cells; c++ {
+				lo, hi := out.offsets[c], out.offsets[c+1]
 				cmin, cmax := math.Inf(1), math.Inf(-1)
 				nan := false
 				for s := lo; s < hi; s++ {
-					v := col[g.rows[s]]
-					slab[s] = v
-					if v != v {
+					val := v.normAt(i, int(out.rows[s]))
+					slab[s] = val
+					if val != val {
 						nan = true
 						continue
 					}
-					if v < cmin {
-						cmin = v
+					if val < cmin {
+						cmin = val
 					}
-					if v > cmax {
-						cmax = v
+					if val > cmax {
+						cmax = val
 					}
 				}
 				if nan {
@@ -164,19 +180,58 @@ func buildGridIndex(ncols [][]float64, rows, workers int) *gridIndex {
 				}
 				zmin[c], zmax[c] = cmin, cmax
 			}
-			g.slabs[i] = slab
-			g.zoneMin[i] = zmin
-			g.zoneMax[i] = zmax
+			out.slabs[i] = slab
+			out.zoneMin[i] = zmin
+			out.zoneMax[i] = zmax
 		}
 	})
-	return g
+	return out
 }
 
-// cellOf returns the flat cell id of row r.
-func (g *gridIndex) cellOf(ncols [][]float64, r int) int {
+// rebase clamps offsets to the slots of cells [c0, c1) and shifts them
+// to start at slot 0: cells outside the range collapse to empty (off ==
+// end), which walkBox skips while keeping covered-middle spans —
+// clamped — correct.
+func rebase(offsets []int32, c0, c1 int) []int32 {
+	lo, hi := offsets[c0], offsets[c1]
+	out := make([]int32, len(offsets))
+	for c, o := range offsets {
+		out[c] = min(max(o, lo), hi) - lo
+	}
+	return out
+}
+
+// sub returns the grid of g's cells [c0, c1) without copying a row: its
+// slot arrays subslice g's, and it shares g's zonemaps (cell-id indexed;
+// the cells outside the range are empty in it, so theirs are never read).
+func (g *gridIndex) sub(c0, c1 int) *gridIndex {
+	lo, hi := g.offsets[c0], g.offsets[c1]
+	sg := *g
+	sg.offsets, sg.rows, sg.slotOf, sg.slabs = rebase(g.offsets, c0, c1), g.rows[lo:hi], nil, make([][]float64, g.dims)
+	for d := range sg.slabs {
+		sg.slabs[d] = g.slabs[d][lo:hi]
+	}
+	return &sg
+}
+
+// sortedSlots returns g's slots in cmpSorted order along dimension d —
+// ascending value, NaNs last, equal values by ascending row id — sorted
+// from g's own slab: a covering index column in slot form.
+func (g *gridIndex) sortedSlots(d int) []int32 {
+	slab, rows := g.slabs[d], g.rows
+	idx := make([]int32, len(rows))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return cmpSorted(slab[a], slab[b], rows[a], rows[b]) })
+	return idx
+}
+
+// cellOf returns the flat cell id of v's row r.
+func (g *gridIndex) cellOf(v *View, r int) int {
 	id := 0
 	for i := 0; i < g.dims; i++ {
-		c := int((ncols[i][r] - geom.NormMin) / g.cellWidth)
+		c := int((v.normAt(i, r) - geom.NormMin) / g.cellWidth)
 		if c >= g.cellsPerDim {
 			c = g.cellsPerDim - 1
 		}

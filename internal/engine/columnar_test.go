@@ -400,3 +400,72 @@ func TestLocalViewRetainsOneNormalizedCopy(t *testing.T) {
 		t.Fatalf("local 4-attribute view retains %d B/row, want <= 60", perRow)
 	}
 }
+
+// TestServedBuildRetainsItsShardOnly measures, as an exact heap count,
+// what a shard worker keeps after NewServedShards builds shard 0 of 2
+// of a 4-attribute view: the shard's own slot-ordered slabs (8
+// B/row/dim), slot→row map (4 B/row) and covering index of shard-local
+// slots (4 B/row/dim) — 52 bytes per served row, 27.5 per table row
+// with the zonemaps — and nothing of the table or the shard it does not
+// serve.
+func TestServedBuildRetainsItsShardOnly(t *testing.T) {
+	const rows = 200_000
+	tab := dataset.GenerateSDSS(rows, 3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	served, _, err := NewServedShards(tab, []string{"rowc", "colc", "ra", "dec"}, 1, 2, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(served)
+	runtime.KeepAlive(tab)
+	perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / rows
+	t.Logf("1-of-2 served build retains %.1f B/row", perRow)
+	if limit := 29.0; perRow > limit {
+		t.Fatalf("1-of-2 served build retains %.1f B/row, want <= %.0f", perRow, limit)
+	}
+}
+
+// allocatedPerRow returns the bytes f allocates, live or not, per row of
+// a rows-row table: runtime.MemStats.TotalAlloc's delta.
+func allocatedPerRow(rows int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
+}
+
+// TestBuildsAllocateNoRowOrderedCopy pins, as exact allocation counts at
+// 200 k rows × 4 attributes, that neither an all-remote coordinator's
+// NewRemoteView nor a worker's 1-of-2 NewServedShards allocates a
+// row-ordered normalized copy of the columns, or anything for the shard
+// it does not serve: the coordinator allocates nothing per row, the
+// worker its served shard's slabs, maps and covering index, 27.8 B/row.
+// Allocation totals are not peaks, so NewViewWorkers, whose sorts may
+// allocate as much in total as any transient they replace, has no pin
+// here.
+func TestBuildsAllocateNoRowOrderedCopy(t *testing.T) {
+	const rows = 200_000
+	attrs := []string{"rowc", "colc", "ra", "dec"}
+	tab := dataset.GenerateSDSS(rows, 3)
+	remote := allocatedPerRow(rows, func() {
+		backends := map[int]ShardBackend{0: &localShard{}, 1: &localShard{}}
+		if _, err := NewRemoteView(tab, attrs, 1, ShardOptions{Shards: 2}, backends); err != nil {
+			t.Fatal(err)
+		}
+	})
+	served := allocatedPerRow(rows, func() {
+		if _, _, err := NewServedShards(tab, attrs, 1, 2, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewRemoteView allocates %.2f B/row, a 1-of-2 NewServedShards %.2f B/row", remote, served)
+	if remote > 1 || served > 29 {
+		t.Fatalf("NewRemoteView allocates %.2f B/row (want <= 1), a 1-of-2 NewServedShards %.2f B/row (want <= 29)", remote, served)
+	}
+}

@@ -80,59 +80,58 @@ func NewView(tab *dataset.Table, attrs []string) (*View, error) {
 // is identical at every worker count, and its queries do not depend on
 // it.
 func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, error) {
-	v, ncols, err := normalizeView(tab, attrs, workers)
+	v, err := normalizeView(tab, attrs, workers)
 	if err != nil {
 		return nil, err
 	}
-	// The per-attribute sorts are independent, so attributes build
-	// concurrently; the grid index then assigns rows to cells with a
-	// parallel coordinate pass. Every step writes disjoint slots, so the
-	// result is identical at any worker count. The row-ordered columns
-	// die here: the grid's slot-ordered slabs are the one copy kept.
+	// The grid is laid out from a census of the table through normAt, so
+	// its slot-ordered slabs are the only normalized copy ever built. Each
+	// covering index sorts the grid's slots by its own slab (attributes
+	// concurrently) and maps them to row ids in place. Every step writes
+	// disjoint slots, so the result is identical at any worker count.
+	g := newGridIndex(len(v.cols), tab.NumRows())
+	v.grid = g.layout(v, g.countCells(v, workers), 0, g.numCells(), workers)
+	v.grid.slotOf = make([]int32, len(v.grid.rows))
+	for s, r := range v.grid.rows {
+		v.grid.slotOf[r] = int32(s)
+	}
 	v.sorted = make([][]int32, len(v.cols))
 	par.For(kernelIndex, workers, len(v.cols), 1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v.sorted[i] = sortedIndex(ncols[i])
+		for d := lo; d < hi; d++ {
+			idx := v.grid.sortedSlots(d)
+			for i, s := range idx {
+				idx[i] = v.grid.rows[s]
+			}
+			v.sorted[d] = idx
 		}
 	})
-	v.grid = buildGridIndex(ncols, tab.NumRows(), workers)
 	return v, nil
 }
 
 // normalizeView is the step every view constructor shares: resolve the
-// attributes, fingerprint the view, and map each column into normalized
-// space (attributes concurrently), noting which columns hold a NaN. It
-// builds no index and returns the normalized columns, in row order, to
-// the caller instead of keeping them.
-func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, [][]float64, error) {
+// attributes, fingerprint the view, and note which columns hold a NaN in
+// normalized space (attributes concurrently). It builds no index and
+// stores nothing per row.
+func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, error) {
 	cols, err := tab.ColumnIndexes(attrs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(cols) == 0 {
-		return nil, nil, fmt.Errorf("engine: view needs at least one attribute")
+		return nil, fmt.Errorf("engine: view needs at least one attribute")
 	}
 	norm, err := tab.Normalizer(cols)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	v := &View{tab: tab, cols: cols, norm: norm, stats: &Stats{}, fp: ViewFingerprint(tab, attrs)}
-	ncols := make([][]float64, len(cols))
 	v.nanCol = make([]bool, len(cols))
 	par.For(kernelIndex, workers, len(cols), 1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := tab.Col(cols[i])
-			nc := make([]float64, len(src))
-			for r, raw := range src {
-				nc[r] = norm.ToNormValue(i, raw)
-				if math.IsNaN(nc[r]) {
-					v.nanCol[i] = true
-				}
-			}
-			ncols[i] = nc
+		for d := lo; d < hi; d++ {
+			v.nanCol[d] = slices.ContainsFunc(tab.Col(cols[d]), func(raw float64) bool { return math.IsNaN(norm.ToNormValue(d, raw)) })
 		}
 	})
-	return v, ncols, nil
+	return v, nil
 }
 
 // WithContext returns a view sharing this view's table, indexes and
@@ -161,25 +160,14 @@ func (v *View) scanCtx() context.Context {
 	return v.ctx
 }
 
-// sortedIndex returns row ids ordered by cmpSorted over vals (ascending
-// value): one column of the covering index. Range lookups on a single
-// attribute binary-search this instead of walking grid cells.
-func sortedIndex(vals []float64) []int32 {
-	idx := make([]int32, len(vals))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int { return cmpSorted(vals[a], vals[b], a, b) })
-	return idx
-}
-
 // cmpSorted is the covering index's order on rows a and b with values va
 // and vb: ascending value, NaNs after every number, equal values by
-// ascending row id. It is a total order, so a k-way merge of per-shard
-// subsequences (mergeSorted) reproduces sortedIndex's exact sequence at
-// any shard count.
+// ascending row id. It is a total order, so every covering index sorted
+// by it is unique whatever order its sort starts from, and a k-way merge
+// of per-shard subsequences (mergeSorted) reproduces the view's exact
+// sequence at any shard count.
 func cmpSorted(va, vb float64, a, b int32) int {
-	// v != v only for a NaN; kept small enough for sortedIndex to inline.
+	// v != v only for a NaN; kept small enough for sortedSlots to inline.
 	switch {
 	case va < vb:
 		return -1
@@ -196,7 +184,8 @@ func cmpSorted(va, vb float64, a, b int32) int {
 // sortedRange returns the half-open [lo, hi) positions in sorted[dim]
 // whose values fall inside iv.
 func (v *View) sortedRange(dim int, iv geom.Interval) (int, int) {
-	return sortedRangeIn(v.sorted[dim], v.grid.slabs[dim], v.grid.slotOf, iv)
+	idx, slab, slotOf := v.sorted[dim], v.grid.slabs[dim], v.grid.slotOf
+	return sortedRangeIn(len(idx), func(i int) float64 { return slab[slotOf[idx[i]]] }, iv)
 }
 
 // singleConstrainedDim reports the only dimension of rect narrower than

@@ -612,11 +612,11 @@ func TestSortedRangeMatchesLinear(t *testing.T) {
 				vals[i] = float64(gen.Intn(9)) * 12.5 // duplicate alphabet
 			}
 		}
-		idx := sortedIndex(vals)
-		identity := make([]int32, n) // slot order = row order
-		for i := range identity {
-			identity[i] = int32(i)
+		idx := make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(i)
 		}
+		slices.SortFunc(idx, func(a, b int32) int { return cmpSorted(vals[a], vals[b], a, b) })
 		// A shard's covering index is an order-preserving subsequence.
 		var sub []int32
 		for _, r := range idx {
@@ -640,7 +640,7 @@ func TestSortedRangeMatchesLinear(t *testing.T) {
 		}
 		for _, iv := range ivs {
 			for _, index := range [][]int32{idx, sub} {
-				lo, hi := sortedRangeIn(index, vals, identity, iv)
+				lo, hi := sortedRangeIn(len(index), func(i int) float64 { return vals[index[i]] }, iv)
 				wlo, whi := linearSortedRange(index, vals, iv)
 				if lo != wlo || hi != whi {
 					t.Fatalf("trial %d iv %v: range [%d,%d), linear scan [%d,%d)", trial, iv, lo, hi, wlo, whi)

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -42,7 +43,8 @@ const (
 	// FaultShardSample fires inside the shard attempts of a batch that
 	// carries a sample (SampleRect is such a batch, of one).
 	FaultShardSample = "engine.shard.sample"
-	// FaultShardBuild fires while a shard's indexes are being split.
+	// FaultShardBuild fires while a shard's grid and indexes are being
+	// built.
 	FaultShardBuild = "engine.shard.build"
 )
 
@@ -101,13 +103,15 @@ type ShardOptions struct {
 	CooldownTime time.Duration
 }
 
-// shard is one cell-range partition of a view's grid. Its grid shares
-// the parent's zonemaps and subslices the parent's slot arrays; only
-// the rebased offsets and the filtered covering indexes are new memory.
+// shard is one cell-range partition of a view's grid. Its grid is the
+// grid of its own cells — cut from a built view's grid (gridIndex.sub)
+// or laid out from the table for a worker (NewServedShards) — and its
+// covering index holds its own slots, so it reads values from nothing
+// but its own slabs.
 type shard struct {
 	index  int
 	grid   *gridIndex
-	sorted [][]int32 // per-dimension covering index, rows in this shard only
+	sorted [][]int32 // per-dimension covering index: this shard's slots in (value, row id) order
 	nrows  int
 }
 
@@ -168,7 +172,7 @@ func NewRemoteView(tab *dataset.Table, attrs []string, workers int, opts ShardOp
 		}
 		ss.backends[i], ss.remote[i] = b, true
 	}
-	v, _, err := normalizeView(tab, attrs, workers)
+	v, err := normalizeView(tab, attrs, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -376,85 +380,93 @@ func (ss *shardSet) planGrid(i int) *gridIndex {
 	return nil
 }
 
-// buildShardSet splits v's grid at cell boundaries into opts.Shards
-// contiguous ranges balanced by row count. Cells never straddle a cut,
-// so every global scan order (cell-major slots, per-dimension sorted
-// indexes) is exactly the shard-order concatenation (or ordered merge)
-// of the per-shard orders — the invariant the bit-identity guarantee
-// rests on.
+// buildShardSet splits v's grid into opts.Shards shards (newShards),
+// each subslicing the grid's slot arrays.
 func buildShardSet(v *View, opts ShardOptions) *shardSet {
-	g := v.grid
-	n := opts.Shards
-	cells := g.numCells()
-	rows := len(g.rows)
+	ss := newShardSet(opts)
+	ss.shards = newShards(v.grid.offsets, ss.n, 0, func(_, c0, c1 int) *gridIndex { return v.grid.sub(c0, c1) })
+	for i, sh := range ss.shards {
+		ss.backends[i] = &localShard{sh: sh}
+	}
+	return ss
+}
+
+// NewServedShards builds only the shards listed in serve of the view
+// over attrs of tab split into shards shards, and returns their backends
+// by index and the view fingerprint: what a shard worker (cmd/aideshard)
+// serves. Each backend answers exactly as the one at its index in
+// NewViewWorkers(tab, attrs, workers).WithShards(ShardOptions{Shards:
+// shards}).LocalShardBackends(), but nothing else is built: a census
+// counts the rows per cell without storing anything per row, shardCuts
+// cuts the cells from the counts, and only the served cells' rows are
+// laid out, normalized and indexed.
+func NewServedShards(tab *dataset.Table, attrs []string, workers, shards int, serve []int) (map[int]ShardBackend, string, error) {
+	if i := slices.IndexFunc(serve, func(i int) bool { return i < 0 || i >= shards }); i >= 0 {
+		return nil, "", fmt.Errorf("engine: shard %d outside [0,%d)", serve[i], shards)
+	}
+	v, err := normalizeView(tab, attrs, workers)
+	if err != nil {
+		return nil, "", err
+	}
+	g := newGridIndex(len(v.cols), tab.NumRows())
+	chunks := g.countCells(v, workers)
+	out := make(map[int]ShardBackend, len(serve))
+	for _, sh := range newShards(g.offsets, shards, workers, func(i, c0, c1 int) *gridIndex {
+		if !slices.Contains(serve, i) {
+			return nil
+		}
+		return g.layout(v, chunks, c0, c1, workers)
+	}) {
+		if sh != nil {
+			out[sh.index] = &localShard{sh: sh}
+		}
+	}
+	return out, v.fp, nil
+}
+
+// shardCuts cuts the cells whose slot offsets are offsets (len cells+1)
+// into n contiguous ranges balanced by row count: shard i owns cells
+// [cuts[i], cuts[i+1]). Both shard builds cut by it, so a worker's
+// shards are the ones a built view splits into.
+func shardCuts(offsets []int32, n int) []int {
+	cells := len(offsets) - 1
 	cuts := make([]int, n+1)
 	cuts[n] = cells
 	for i := 1; i < n; i++ {
-		target := int32(i * rows / n)
-		c := sort.Search(cells, func(c int) bool { return g.offsets[c] >= target })
-		if c < cuts[i-1] {
-			c = cuts[i-1]
-		}
-		cuts[i] = c
+		target := int32(i * int(offsets[cells]) / n)
+		cuts[i] = max(sort.Search(cells, func(c int) bool { return offsets[c] >= target }), cuts[i-1])
 	}
-	// rowShard maps row id -> owning shard, for filtering the covering
-	// indexes in one pass per dimension.
-	rowShard := make([]int32, rows)
-	ss := newShardSet(opts)
-	ss.shards = make([]*shard, n)
-	for i := 0; i < n; i++ {
-		pt := faultinject.PointAt(FaultShardBuild, i)
-		faultinject.Latency(pt)
-		faultinject.Panic(pt)
-		slotLo := g.offsets[cuts[i]]
-		slotHi := g.offsets[cuts[i+1]]
-		sg := &gridIndex{
-			dims:        g.dims,
-			cellsPerDim: g.cellsPerDim,
-			cellWidth:   g.cellWidth,
-			offsets:     make([]int32, len(g.offsets)),
-			rows:        g.rows[slotLo:slotHi],
-			slabs:       make([][]float64, g.dims),
-			zoneMin:     g.zoneMin, // shared: cell-id indexed, cells never straddle a cut
-			zoneMax:     g.zoneMax,
+	return cuts
+}
+
+// newShards cuts cells with the slot offsets offsets n ways (shardCuts)
+// and builds shard i over grid(i, c0, c1), the grid of its cells (nil:
+// not built), with a covering index sorted from its own slabs. Cells
+// never straddle a cut, so every global scan order is exactly the
+// shard-order concatenation (or ordered merge) of the per-shard orders
+// — the invariant the bit-identity guarantee rests on.
+func newShards(offsets []int32, n, workers int, grid func(i, c0, c1 int) *gridIndex) []*shard {
+	cuts := shardCuts(offsets, n)
+	shards := make([]*shard, n)
+	var built []*shard
+	for i := range shards {
+		if g := grid(i, cuts[i], cuts[i+1]); g != nil {
+			pt := faultinject.PointAt(FaultShardBuild, i)
+			faultinject.Latency(pt)
+			faultinject.Panic(pt)
+			shards[i] = &shard{index: i, grid: g, sorted: make([][]int32, g.dims), nrows: len(g.rows)}
+			built = append(built, shards[i])
 		}
-		// Clamp-and-rebase the CSR offsets: cells outside the shard's
-		// range collapse to empty (off == end), which walkBox skips while
-		// keeping covered-middle spans — clamped — correct.
-		for c, o := range g.offsets {
-			if o < slotLo {
-				o = slotLo
-			} else if o > slotHi {
-				o = slotHi
+	}
+	if len(built) > 0 {
+		dims := built[0].grid.dims
+		par.For(kernelIndex, workers, len(built)*dims, 1, func(_, lo, hi int) {
+			for t := lo; t < hi; t++ {
+				built[t/dims].sorted[t%dims] = built[t/dims].grid.sortedSlots(t % dims)
 			}
-			sg.offsets[c] = o - slotLo
-		}
-		for d := range sg.slabs {
-			sg.slabs[d] = g.slabs[d][slotLo:slotHi]
-		}
-		for s := slotLo; s < slotHi; s++ {
-			rowShard[g.rows[s]] = int32(i)
-		}
-		ss.shards[i] = &shard{
-			index:  i,
-			grid:   sg,
-			sorted: make([][]int32, len(v.sorted)),
-			nrows:  int(slotHi - slotLo),
-		}
-		ss.backends[i] = &localShard{sh: ss.shards[i], pg: g}
+		})
 	}
-	// Filter each global covering index by shard membership, preserving
-	// (value, row id) order within each shard.
-	for d := range v.sorted {
-		for i := 0; i < n; i++ {
-			ss.shards[i].sorted[d] = make([]int32, 0, ss.shards[i].nrows)
-		}
-		for _, r := range v.sorted[d] {
-			sh := ss.shards[rowShard[r]]
-			sh.sorted[d] = append(sh.sorted[d], r)
-		}
-	}
-	return ss
+	return shards
 }
 
 // scatterShards fans fn across every admitted shard, one goroutine per
@@ -631,20 +643,26 @@ func execShard[T any](ss *shardSet, i int, pt string, rollFaults bool, fn func(b
 	return fn(ss.backends[i])
 }
 
-// sortedSlice returns the shard's covering-index candidates for an
-// interval of one dimension, in (value, row id) order. Its index holds
-// global row ids, so their values come from pg, the parent view's grid.
-func (sh *shard) sortedSlice(dim int, iv geom.Interval, pg *gridIndex) []int32 {
-	lo, hi := sortedRangeIn(sh.sorted[dim], pg.slabs[dim], pg.slotOf, iv)
-	return sh.sorted[dim][lo:hi]
+// sortedSlice returns the row ids of the shard's covering-index
+// candidates for an interval of one dimension, in (value, row id) order.
+// Its index holds the shard's own slots, so the values come from its own
+// slabs, and the rows are copied out through its slot→row map.
+func (sh *shard) sortedSlice(dim int, iv geom.Interval) []int32 {
+	idx, slab := sh.sorted[dim], sh.grid.slabs[dim]
+	lo, hi := sortedRangeIn(len(idx), func(i int) float64 { return slab[idx[i]] }, iv)
+	out := make([]int32, hi-lo)
+	for k, s := range idx[lo:hi] {
+		out[k] = sh.grid.rows[s]
+	}
+	return out
 }
 
 // val returns row r's normalized value along the range's dimension.
 func (m *mergedRange) val(r int32) float64 { return m.v.normAt(m.dim, int(r)) }
 
 // mergeSorted k-way merges the shards' slices back into global order by
-// cmpSorted — sortedIndex's exact total order, so the merge equals the
-// unsharded index range.
+// cmpSorted — the unsharded covering index's exact total order, so the
+// merge equals the unsharded index range.
 func (m *mergedRange) mergeSorted(total int) []int32 {
 	out := make([]int32, 0, total)
 	pos := make([]int, len(m.parts))
@@ -686,13 +704,13 @@ func (m *mergedRange) rankRow(j int) int32 {
 	panic("engine: rank past the merged covering-index slices")
 }
 
-// sortedRangeIn returns the half-open [lo, hi) positions in idx — a
-// covering index, the view's or one shard's — whose values fall inside
-// iv: two binary searches, the lower bound on iv.Lo and the first value
-// past iv.Hi. A row r's value is slab[slotOf[r]].
-func sortedRangeIn(idx []int32, slab []float64, slotOf []int32, iv geom.Interval) (int, int) {
-	lo := sort.Search(len(idx), func(i int) bool { return slab[slotOf[idx[i]]] >= iv.Lo })
-	hi := lo + sort.Search(len(idx)-lo, func(i int) bool { return slab[slotOf[idx[lo+i]]] > iv.Hi })
+// sortedRangeIn returns the half-open [lo, hi) positions of a covering
+// index of n entries — the view's or one shard's; val(i) is entry i's
+// value — whose values fall inside iv: two binary searches, the lower
+// bound on iv.Lo and the first value past iv.Hi.
+func sortedRangeIn(n int, val func(i int) float64, iv geom.Interval) (int, int) {
+	lo := sort.Search(n, func(i int) bool { return val(i) >= iv.Lo })
+	hi := lo + sort.Search(n-lo, func(i int) bool { return val(lo+i) > iv.Hi })
 	return lo, hi
 }
 

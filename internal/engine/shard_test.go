@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -461,7 +462,7 @@ func TestNewRemoteViewContract(t *testing.T) {
 
 // TestMergeSortedMatchesSortedIndexWithNaN pins the one covering-index
 // order on a NaN-bearing column: merging every shard's whole covering
-// index by cmpSorted must give back the unsharded sortedIndex exactly,
+// index by cmpSorted must give back the unsharded covering index exactly,
 // NaNs last. A merge that compared values with plain < would interleave
 // the NaNs, which no range query reaches today (a NaN column takes the
 // grid path) but which would silently reorder samples if one did.
@@ -479,14 +480,17 @@ func TestMergeSortedMatchesSortedIndexWithNaN(t *testing.T) {
 			}
 			m := &mergedRange{v: base, dim: d, parts: make([][]int32, n)}
 			for i, sh := range ss.shards {
-				m.parts[i] = sh.sorted[d]
+				m.parts[i] = sh.sortedSlice(d, geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)})
+				for _, s := range sh.sorted[d][len(m.parts[i]):] { // the NaNs no interval reaches
+					m.parts[i] = append(m.parts[i], sh.grid.rows[s])
+				}
 			}
 			if got := m.mergeSorted(tab.NumRows()); !reflect.DeepEqual(got, base.sorted[d]) {
-				t.Fatalf("%d shards, dim %d: merged per-shard covering indexes differ from sortedIndex", n, d)
+				t.Fatalf("%d shards, dim %d: merged per-shard covering indexes differ from the view's", n, d)
 			}
 			for j, want := range base.sorted[d] {
 				if got := m.rankRow(j); got != want {
-					t.Fatalf("%d shards, dim %d: rankRow(%d) = %d, sortedIndex holds %d", n, d, j, got, want)
+					t.Fatalf("%d shards, dim %d: rankRow(%d) = %d, the view's index holds %d", n, d, j, got, want)
 				}
 			}
 		}

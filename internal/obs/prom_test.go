@@ -64,7 +64,8 @@ func TestValidateExpositionRejects(t *testing.T) {
 
 // TestRuntimeMetricsExposed asserts the Go runtime gauges land in both
 // renderings a monitoring stack consumes: the JSON snapshot
-// (/v1/metrics) and the Prometheus exposition (/metrics).
+// (/v1/metrics) and the Prometheus exposition (/metrics), the GC
+// percent the pacer chose among them.
 func TestRuntimeMetricsExposed(t *testing.T) {
 	r := NewRegistry()
 	EnableRuntimeMetrics(r)
@@ -76,6 +77,9 @@ func TestRuntimeMetricsExposed(t *testing.T) {
 	if h, ok := snap["go_memstats_heap_alloc_bytes"].(float64); !ok || h <= 0 {
 		t.Errorf("go_memstats_heap_alloc_bytes = %v, want > 0", snap["go_memstats_heap_alloc_bytes"])
 	}
+	if p, ok := snap["go_gc_percent"].(float64); !ok || int(p) != GCPercent() {
+		t.Errorf("go_gc_percent = %v, want the GC percent in force, %d", snap["go_gc_percent"], GCPercent())
+	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -83,6 +87,7 @@ func TestRuntimeMetricsExposed(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE go_goroutines gauge",
 		"# TYPE go_gc_pause_seconds histogram",
+		"# TYPE go_gc_percent gauge",
 		"go_memstats_heap_alloc_bytes",
 	} {
 		if !strings.Contains(b.String(), want) {

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"sync"
 )
@@ -37,6 +39,7 @@ func (rc *runtimeCollector) collect(r *Registry) {
 	r.Gauge("go_memstats_heap_objects").Set(float64(ms.HeapObjects))
 	r.Gauge("go_memstats_next_gc_bytes").Set(float64(ms.NextGC))
 	r.Gauge("go_gc_cpu_fraction").Set(ms.GCCPUFraction)
+	r.Gauge("go_gc_percent").Set(float64(GCPercent()))
 
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -59,8 +62,8 @@ func (rc *runtimeCollector) collect(r *Registry) {
 }
 
 // EnableRuntimeMetrics installs the Go runtime collector on the
-// registry (goroutines, heap gauges, GC cycle counter and pause
-// histogram, all prefixed go_). The default registry has it installed
+// registry (goroutines, heap gauges, the GC percent, GC cycle counter
+// and pause histogram, all prefixed go_). The default registry has it installed
 // already; call this only for private registries.
 func EnableRuntimeMetrics(r *Registry) {
 	rc := &runtimeCollector{}
@@ -83,8 +86,49 @@ func init() { EnableRuntimeMetrics(Default) }
 // MB (runtime/metrics /gc/heap/live:bytes): what the process holds,
 // without the garbage its GC goal lets pile up between cycles, and
 // without the stop-the-world of ReadMemStats.
-func HeapLiveMB() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+func HeapLiveMB() uint64 { return readUint("/gc/heap/live:bytes") >> 20 }
+
+// HeapGoalMB returns the heap size at which the next GC cycle starts, in
+// MB (/gc/heap/goal:bytes).
+func HeapGoalMB() uint64 { return readUint("/gc/heap/goal:bytes") >> 20 }
+
+// GCPercent returns the GC percent in force (/gc/gogc:percent): GOGC, or
+// what debug.SetGCPercent last set; -1 when the GC is off.
+func GCPercent() int { return int(int64(readUint("/gc/gogc:percent"))) }
+
+func readUint(name string) uint64 {
+	s := []metrics.Sample{{Name: name}}
 	metrics.Read(s)
-	return s[0].Value.Uint64() >> 20
+	return s[0].Value.Uint64()
+}
+
+// staticHeapAllowance is the garbage PaceStaticHeap lets a heap of at
+// least this size gather between GC cycles; smaller heaps keep GOGC 100.
+const staticHeapAllowance = 64 << 20
+
+// PaceStaticHeap sets the GC for a process whose heap is almost all data
+// built at setup and kept for good — a view's index, a worker's shards.
+// At the default GOGC 100 the GC lets such a heap double before its next
+// cycle, so peak RSS is twice what the process holds. Call it at the end
+// of setup, right after the forced collection (debug.FreeOSMemory) that
+// leaves the live heap at what the process serves from: it sets the GC
+// percent to staticHeapPercent of that live heap, so the goal becomes
+// live + max(64 MiB, 10 %). An operator's GOGC or GOMEMLIMIT in the
+// environment wins: then the GC is left as the operator set it.
+func PaceStaticHeap() {
+	if os.Getenv("GOGC") != "" || os.Getenv("GOMEMLIMIT") != "" {
+		return
+	}
+	debug.SetGCPercent(staticHeapPercent(readUint("/gc/heap/live:bytes")))
+}
+
+// staticHeapPercent is the GC percent whose goal over a live heap of
+// live bytes is live + staticHeapAllowance: ⌈100·64 MiB / live⌉,
+// clamped to [10, 100] — GOGC 100 up to 64 MiB live, a 10 % allowance
+// from 640 MiB on.
+func staticHeapPercent(live uint64) int {
+	if live == 0 {
+		return 100
+	}
+	return int(min(max((100*staticHeapAllowance+live-1)/live, 10), 100))
 }
