@@ -289,7 +289,9 @@ type viewSpec struct {
 // build's scratch (the census and sort buffers) to the OS and restarts
 // the GC pacer from what the server keeps, not from a collection in the
 // middle of the build; obs.PaceStaticHeap then sizes the GC goal for
-// that static heap, and the last log line reports both.
+// that static heap, and the last log line reports both, with each view's
+// covering-index build time and size (<view>.index_build_s,
+// <view>.index_mb).
 func setup(srv *service.Server, views []viewSpec, logger *slog.Logger) error {
 	for _, vs := range views {
 		if err := srv.RegisterTable(vs.name, vs.tab, vs.attrs, 0); err != nil {
@@ -307,8 +309,13 @@ func setup(srv *service.Server, views []viewSpec, logger *slog.Logger) error {
 	}
 	debug.FreeOSMemory()
 	obs.PaceStaticHeap()
-	logger.Info("views ready", "views", len(views),
-		"heap_live_mb", obs.HeapLiveMB(), "gc_percent", obs.GCPercent(), "heap_goal_mb", obs.HeapGoalMB())
+	fields := []any{"views", len(views)}
+	for _, vs := range views {
+		build, bytes := srv.View(vs.name).CoveringIndex()
+		fields = append(fields, slog.Group(vs.name, "index_build_s", build.Round(time.Millisecond).Seconds(), "index_mb", bytes>>20))
+	}
+	fields = append(fields, "heap_live_mb", obs.HeapLiveMB(), "gc_percent", obs.GCPercent(), "heap_goal_mb", obs.HeapGoalMB())
+	logger.Info("views ready", fields...)
 	return nil
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // TestWorkerSurvivesMalformedBatch sends a real aideshard process one
-// well-framed batch its shard cannot evaluate (a covering-index slice of
-// dimension 99) and then a valid one: the first must come back as the
+// well-framed batch its shard cannot evaluate (a one-dimensional rect
+// for its two-dimensional view) and then a valid one: the first must come back as the
 // worker's error answer, the second as the right count — so the process
 // is alive and serving, not dead with every shard it held.
 func TestWorkerSurvivesMalformedBatch(t *testing.T) {
@@ -33,9 +33,9 @@ func TestWorkerSurvivesMalformedBatch(t *testing.T) {
 	defer client.Close()
 	b := client.Backends()[0]
 
-	_, err = b.ExecuteBatch([]engine.ShardBatchItem{{Kind: engine.BatchSample, Sorted: true, Dim: 99, Iv: geom.Interval{Lo: 0, Hi: 100}}})
-	if err == nil || !strings.Contains(err.Error(), "dim 99") {
-		t.Fatalf("malformed batch: err = %v, want the worker's rejection of dim 99", err)
+	_, err = b.ExecuteBatch([]engine.ShardBatchItem{{Kind: engine.BatchCount, Rect: geom.Rect{{Lo: 0, Hi: 100}}}})
+	if err == nil || !strings.Contains(err.Error(), "malformed rect") {
+		t.Fatalf("malformed batch: err = %v, want the worker's rejection of the rect", err)
 	}
 	out, err := b.ExecuteBatch([]engine.ShardBatchItem{{Kind: engine.BatchCount, Rect: geom.R(0, 100, 0, 100)}})
 	if err != nil {

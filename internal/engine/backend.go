@@ -58,21 +58,17 @@ func (s ShardSample) Blocks() (full [][]int32, partial []int32) { return s.piece
 
 // ShardBatchItem is one sub-query of a batched scatter, as shipped to a
 // ShardBackend (and, for remote shards, over shardrpc's opBatch frame
-// in one round-trip). Kind selects the grid primitive; Sorted items are
-// covering-index slices instead (Dim/Iv used, Rect ignored), and
-// BatchRowsAny items read Rects instead of Rect.
+// in one round-trip). Kind selects the grid primitive; BatchRowsAny
+// items read Rects instead of Rect.
 type ShardBatchItem struct {
-	Kind   BatchKind
-	Sorted bool
-	Rect   geom.Rect
-	Rects  []geom.Rect
-	Dim    int
-	Iv     geom.Interval
+	Kind  BatchKind
+	Rect  geom.Rect
+	Rects []geom.Rect
 }
 
 // cacheable reports whether the predicate cache memoizes the item's
-// answer: every grid item of a single rect.
-func (it *ShardBatchItem) cacheable() bool { return !it.Sorted && it.Kind != BatchRowsAny }
+// answer: every item of a single rect.
+func (it *ShardBatchItem) cacheable() bool { return it.Kind != BatchRowsAny }
 
 // ShardBatchResult is one shard's answer to one ShardBatchItem; exactly
 // one field group is populated, matching the item's kind.
@@ -80,7 +76,6 @@ type ShardBatchResult struct {
 	Count  ShardCount
 	Rows   ShardRows
 	Sample ShardSample
-	Sorted []int32
 }
 
 // ShardBackend serves one shard's queries. Implementations must be
@@ -110,8 +105,11 @@ type ShardBackend interface {
 	RowsInAny(rects []geom.Rect) (ShardRows, error)
 	// SampleGrid returns the shard's piece of rect's sample plan.
 	SampleGrid(rect geom.Rect) (ShardSample, error)
-	// SortedSlice returns the shard's covering-index row ids for an
-	// interval of one dimension, in (value, row id) order.
+	// SortedSlice returns the row ids of the shard's rows whose value
+	// along dim lies in iv, in the covering index's order (sortKey, then
+	// row id). No query path calls it: a view resolves covering-index
+	// samples from its own index, and a shard keeps none, so the local
+	// implementation selects and sorts the rows on demand.
 	SortedSlice(dim int, iv geom.Interval) ([]int32, error)
 	// ExecuteBatch answers every item of a batch in one call — one
 	// round-trip for remote backends — with results positionally
@@ -123,11 +121,11 @@ type ShardBackend interface {
 	Close() error
 }
 
-// localShard is the in-process ShardBackend: the batch walk and the
-// covering-index lookups over the shard's own grid — not the view's, so
-// a worker keeps neither the table nor any other shard alive. It errors
-// only on a malformed item (check); other local failures surface as
-// panics, which the scatter layer isolates per attempt.
+// localShard is the in-process ShardBackend: the batch walk over the
+// shard's own grid — not the view's, so a worker keeps neither the
+// table nor any other shard alive. It errors only on a malformed item
+// (check); other local failures surface as panics, which the scatter
+// layer isolates per attempt.
 type localShard struct {
 	sh *shard
 }
@@ -139,21 +137,16 @@ func (l *localShard) Close() error    { return nil }
 
 // check rejects what the shard cannot evaluate: a kind outside the
 // BatchKind enum; a rect whose arity is not the view's or with a NaN or
-// inverted interval; a RowsAny item with no rect or any such rect; and a
-// covering-index slice of a dimension the view lacks or over such an
-// interval. A coordinator never sends one — its view drops invalid rects
-// before the scatter — so this guards the worker against a malformed
-// peer request, which becomes an error answer instead of an index panic
-// or a silently wrong one.
+// inverted interval; and a RowsAny item with no rect or any such rect.
+// A coordinator never sends one — its view drops invalid rects before
+// the scatter — so this guards the worker against a malformed peer
+// request, which becomes an error answer instead of an index panic or a
+// silently wrong one.
 func (l *localShard) check(it ShardBatchItem) error {
 	dims := l.sh.grid.dims
 	switch {
 	case it.Kind > BatchRowsAny:
 		return fmt.Errorf("engine: shard %d: unknown batch item kind %d", l.sh.index, it.Kind)
-	case it.Sorted:
-		if it.Dim < 0 || it.Dim >= dims || !validInterval(it.Iv) {
-			return fmt.Errorf("engine: shard %d: covering-index slice of dim %d over %v in a %d-dim view", l.sh.index, it.Dim, it.Iv, dims)
-		}
 	case it.Kind == BatchRowsAny:
 		if len(it.Rects) == 0 || slices.ContainsFunc(it.Rects, func(r geom.Rect) bool { return !wellFormed(r, dims) }) {
 			return fmt.Errorf("engine: shard %d: disjunction of %d rects with a malformed one or none for a %d-dim view", l.sh.index, len(it.Rects), dims)
@@ -194,35 +187,42 @@ func (l *localShard) SampleGrid(rect geom.Rect) (ShardSample, error) {
 	return r.Sample, err
 }
 
+// SortedSlice selects the slots whose value along dim lies in iv, puts
+// their rows in ascending order and sorts them by sortCovering: computed
+// on demand from the shard's own slabs. Like check, it rejects a
+// dimension the view lacks and a NaN or inverted interval.
 func (l *localShard) SortedSlice(dim int, iv geom.Interval) ([]int32, error) {
-	r, err := l.one(ShardBatchItem{Kind: BatchSample, Sorted: true, Dim: dim, Iv: iv})
-	return r.Sorted, err
+	g := l.sh.grid
+	if dim < 0 || dim >= g.dims || !validInterval(iv) {
+		return nil, fmt.Errorf("engine: shard %d: covering-index slice of dim %d over %v in a %d-dim view", l.sh.index, dim, iv, g.dims)
+	}
+	var slots []int32
+	for s, x := range g.slabs[dim] {
+		if x >= iv.Lo && x <= iv.Hi {
+			slots = append(slots, int32(s))
+		}
+	}
+	slices.SortFunc(slots, func(a, b int32) int { return int(g.rows[a]) - int(g.rows[b]) })
+	keys, rows := make([]uint64, len(slots)), make([]int32, len(slots))
+	for i, s := range slots {
+		keys[i], rows[i] = sortKey(g.slabs[dim][s]), g.rows[s]
+	}
+	sortCovering(keys, rows, &coverScratch{}, 1)
+	return rows, nil
 }
 
 func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, error) {
-	out := make([]ShardBatchResult, len(items))
-	var grid []ShardBatchItem
-	var gridAt []int
-	for k, it := range items {
+	for _, it := range items {
 		if err := l.check(it); err != nil {
 			return nil, err
 		}
-		if it.Sorted {
-			out[k].Sorted = l.sh.sortedSlice(it.Dim, it.Iv)
-			continue
-		}
-		grid = append(grid, it)
-		gridAt = append(gridAt, k)
 	}
-	if len(grid) > 0 {
-		// Cancellation is coordinator-side: the scatter discards results
-		// it no longer wants, so the shard pass runs to completion.
-		gout := make([]ShardBatchResult, len(grid))
-		if err := batchGridEval(l.sh.grid, context.Background(), grid, gout); err != nil {
+	// Cancellation is coordinator-side: the scatter discards results it
+	// no longer wants, so the shard pass runs to completion.
+	out := make([]ShardBatchResult, len(items))
+	if len(items) > 0 {
+		if err := batchGridEval(l.sh.grid, context.Background(), items, out); err != nil {
 			return nil, err
-		}
-		for j, k := range gridAt {
-			out[k] = gout[j]
 		}
 	}
 	return out, nil

@@ -6,9 +6,10 @@ package engine
 // view the grid-path sub-queries share one row-major walk over the
 // union of their cell boxes (cells are pruned once, every covering rect
 // is evaluated per cell with shared scan scratch); on a sharded view
-// the whole batch rides ONE supervised scatter — one backend call (one
-// RPC round-trip, for remote shards) per shard per batch instead of per
-// query.
+// they ride ONE supervised scatter — one backend call (one RPC
+// round-trip, for remote shards) per shard per batch instead of per
+// query. Covering-index samples slice the view's own index on every
+// topology.
 //
 // The contract that makes this more than a fast path: batched sampling
 // must consume the caller's rng in exactly the per-request order the
@@ -256,21 +257,12 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 	for i, q := range res.queries {
 		rects, ok := v.validQuery(q)
 		switch {
-		case !ok:
+		case !ok || q.Kind == BatchSample && v.indexSample(res, i):
 			continue
 		case q.Kind == BatchRowsAny:
 			items = append(items, ShardBatchItem{Kind: BatchRowsAny, Rects: rects})
 			itemQuery = append(itemQuery, i)
 			continue
-		case q.Kind == BatchSample:
-			if dim := v.singleConstrainedDim(q.Rect); dim >= 0 {
-				obsPathIndex.Inc()
-				lo, hi := v.sortedRange(dim, q.Rect[dim])
-				v.stats.RowsExamined.Add(int64(hi - lo))
-				obsRowsExamined.Add(int64(hi - lo))
-				res.addPiece(i, samplePiece{rows: v.sorted[dim][lo:hi], fullTotal: hi - lo})
-				continue
-			}
 		}
 		if v.cache != nil {
 			if e, ok := v.cache.get(cacheKind(q.Kind), 0, q.Rect); ok {
@@ -338,43 +330,53 @@ func (v *View) executeBatchLocal(res *BatchResults) {
 	obsRowsExamined.Add(examined)
 }
 
-// executeBatchSharded routes the whole batch through ONE supervised
-// scatter: every shard receives the full miss list in a single backend
-// call (one RPC round-trip for remote shards), with the per-shard
-// predicate cache consulted coordinator-side exactly as the sequential
-// sharded cores do — a shard whose items all hit is not called at all.
-// Gathering reassembles each sub-query in shard order, reproducing the
-// unsharded layouts bit-identically.
+// indexSample plans sample sub-query i on the covering-index path when
+// its rect constrains a single dimension (singleConstrainedDim), and
+// reports whether it did: the plan is the view's covering-index range,
+// found by two binary searches, on every topology and without a shard.
+func (v *View) indexSample(res *BatchResults, i int) bool {
+	rect := res.queries[i].Rect
+	dim := v.singleConstrainedDim(rect)
+	if dim < 0 {
+		return false
+	}
+	obsPathIndex.Inc()
+	lo, hi := v.sortedRange(dim, rect[dim])
+	v.stats.RowsExamined.Add(int64(hi - lo))
+	obsRowsExamined.Add(int64(hi - lo))
+	res.addPiece(i, samplePiece{rows: v.sorted[dim][lo:hi], fullTotal: hi - lo})
+	return true
+}
+
+// executeBatchSharded routes the batch's grid-path items through ONE
+// supervised scatter: every shard receives the full miss list in a
+// single backend call (one RPC round-trip for remote shards), with the
+// per-shard predicate cache consulted coordinator-side exactly as the
+// sequential sharded cores do — a shard whose items all hit is not
+// called at all. Covering-index samples resolve from the view's own
+// index first, so a batch of nothing else scatters nothing. Gathering
+// reassembles each sub-query in shard order, reproducing the unsharded
+// layouts bit-identically.
 func (v *View) executeBatchSharded(res *BatchResults) {
 	items := make([]ShardBatchItem, 0, len(res.queries))
 	itemQuery := make([]int, 0, len(res.queries))
 	hasSample := false
-	var gridItems int64
 	for i, q := range res.queries {
 		rects, ok := v.validQuery(q)
-		if !ok {
+		if !ok || q.Kind == BatchSample && v.indexSample(res, i) {
 			continue
 		}
-		if q.Kind == BatchSample {
-			hasSample = true
-			if dim := v.singleConstrainedDim(q.Rect); dim >= 0 {
-				obsPathIndex.Inc()
-				items = append(items, ShardBatchItem{Kind: BatchSample, Sorted: true, Dim: dim, Iv: q.Rect[dim]})
-				itemQuery = append(itemQuery, i)
-				continue
-			}
-		}
-		gridItems++
+		hasSample = hasSample || q.Kind == BatchSample
 		items = append(items, ShardBatchItem{Kind: q.Kind, Rect: q.Rect, Rects: rects})
 		itemQuery = append(itemQuery, i)
 	}
-	obsPathGrid.Add(gridItems)
+	obsPathGrid.Add(int64(len(items)))
 	if len(items) == 0 {
 		return
 	}
 	// The whole batch advances each shard's injected-fault stream once.
-	// Sample-bearing batches roll the sample point so sampling chaos
-	// tests keep firing; pure scan batches roll the scan point.
+	// Batches with a grid-path sample roll the sample point so sampling
+	// chaos tests keep firing; the rest roll the scan point.
 	point := FaultShardScan
 	if hasSample {
 		point = FaultShardSample
@@ -437,23 +439,8 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 	var examined int64
 	for k, it := range items {
 		i := itemQuery[k]
-		switch {
-		case it.Sorted:
-			var parts [][]int32
-			matched := 0
-			for s := range perShard {
-				if ok[s] && len(perShard[s][k].Sorted) > 0 {
-					parts = append(parts, perShard[s][k].Sorted)
-					matched += len(perShard[s][k].Sorted)
-				}
-			}
-			examined += int64(matched)
-			if len(parts) == 1 {
-				res.addPiece(i, samplePiece{rows: parts[0], fullTotal: matched})
-			} else if matched > 0 {
-				res.addPiece(i, samplePiece{merged: &mergedRange{v, it.Dim, parts}, fullTotal: matched})
-			}
-		case it.Kind == BatchCount:
+		switch it.Kind {
+		case BatchCount:
 			var total int64
 			for s := range perShard {
 				if ok[s] {
@@ -462,7 +449,7 @@ func (v *View) executeBatchSharded(res *BatchResults) {
 				}
 			}
 			res.counts[i] = int(total)
-		case it.Kind == BatchRows || it.Kind == BatchRowsAny:
+		case BatchRows, BatchRowsAny:
 			n := 0
 			for s := range perShard {
 				if ok[s] {

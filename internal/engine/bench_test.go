@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/explore-by-example/aide/internal/dataset"
@@ -105,8 +106,8 @@ func BenchmarkSampleBoundarySlab(b *testing.B) {
 
 // BenchmarkSampleSlabSharded is BenchmarkSampleBoundarySlab's
 // covering-index shape on a 2-shard view: a few draws from one
-// dimension's slab, whose positions rankRow finds in the shards' slices
-// without merging them.
+// dimension's slab, which the view's own covering index answers without
+// calling a shard.
 func BenchmarkSampleSlabSharded(b *testing.B) {
 	v := benchView(b, 100_000).WithShards(ShardOptions{Shards: 2})
 	slab := geom.R(0, 100, 30, 50)
@@ -117,44 +118,27 @@ func BenchmarkSampleSlabSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkMergedRangeResolve prices the two ways a sharded covering-
-// index sample can find its drawn rows, on covering-index ranges of a
-// 1M-row table: rank is one rankRow (ns/op is per draw), merge is one
-// mergeSorted of the whole range (ns/op is per merge). merge/rank is the
-// draw count from which merging would be the cheaper way.
-func BenchmarkMergedRangeResolve(b *testing.B) {
-	tab := dataset.GenerateSDSS(1_000_000, 1)
-	base, err := NewView(tab, []string{"rowc", "colc"})
+// BenchmarkCoveringIndexBuild prices one dimension of the covering-index
+// build on a 1M-row table — the sortKey pass through normAt and the
+// radix sort — per row, in time and in bytes allocated (the index's 4
+// B/row and the sort's scratch), at one worker and at every core.
+func BenchmarkCoveringIndexBuild(b *testing.B) {
+	const rows = 1_000_000
+	v, err := normalizeView(dataset.GenerateSDSS(rows, 1), []string{"ra"}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const dim = 1 // shards cut the outer dimension, so every shard holds part of a range on this one
-	idx := base.sorted[dim]
-	for _, shards := range []int{2, 4} {
-		ss := base.WithShards(ShardOptions{Shards: shards}).shards
-		for _, size := range []int{16, 256, 4096, 65536} {
-			lo := len(idx) / 3
-			iv := geom.Interval{Lo: base.normAt(dim, int(idx[lo])), Hi: base.normAt(dim, int(idx[lo+size-1]))}
-			m := &mergedRange{v: base, dim: dim}
-			total := 0
-			for _, sh := range ss.shards {
-				if part := sh.sortedSlice(dim, iv); len(part) > 0 {
-					m.parts = append(m.parts, part)
-					total += len(part)
-				}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				v.buildCoveringIndex(workers)
 			}
-			name := fmt.Sprintf("shards=%d/range=%d", len(m.parts), size)
-			b.Run(name+"/rank", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.rankRow(i * 7919 % total)
-				}
-			})
-			b.Run(name+"/merge", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.mergeSorted(total)
-				}
-			})
-		}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*rows), "B/row")
+		})
 	}
 }
 

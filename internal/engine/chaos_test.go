@@ -136,3 +136,46 @@ func TestChaosShardPartialNeverWrong(t *testing.T) {
 		t.Fatalf("post-recovery ops still degraded: %q", name)
 	}
 }
+
+// TestChaosCoveringIndexSampleIgnoresShardFaults pins that covering-index
+// samples never touch a shard, so they never degrade: with every shard
+// attempt failing, an index-path SampleRect on 2 and 4 local shards and
+// on a loopback remote view still draws the unsharded sample, and the
+// tracker records no degradation.
+func TestChaosCoveringIndexSampleIgnoresShardFaults(t *testing.T) {
+	seed := chaosSeed(t)
+	base, err := NewViewWorkers(dataset.GenerateSDSS(8_000, 5), []string{"rowc", "colc"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]*View{
+		"shards=2": base.WithShards(ShardOptions{Shards: 2}),
+		"shards=4": base.WithShards(ShardOptions{Shards: 4}),
+		"remote":   LoopbackRemoteView(t, base, 2),
+	}
+	faultinject.Activate(faultinject.New(faultinject.Config{
+		Seed: seed, ErrorRate: 1,
+		Points: []string{FaultShardScan, FaultShardSample},
+	}))
+	defer faultinject.Deactivate()
+	rng := rand.New(rand.NewSource(seed))
+	for ri, rect := range singleDimRects(12, 2, rng) {
+		n := 1 + rng.Intn(20)
+		want := base.SampleRect(rect, n, rand.New(rand.NewSource(int64(ri))))
+		for name, v := range views {
+			tv, tracker := v.WithShardTracker()
+			if got := tv.SampleRect(rect, n, rand.New(rand.NewSource(int64(ri)))); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s rect %d: sample %v under shard faults, unsharded %v", name, ri, got, want)
+			}
+			if deg, partial := tracker.Drain(); partial {
+				t.Fatalf("%s rect %d: index-path sample degraded to %s", name, ri, deg)
+			}
+		}
+	}
+	// The faults do reach the shards: a grid query degrades.
+	tv, tracker := views["shards=2"].WithShardTracker()
+	tv.Count(geom.R(10, 60, 20, 70))
+	if _, partial := tracker.Drain(); !partial {
+		t.Fatal("a grid query under ErrorRate 1 did not degrade: the injector is not reaching the shards")
+	}
+}

@@ -27,7 +27,6 @@ type gridIndex struct {
 	// every deterministic-order contract in this package leans on.
 	offsets []int32     // len cells+1; cell id -> slot range
 	rows    []int32     // slot -> row id
-	slotOf  []int32     // row id -> slot, the inverse of rows; nil on a shard's grid
 	slabs   [][]float64 // [dim][slot] -> normalized value
 	// Zonemaps: actual min/max of each cell's rows per dimension (not
 	// the cell's geometric bounds — zonemaps are tighter and prove
@@ -207,24 +206,11 @@ func rebase(offsets []int32, c0, c1 int) []int32 {
 func (g *gridIndex) sub(c0, c1 int) *gridIndex {
 	lo, hi := g.offsets[c0], g.offsets[c1]
 	sg := *g
-	sg.offsets, sg.rows, sg.slotOf, sg.slabs = rebase(g.offsets, c0, c1), g.rows[lo:hi], nil, make([][]float64, g.dims)
+	sg.offsets, sg.rows, sg.slabs = rebase(g.offsets, c0, c1), g.rows[lo:hi], make([][]float64, g.dims)
 	for d := range sg.slabs {
 		sg.slabs[d] = g.slabs[d][lo:hi]
 	}
 	return &sg
-}
-
-// sortedSlots returns g's slots in cmpSorted order along dimension d —
-// ascending value, NaNs last, equal values by ascending row id — sorted
-// from g's own slab: a covering index column in slot form.
-func (g *gridIndex) sortedSlots(d int) []int32 {
-	slab, rows := g.slabs[d], g.rows
-	idx := make([]int32, len(rows))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int { return cmpSorted(slab[a], slab[b], rows[a], rows[b]) })
-	return idx
 }
 
 // cellOf returns the flat cell id of v's row r.

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"github.com/explore-by-example/aide/internal/dataset"
 	"github.com/explore-by-example/aide/internal/geom"
@@ -52,18 +53,19 @@ func (s *Stats) Reset() {
 // View is an indexed projection of a table onto d exploration attributes.
 // It is immutable after construction and safe for concurrent readers.
 type View struct {
-	tab     *dataset.Table
-	cols    []int // table column indexes of the exploration attributes
-	norm    *geom.Normalizer
-	nanCol  []bool     // per dimension: the column holds a NaN
-	grid    *gridIndex // nil on a view built by NewRemoteView
-	sorted  [][]int32  // per-dimension row ids in ascending value order; nil when grid is
-	stats   *Stats
-	fp      string          // content fingerprint, set at build (fingerprint.go)
-	cache   *Cache          // memoized counts, rows and sample plans; nil = uncached
-	ctx     context.Context // scan cancellation; nil = never cancelled
-	shards  *shardSet       // sharded scatter-gather execution; nil = unsharded (shard.go)
-	tracker *ShardTracker   // per-session partial-result sink; nil = untracked
+	tab        *dataset.Table
+	cols       []int // table column indexes of the exploration attributes
+	norm       *geom.Normalizer
+	nanCol     []bool        // per dimension: the column holds a NaN
+	grid       *gridIndex    // nil on a view built by NewRemoteView
+	sorted     [][]int32     // the covering index: per dimension, every row id in sortKey order (buildCoveringIndex)
+	indexBuild time.Duration // how long buildCoveringIndex took
+	stats      *Stats
+	fp         string          // content fingerprint, set at build (fingerprint.go)
+	cache      *Cache          // memoized counts, rows and sample plans; nil = uncached
+	ctx        context.Context // scan cancellation; nil = never cancelled
+	shards     *shardSet       // sharded scatter-gather execution; nil = unsharded (shard.go)
+	tracker    *ShardTracker   // per-session partial-result sink; nil = untracked
 }
 
 var kernelIndex = par.NewKernel("engine.index_build")
@@ -84,27 +86,14 @@ func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, err
 	if err != nil {
 		return nil, err
 	}
-	// The grid is laid out from a census of the table through normAt, so
-	// its slot-ordered slabs are the only normalized copy ever built. Each
-	// covering index sorts the grid's slots by its own slab (attributes
-	// concurrently) and maps them to row ids in place. Every step writes
-	// disjoint slots, so the result is identical at any worker count.
+	// The covering index is built first, so its sort scratch is already
+	// garbage while the grid is laid out. The grid is laid out from a
+	// census of the table through normAt, so its slot-ordered slabs are
+	// the only normalized copy ever built. Every step writes disjoint
+	// slots, so the result is identical at any worker count.
+	v.buildCoveringIndex(workers)
 	g := newGridIndex(len(v.cols), tab.NumRows())
 	v.grid = g.layout(v, g.countCells(v, workers), 0, g.numCells(), workers)
-	v.grid.slotOf = make([]int32, len(v.grid.rows))
-	for s, r := range v.grid.rows {
-		v.grid.slotOf[r] = int32(s)
-	}
-	v.sorted = make([][]int32, len(v.cols))
-	par.For(kernelIndex, workers, len(v.cols), 1, func(_, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			idx := v.grid.sortedSlots(d)
-			for i, s := range idx {
-				idx[i] = v.grid.rows[s]
-			}
-			v.sorted[d] = idx
-		}
-	})
 	return v, nil
 }
 
@@ -160,32 +149,121 @@ func (v *View) scanCtx() context.Context {
 	return v.ctx
 }
 
-// cmpSorted is the covering index's order on rows a and b with values va
-// and vb: ascending value, NaNs after every number, equal values by
-// ascending row id. It is a total order, so every covering index sorted
-// by it is unique whatever order its sort starts from, and a k-way merge
-// of per-shard subsequences (mergeSorted) reproduces the view's exact
-// sequence at any shard count.
-func cmpSorted(va, vb float64, a, b int32) int {
-	// v != v only for a NaN; kept small enough for sortedSlots to inline.
-	switch {
-	case va < vb:
-		return -1
-	case va > vb:
-		return 1
-	case va == vb || va != va && vb != vb:
-		return int(a) - int(b)
-	case va != va:
-		return 1
+// sortKey maps a normalized value to its place in the covering index's
+// value order as an unsigned integer: ascending value, −0 equal to +0,
+// and every NaN equal to every other and after every number. It is the
+// one definition of that order; sortCovering breaks its ties by
+// ascending row id.
+func sortKey(x float64) uint64 {
+	if x != x {
+		return math.MaxUint64
 	}
-	return -1
+	if x == 0 {
+		x = 0 // −0 sorts as +0
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixBits is sortCovering's digit width: six passes cover a 64-bit
+// key, and an even count leaves the sorted rows in the caller's slice.
+// BenchmarkCoveringIndexBuild reads 11 bits about 1.6× faster than 16
+// (four passes, but each scatters into 65 536 buckets) and 1.3× faster
+// than 8.
+const radixBits = 11
+
+// coverScratch is sortCovering's reusable scratch: the second key and
+// row buffers (12 B/row) and one bucket count array per row chunk (8 KiB
+// each).
+type coverScratch struct {
+	keys   []uint64
+	rows   []int32
+	counts [][]int32
+}
+
+// sortCovering sorts rows into the covering index's order, in place:
+// keys[i] is rows[i]'s sortKey, and keys ends sorted too. It is a stable
+// LSD radix sort, so rows given in ascending row-id order keep equal
+// keys in that order. Each pass counts and scatters row chunks in
+// parallel (workers as for par.For), every chunk's rows after the
+// earlier chunks' within a bucket, so the result is identical at any
+// worker count.
+func sortCovering(keys []uint64, rows []int32, sc *coverScratch, workers int) {
+	const minChunk, mask = 1 << 16, 1<<radixBits - 1
+	n := len(keys)
+	if cap(sc.keys) < n {
+		sc.keys, sc.rows = make([]uint64, n), make([]int32, n)
+	}
+	chunks := par.ChunkCount(workers, n, minChunk)
+	for len(sc.counts) < chunks {
+		sc.counts = append(sc.counts, make([]int32, 1<<radixBits))
+	}
+	srcK, srcR, dstK, dstR := keys, rows, sc.keys[:n], sc.rows[:n]
+	for shift := 0; shift < 64; shift += radixBits {
+		par.For(kernelIndex, workers, n, minChunk, func(c, lo, hi int) {
+			cnt := sc.counts[c]
+			clear(cnt)
+			for _, k := range srcK[lo:hi] {
+				cnt[k>>shift&mask]++
+			}
+		})
+		sum := int32(0)
+		for b := 0; b <= mask; b++ {
+			for _, cnt := range sc.counts[:chunks] {
+				cnt[b], sum = sum, sum+cnt[b]
+			}
+		}
+		par.For(kernelIndex, workers, n, minChunk, func(c, lo, hi int) {
+			off := sc.counts[c]
+			for i := lo; i < hi; i++ {
+				k := srcK[i]
+				j := off[k>>shift&mask]
+				off[k>>shift&mask] = j + 1
+				dstK[j], dstR[j] = k, srcR[i]
+			}
+		})
+		srcK, srcR, dstK, dstR = dstK, dstR, srcK, srcR
+	}
+}
+
+// buildCoveringIndex sets v.sorted, one dimension at a time over one
+// scratch (20 B/row): each dimension's row ids, ascending, are sorted by
+// the sortKey of their values through normAt — the expression the grid's
+// slabs store — so a view built with or without a grid holds the same
+// index.
+func (v *View) buildCoveringIndex(workers int) {
+	start := time.Now()
+	n := v.NumRows()
+	keys := make([]uint64, n)
+	sc := &coverScratch{}
+	v.sorted = make([][]int32, len(v.cols))
+	for d := range v.sorted {
+		rows := make([]int32, n)
+		par.For(kernelIndex, workers, n, 1<<16, func(_, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				rows[r], keys[r] = int32(r), sortKey(v.normAt(d, r))
+			}
+		})
+		sortCovering(keys, rows, sc, workers)
+		v.sorted[d] = rows
+	}
+	v.indexBuild = time.Since(start)
+}
+
+// CoveringIndex reports how long the view's covering index took to
+// build and the bytes it holds.
+func (v *View) CoveringIndex() (build time.Duration, bytes int64) {
+	return v.indexBuild, 4 * int64(v.NumRows()) * int64(len(v.sorted))
 }
 
 // sortedRange returns the half-open [lo, hi) positions in sorted[dim]
-// whose values fall inside iv.
+// whose values fall inside iv, reading each probed value through normAt.
 func (v *View) sortedRange(dim int, iv geom.Interval) (int, int) {
-	idx, slab, slotOf := v.sorted[dim], v.grid.slabs[dim], v.grid.slotOf
-	return sortedRangeIn(len(idx), func(i int) float64 { return slab[slotOf[idx[i]]] }, iv)
+	idx := v.sorted[dim]
+	return sortedRangeIn(len(idx), func(i int) float64 { return v.normAt(dim, int(idx[i])) }, iv)
 }
 
 // singleConstrainedDim reports the only dimension of rect narrower than
@@ -252,8 +330,8 @@ func (v *View) Attrs() []string {
 // Dims returns the dimensionality of the exploration space.
 func (v *View) Dims() int { return len(v.cols) }
 
-// LocalIndex reports whether the view holds its own grid and covering
-// index: false only for a view built by NewRemoteView.
+// LocalIndex reports whether the view holds its own grid: false only for
+// a view built by NewRemoteView, which holds the covering index alone.
 func (v *View) LocalIndex() bool { return v.grid != nil }
 
 // NumRows returns the number of rows visible through the view.

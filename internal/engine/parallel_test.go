@@ -51,8 +51,7 @@ func TestViewBuildParallelEquivalence(t *testing.T) {
 		}
 		if got.grid.cellsPerDim != seq.grid.cellsPerDim ||
 			!reflect.DeepEqual(got.grid.offsets, seq.grid.offsets) ||
-			!reflect.DeepEqual(got.grid.rows, seq.grid.rows) ||
-			!reflect.DeepEqual(got.grid.slotOf, seq.grid.slotOf) {
+			!reflect.DeepEqual(got.grid.rows, seq.grid.rows) {
 			t.Fatalf("workers=%d: grid cell layout differs", workers)
 		}
 		if !reflect.DeepEqual(got.grid.slabs, seq.grid.slabs) {

@@ -40,9 +40,6 @@ func (v *View) SampleRect(rect geom.Rect, n int, rng *rand.Rand) []int {
 // the same order and a cell's survivors are its set bits in slot order.
 // A rows piece (rect == nil) is the materialized layout at the wire's
 // int32 width: what a remote shard answered, or a covering-index range.
-// A merged piece (merged != nil) is a sharded view's covering-index
-// range, whose merged order resolve reaches without merging the shards'
-// slices.
 //
 // Pieces are immutable once built, so the predicate cache shares them
 // across sessions; g is bound per use and never cached.
@@ -54,15 +51,6 @@ type samplePiece struct {
 	counts    []uint16 // lazy: matches per non-empty boundary cell; bigCount escapes to big
 	big       []int32  // lazy: the counts >= bigCount, in order
 	rows      []int32  // rows piece: fullTotal covered rows, then partTotal survivors
-	merged    *mergedRange
-}
-
-// mergedRange is a merged piece's state: each shard's covering-index
-// slice along dimension dim of v, in shard order.
-type mergedRange struct {
-	v     *View
-	dim   int
-	parts [][]int32
 }
 
 // bigCount marks a boundary cell whose match count does not fit a
@@ -114,18 +102,6 @@ func (p *samplePiece) walk(span func(slo, shi int32) bool, cell func(id, off, en
 // are re-evaluated — those rows are the examined count it returns; a
 // cell whose rows all match is answered from its slots alone.
 func (p *samplePiece) resolve(full, part []int) (examined int64) {
-	if m := p.merged; m != nil {
-		// A rankRow reads about k(k-1)·log²(range/k) values, a merge about
-		// 2(k-1)·range; BenchmarkMergedRangeResolve puts the crossover at
-		// draws·k·log²(range/k) = 3·range (2 shards: 56 draws of 4096 rows).
-		if k, l := len(m.parts), bits.Len(uint(p.fullTotal/len(m.parts))); len(full)*k*l*l < 3*p.fullTotal {
-			for i, j := range full {
-				full[i] = int(m.rankRow(j))
-			}
-			return 0
-		}
-		p = &samplePiece{rows: m.mergeSorted(p.fullTotal), fullTotal: p.fullTotal} // resolved as a rows piece
-	}
 	if p.rect == nil {
 		for i, j := range full {
 			full[i] = int(p.rows[j])

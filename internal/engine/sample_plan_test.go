@@ -179,7 +179,7 @@ func (w *wireShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, er
 		return nil, err
 	}
 	for k := range out {
-		if items[k].Kind != BatchSample || items[k].Sorted {
+		if items[k].Kind != BatchSample {
 			continue
 		}
 		full, partial := out[k].Sample.Blocks()
@@ -612,18 +612,11 @@ func TestSortedRangeMatchesLinear(t *testing.T) {
 				vals[i] = float64(gen.Intn(9)) * 12.5 // duplicate alphabet
 			}
 		}
-		idx := make([]int32, n)
+		idx, keys := make([]int32, n), make([]uint64, n)
 		for i := range idx {
-			idx[i] = int32(i)
+			idx[i], keys[i] = int32(i), sortKey(vals[i])
 		}
-		slices.SortFunc(idx, func(a, b int32) int { return cmpSorted(vals[a], vals[b], a, b) })
-		// A shard's covering index is an order-preserving subsequence.
-		var sub []int32
-		for _, r := range idx {
-			if gen.Intn(2) == 0 {
-				sub = append(sub, r)
-			}
-		}
+		sortCovering(keys, idx, &coverScratch{}, 1)
 		ivs := []geom.Interval{
 			{Lo: geom.NormMin, Hi: geom.NormMax},
 			{Lo: math.Inf(-1), Hi: math.Inf(1)},
@@ -639,12 +632,10 @@ func TestSortedRangeMatchesLinear(t *testing.T) {
 			ivs = append(ivs, geom.Interval{Lo: lo, Hi: lo + gen.Float64()*40})
 		}
 		for _, iv := range ivs {
-			for _, index := range [][]int32{idx, sub} {
-				lo, hi := sortedRangeIn(len(index), func(i int) float64 { return vals[index[i]] }, iv)
-				wlo, whi := linearSortedRange(index, vals, iv)
-				if lo != wlo || hi != whi {
-					t.Fatalf("trial %d iv %v: range [%d,%d), linear scan [%d,%d)", trial, iv, lo, hi, wlo, whi)
-				}
+			lo, hi := sortedRangeIn(len(idx), func(i int) float64 { return vals[idx[i]] }, iv)
+			wlo, whi := linearSortedRange(idx, vals, iv)
+			if lo != wlo || hi != whi {
+				t.Fatalf("trial %d iv %v: range [%d,%d), linear scan [%d,%d)", trial, iv, lo, hi, wlo, whi)
 			}
 		}
 	}

@@ -19,7 +19,6 @@ type ShardAnswer struct {
 	Rows           ShardRows
 	SampleExamined int64
 	Full, Partial  []int32
-	Sorted         []int32
 }
 
 // ShardAnswers runs items through b as one batch and flattens the
@@ -34,9 +33,9 @@ func ShardAnswers(tb testing.TB, b ShardBackend, items []ShardBatchItem) []Shard
 	out := make([]ShardAnswer, len(res))
 	for k, r := range res {
 		a := &out[k]
-		a.Count, a.Rows, a.Sorted = r.Count, r.Rows, nilIfEmpty(r.Sorted)
+		a.Count, a.Rows = r.Count, r.Rows
 		a.Rows.Rows = nilIfEmpty(a.Rows.Rows)
-		if items[k].Kind == BatchSample && !items[k].Sorted {
+		if items[k].Kind == BatchSample {
 			full, partial := r.Sample.Blocks()
 			for _, blk := range full {
 				a.Full = append(a.Full, blk...)
@@ -55,8 +54,8 @@ func nilIfEmpty[T any](s []T) []T {
 }
 
 // ServedBatch is one batch of every item kind a shard serves — Count,
-// Rows, RowsAny, grid samples and covering-index slices — over boundary
-// rects of a dims-dimensional view.
+// Rows, RowsAny and grid samples — over boundary rects of a
+// dims-dimensional view.
 func ServedBatch(dims int, rng *rand.Rand) []ShardBatchItem {
 	rects := boundaryRects(dims, rng)
 	var items []ShardBatchItem
@@ -64,8 +63,7 @@ func ServedBatch(dims int, rng *rand.Rand) []ShardBatchItem {
 		items = append(items,
 			ShardBatchItem{Kind: BatchCount, Rect: r},
 			ShardBatchItem{Kind: BatchRows, Rect: r},
-			ShardBatchItem{Kind: BatchSample, Rect: r},
-			ShardBatchItem{Kind: BatchSample, Sorted: true, Dim: i % dims, Iv: r[i%dims]})
+			ShardBatchItem{Kind: BatchSample, Rect: r})
 		if i > 0 {
 			items = append(items, ShardBatchItem{Kind: BatchRowsAny, Rects: []geom.Rect{r, rects[i-1], r}})
 		}

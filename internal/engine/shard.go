@@ -2,14 +2,13 @@ package engine
 
 // This file is the sharded scatter-gather execution layer. WithShards
 // splits a view's columnar grid into N contiguous cell-range shards —
-// each owning its own slot slab range, rebased CSR offsets,
-// per-dimension covering indexes and predicate-cache partition — and
-// routes every batch (batch.go; Count, RowsIn, RowsInAny and SampleRect
-// are batches of one) through a supervised fan-out: every shard answers
-// the whole batch in one backend call, a per-shard supervisor tracks
-// health (supervisor.go) with retries, optional deadlines and hedged
-// second attempts, and the gather step reassembles results in shard
-// order. Because shards cut at cell boundaries and gather in
+// each owning its own slot slab range, rebased CSR offsets and
+// predicate-cache partition — and routes every batch's grid-path items
+// (batch.go; Count, RowsIn, RowsInAny and SampleRect are batches of
+// one) through a supervised fan-out: every shard answers them in one
+// backend call, a per-shard supervisor tracks health (supervisor.go)
+// with retries, optional deadlines and hedged second attempts, and the
+// gather step reassembles results in shard order. Because shards cut at cell boundaries and gather in
 // cell order, a fault-free sharded query is bit-identical to the
 // unsharded path at any shard count; when a shard cannot serve, the
 // query returns the healthy shards' rows plus a named degradation
@@ -41,7 +40,8 @@ const (
 	// carries no sample (Count, RowsIn and RowsInAny are such batches).
 	FaultShardScan = "engine.shard.scan"
 	// FaultShardSample fires inside the shard attempts of a batch that
-	// carries a sample (SampleRect is such a batch, of one).
+	// carries a grid-path sample. Covering-index samples never reach a
+	// shard, so they roll no fault point.
 	FaultShardSample = "engine.shard.sample"
 	// FaultShardBuild fires while a shard's grid and indexes are being
 	// built.
@@ -105,14 +105,13 @@ type ShardOptions struct {
 
 // shard is one cell-range partition of a view's grid. Its grid is the
 // grid of its own cells — cut from a built view's grid (gridIndex.sub)
-// or laid out from the table for a worker (NewServedShards) — and its
-// covering index holds its own slots, so it reads values from nothing
-// but its own slabs.
+// or laid out from the table for a worker (NewServedShards) — so it
+// reads values from nothing but its own slabs. It holds no covering
+// index: the view's serves every topology.
 type shard struct {
-	index  int
-	grid   *gridIndex
-	sorted [][]int32 // per-dimension covering index: this shard's slots in (value, row id) order
-	nrows  int
+	index int
+	grid  *gridIndex
+	nrows int
 }
 
 // shardSet is the sharded execution state hung off a View. It is
@@ -157,8 +156,9 @@ func (v *View) WithShards(opts ShardOptions) *View {
 
 // NewRemoteView builds a view whose every shard is served by one of
 // backends — remote shard workers, typically (internal/shardrpc). It
-// runs only NewViewWorkers' normalization step and builds no grid,
-// covering index or shard partitions; queries scatter as through
+// builds the covering index NewViewWorkers builds, from the table it
+// holds, and no grid or shard partitions: covering-index samples
+// resolve here, and everything else scatters as through
 // WithShardBackends, with the same results. It errors unless backends
 // holds a non-nil backend for every index in [0, opts.Shards).
 func NewRemoteView(tab *dataset.Table, attrs []string, workers int, opts ShardOptions, backends map[int]ShardBackend) (*View, error) {
@@ -176,6 +176,7 @@ func NewRemoteView(tab *dataset.Table, attrs []string, workers int, opts ShardOp
 	if err != nil {
 		return nil, err
 	}
+	v.buildCoveringIndex(workers)
 	v.shards = ss
 	return v, nil
 }
@@ -384,7 +385,7 @@ func (ss *shardSet) planGrid(i int) *gridIndex {
 // each subslicing the grid's slot arrays.
 func buildShardSet(v *View, opts ShardOptions) *shardSet {
 	ss := newShardSet(opts)
-	ss.shards = newShards(v.grid.offsets, ss.n, 0, func(_, c0, c1 int) *gridIndex { return v.grid.sub(c0, c1) })
+	ss.shards = newShards(v.grid.offsets, ss.n, func(_, c0, c1 int) *gridIndex { return v.grid.sub(c0, c1) })
 	for i, sh := range ss.shards {
 		ss.backends[i] = &localShard{sh: sh}
 	}
@@ -399,7 +400,7 @@ func buildShardSet(v *View, opts ShardOptions) *shardSet {
 // shards}).LocalShardBackends(), but nothing else is built: a census
 // counts the rows per cell without storing anything per row, shardCuts
 // cuts the cells from the counts, and only the served cells' rows are
-// laid out, normalized and indexed.
+// laid out and normalized.
 func NewServedShards(tab *dataset.Table, attrs []string, workers, shards int, serve []int) (map[int]ShardBackend, string, error) {
 	if i := slices.IndexFunc(serve, func(i int) bool { return i < 0 || i >= shards }); i >= 0 {
 		return nil, "", fmt.Errorf("engine: shard %d outside [0,%d)", serve[i], shards)
@@ -411,7 +412,7 @@ func NewServedShards(tab *dataset.Table, attrs []string, workers, shards int, se
 	g := newGridIndex(len(v.cols), tab.NumRows())
 	chunks := g.countCells(v, workers)
 	out := make(map[int]ShardBackend, len(serve))
-	for _, sh := range newShards(g.offsets, shards, workers, func(i, c0, c1 int) *gridIndex {
+	for _, sh := range newShards(g.offsets, shards, func(i, c0, c1 int) *gridIndex {
 		if !slices.Contains(serve, i) {
 			return nil
 		}
@@ -441,30 +442,20 @@ func shardCuts(offsets []int32, n int) []int {
 
 // newShards cuts cells with the slot offsets offsets n ways (shardCuts)
 // and builds shard i over grid(i, c0, c1), the grid of its cells (nil:
-// not built), with a covering index sorted from its own slabs. Cells
-// never straddle a cut, so every global scan order is exactly the
-// shard-order concatenation (or ordered merge) of the per-shard orders
-// — the invariant the bit-identity guarantee rests on.
-func newShards(offsets []int32, n, workers int, grid func(i, c0, c1 int) *gridIndex) []*shard {
+// not built). A shard is its grid: no covering index is sorted per
+// shard. Cells never straddle a cut, so every global scan order is
+// exactly the shard-order concatenation of the per-shard orders — the
+// invariant the bit-identity guarantee rests on.
+func newShards(offsets []int32, n int, grid func(i, c0, c1 int) *gridIndex) []*shard {
 	cuts := shardCuts(offsets, n)
 	shards := make([]*shard, n)
-	var built []*shard
 	for i := range shards {
 		if g := grid(i, cuts[i], cuts[i+1]); g != nil {
 			pt := faultinject.PointAt(FaultShardBuild, i)
 			faultinject.Latency(pt)
 			faultinject.Panic(pt)
-			shards[i] = &shard{index: i, grid: g, sorted: make([][]int32, g.dims), nrows: len(g.rows)}
-			built = append(built, shards[i])
+			shards[i] = &shard{index: i, grid: g, nrows: len(g.rows)}
 		}
-	}
-	if len(built) > 0 {
-		dims := built[0].grid.dims
-		par.For(kernelIndex, workers, len(built)*dims, 1, func(_, lo, hi int) {
-			for t := lo; t < hi; t++ {
-				built[t/dims].sorted[t%dims] = built[t/dims].grid.sortedSlots(t % dims)
-			}
-		})
 	}
 	return shards
 }
@@ -643,70 +634,9 @@ func execShard[T any](ss *shardSet, i int, pt string, rollFaults bool, fn func(b
 	return fn(ss.backends[i])
 }
 
-// sortedSlice returns the row ids of the shard's covering-index
-// candidates for an interval of one dimension, in (value, row id) order.
-// Its index holds the shard's own slots, so the values come from its own
-// slabs, and the rows are copied out through its slot→row map.
-func (sh *shard) sortedSlice(dim int, iv geom.Interval) []int32 {
-	idx, slab := sh.sorted[dim], sh.grid.slabs[dim]
-	lo, hi := sortedRangeIn(len(idx), func(i int) float64 { return slab[idx[i]] }, iv)
-	out := make([]int32, hi-lo)
-	for k, s := range idx[lo:hi] {
-		out[k] = sh.grid.rows[s]
-	}
-	return out
-}
-
-// val returns row r's normalized value along the range's dimension.
-func (m *mergedRange) val(r int32) float64 { return m.v.normAt(m.dim, int(r)) }
-
-// mergeSorted k-way merges the shards' slices back into global order by
-// cmpSorted — the unsharded covering index's exact total order, so the
-// merge equals the unsharded index range.
-func (m *mergedRange) mergeSorted(total int) []int32 {
-	out := make([]int32, 0, total)
-	pos := make([]int, len(m.parts))
-	for len(out) < total {
-		best, head := -1, int32(0)
-		for p, part := range m.parts {
-			if pos[p] == len(part) {
-				continue
-			}
-			if r := part[pos[p]]; best < 0 || cmpSorted(m.val(r), m.val(head), r, head) < 0 {
-				best, head = p, r
-			}
-		}
-		out = append(out, head)
-		pos[best]++
-	}
-	return out
-}
-
-// rankRow returns the row at position j of the merged order without
-// merging. A row's merged position is its index in its own slice plus
-// the rows ordered before it in every other slice (a binary search each);
-// it grows with the index, so one more binary search per slice finds j.
-func (m *mergedRange) rankRow(j int) int32 {
-	pos := func(p, i int) int {
-		r, x, n := m.parts[p][i], m.val(m.parts[p][i]), i
-		for q, part := range m.parts {
-			if q != p {
-				n += sort.Search(len(part), func(k int) bool { return cmpSorted(m.val(part[k]), x, part[k], r) > 0 })
-			}
-		}
-		return n
-	}
-	for p, part := range m.parts {
-		if i := sort.Search(len(part), func(i int) bool { return pos(p, i) > j }) - 1; i >= 0 && pos(p, i) == j {
-			return part[i]
-		}
-	}
-	panic("engine: rank past the merged covering-index slices")
-}
-
 // sortedRangeIn returns the half-open [lo, hi) positions of a covering
-// index of n entries — the view's or one shard's; val(i) is entry i's
-// value — whose values fall inside iv: two binary searches, the lower
+// index of n entries — val(i) is entry i's value — whose values fall
+// inside iv: two binary searches, the lower
 // bound on iv.Lo and the first value past iv.Hi.
 func sortedRangeIn(n int, val func(i int) float64, iv geom.Interval) (int, int) {
 	lo := sort.Search(n, func(i int) bool { return val(i) >= iv.Lo })

@@ -400,11 +400,11 @@ func TestAcquireShardedWorkersSharesAndFingerprints(t *testing.T) {
 	}
 }
 
-// TestNewRemoteViewContract pins what a view with no local index is:
-// it needs a backend for every shard, keeps the built view's
-// fingerprint (so WALs and the shard hello match across topologies),
-// holds no grid, covering index or partitions, and refuses loudly to
-// be re-sharded or to hand out local shards it does not have.
+// TestNewRemoteViewContract pins what a view with no local grid is: it
+// needs a backend for every shard, keeps the built view's fingerprint
+// (so WALs and the shard hello match across topologies), holds the
+// covering index but no grid or partitions, and refuses loudly to be
+// re-sharded or to hand out local shards it does not have.
 func TestNewRemoteViewContract(t *testing.T) {
 	tab := dataset.GenerateSDSS(5_000, 1)
 	attrs := []string{"rowc", "colc"}
@@ -434,8 +434,8 @@ func TestNewRemoteViewContract(t *testing.T) {
 	if rv.Fingerprint() != base.Fingerprint() || rv.Fingerprint() != ViewFingerprint(tab, attrs) {
 		t.Fatalf("fingerprints: remote %s, built %s, computed %s", rv.Fingerprint(), base.Fingerprint(), ViewFingerprint(tab, attrs))
 	}
-	if rv.LocalIndex() || rv.grid != nil || rv.sorted != nil || rv.shards.shards != nil || !base.LocalIndex() {
-		t.Fatal("a remote view holds a local index or partitions")
+	if rv.LocalIndex() || rv.grid != nil || rv.sorted == nil || rv.shards.shards != nil || !base.LocalIndex() {
+		t.Fatal("a remote view holds a grid or partitions, or no covering index")
 	}
 	for i, h := range rv.ShardHealth() {
 		if !h.Remote || h.Rows != local[i].NumRows() {
@@ -460,48 +460,143 @@ func TestNewRemoteViewContract(t *testing.T) {
 	mustPanic("LocalShardBackends", func() { rv.LocalShardBackends() })
 }
 
-// TestMergeSortedMatchesSortedIndexWithNaN pins the one covering-index
-// order on a NaN-bearing column: merging every shard's whole covering
-// index by cmpSorted must give back the unsharded covering index exactly,
-// NaNs last. A merge that compared values with plain < would interleave
-// the NaNs, which no range query reaches today (a NaN column takes the
-// grid path) but which would silently reorder samples if one did.
-func TestMergeSortedMatchesSortedIndexWithNaN(t *testing.T) {
-	tab := randomColumnarTable(2, 3000, rand.New(rand.NewSource(41)), true)
-	base, err := NewViewWorkers(tab, tab.Schema().Names(), 1)
+// TestCoveringIndexBuildsAgree pins the one covering-index build: a
+// NewRemoteView builds exactly the index NewViewWorkers does, at any
+// worker count, and that index holds the covering index's order as
+// spelled out with float comparisons — every row once, ascending value
+// with −0 equal to +0, NaNs after every number, ties by ascending row id
+// — on tables of 0, 1 and more rows with NaNs, signed zeros and ties.
+func TestCoveringIndexBuildsAgree(t *testing.T) {
+	precedes := func(va, vb float64, a, b int32) bool {
+		switch {
+		case math.IsNaN(va) || math.IsNaN(vb):
+			if !math.IsNaN(vb) || !math.IsNaN(va) {
+				return !math.IsNaN(va)
+			}
+		case va != vb:
+			return va < vb
+		}
+		return a < b
+	}
+	rng := rand.New(rand.NewSource(37))
+	alphabet := []float64{math.NaN(), math.Copysign(0, -1), 0, 25, 50, 100}
+	negZeros := 0
+	for trial := 0; trial < 40; trial++ {
+		rows := []int{0, 1, 2, 70, 3000}[trial%5]
+		schema := dataset.Schema{{Name: "a", Min: 0, Max: 100}, {Name: "b", Min: 0, Max: 100}}
+		b := dataset.NewBuilder("covering", schema)
+		for r := 0; r < rows; r++ {
+			vals := make([]float64, len(schema))
+			for j := range vals {
+				if vals[j] = rng.Float64() * 100; rng.Intn(2) == 0 {
+					vals[j] = alphabet[rng.Intn(len(alphabet))]
+				}
+			}
+			b.Add(vals...)
+		}
+		tab := b.Build()
+		attrs := schema.Names()
+		local, err := NewViewWorkers(tab, attrs, 1+trial%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := NewRemoteView(tab, attrs, 1+trial%2, ShardOptions{Shards: 2}, map[int]ShardBackend{0: &localShard{}, 1: &localShard{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(remote.sorted, local.sorted) {
+			t.Fatalf("trial %d (%d rows): NewRemoteView's covering index differs from NewViewWorkers'", trial, rows)
+		}
+		for d, idx := range local.sorted {
+			seen := make([]bool, rows)
+			for i, r := range idx {
+				if seen[r] {
+					t.Fatalf("trial %d dim %d: row %d indexed twice", trial, d, r)
+				}
+				seen[r] = true
+				x := local.normAt(d, int(r))
+				if x == 0 && math.Signbit(x) {
+					negZeros++
+				}
+				if i == 0 {
+					continue
+				}
+				if p, px := idx[i-1], local.normAt(d, int(idx[i-1])); !precedes(px, x, p, r) {
+					t.Fatalf("trial %d dim %d: row %d (%v) sorted before row %d (%v)", trial, d, p, px, r, x)
+				}
+			}
+			if len(idx) != rows {
+				t.Fatalf("trial %d dim %d: %d of %d rows indexed", trial, d, len(idx), rows)
+			}
+		}
+	}
+	if negZeros == 0 {
+		t.Fatal("no normalized −0 reached the index")
+	}
+}
+
+// TestIndexSampleSendsNoShardItems pins that covering-index samples
+// resolve from the view's own index: under a sharded view whose every
+// backend counts its calls, a batch of nothing but index-path samples
+// calls no backend and draws the unsharded sample, while one grid-path
+// item makes the batch one call per shard.
+func TestIndexSampleSendsNoShardItems(t *testing.T) {
+	base, err := NewViewWorkers(dataset.GenerateSDSS(10_000, 3), []string{"rowc", "colc", "ra"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{2, 3, 5} {
-		ss := base.WithShards(ShardOptions{Shards: n}).shards
-		for d := range base.sorted {
-			if !base.nanCol[d] {
-				t.Fatalf("dim %d: fixture column holds no NaN", d)
+	sharded := base.WithShards(ShardOptions{Shards: 3})
+	counted := make(map[int]ShardBackend)
+	calls := make([]int, 3)
+	for i, b := range sharded.LocalShardBackends() {
+		counted[i] = &countingShard{ShardBackend: b, calls: &calls[i]}
+	}
+	remote, err := NewRemoteView(base.Table(), base.Attrs(), 1, ShardOptions{Shards: 3}, counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := sharded.WithShardBackends(counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	var queries []BatchQuery
+	for _, rect := range singleDimRects(8, 3, rng) {
+		queries = append(queries, BatchQuery{Kind: BatchSample, Rect: rect, N: 1 + rng.Intn(20)})
+	}
+	for name, v := range map[string]*View{"remote": remote, "backends": mixed} {
+		clear(calls)
+		want, got := base.ExecuteBatch(queries), v.ExecuteBatch(queries)
+		if calls[0]+calls[1]+calls[2] != 0 {
+			t.Fatalf("%s: a batch of index-path samples made %v backend calls", name, calls)
+		}
+		for i := range queries {
+			if w, g := want.Sample(i, rand.New(rand.NewSource(int64(i)))), got.Sample(i, rand.New(rand.NewSource(int64(i)))); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s query %d: sample %v, unsharded %v", name, i, g, w)
 			}
-			m := &mergedRange{v: base, dim: d, parts: make([][]int32, n)}
-			for i, sh := range ss.shards {
-				m.parts[i] = sh.sortedSlice(d, geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)})
-				for _, s := range sh.sorted[d][len(m.parts[i]):] { // the NaNs no interval reaches
-					m.parts[i] = append(m.parts[i], sh.grid.rows[s])
-				}
-			}
-			if got := m.mergeSorted(tab.NumRows()); !reflect.DeepEqual(got, base.sorted[d]) {
-				t.Fatalf("%d shards, dim %d: merged per-shard covering indexes differ from the view's", n, d)
-			}
-			for j, want := range base.sorted[d] {
-				if got := m.rankRow(j); got != want {
-					t.Fatalf("%d shards, dim %d: rankRow(%d) = %d, the view's index holds %d", n, d, j, got, want)
-				}
-			}
+		}
+		v.ExecuteBatch(append(queries, BatchQuery{Kind: BatchCount, Rect: geom.R(10, 60, 0, 100, 20, 70)}))
+		if calls[0] != 1 || calls[1] != 1 || calls[2] != 1 {
+			t.Fatalf("%s: a batch with one grid item made %v backend calls, want one per shard", name, calls)
 		}
 	}
 }
 
-// TestCoveringIndexSampleByRank pins the sharded covering-index sample
-// path that finds each drawn position by rankRow instead of merging the
-// shards' slices (a few draws from a wide range): every topology draws
-// exactly the unsharded sample.
-func TestCoveringIndexSampleByRank(t *testing.T) {
+// countingShard counts the ExecuteBatch calls that reach a backend.
+type countingShard struct {
+	ShardBackend
+	calls *int
+}
+
+func (c *countingShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, error) {
+	*c.calls++
+	return c.ShardBackend.ExecuteBatch(items)
+}
+
+// TestCoveringIndexSample pins the sharded covering-index sample path
+// (a few draws from a wide range): every topology draws exactly the
+// unsharded sample.
+func TestCoveringIndexSample(t *testing.T) {
 	tab := dataset.GenerateSDSS(40_000, 9)
 	base, err := NewViewWorkers(tab, []string{"rowc", "colc", "ra"}, 1)
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 	"github.com/explore-by-example/aide/internal/geom"
 )
 
-// remoteBatchQueries builds a mixed batch exercising every wire kind:
-// grid counts/rows/samples plus covering-index samples.
+// remoteBatchQueries builds a mixed batch exercising every wire kind —
+// grid counts, rows and samples — plus covering-index samples, which the
+// coordinator answers without the wire.
 func remoteBatchQueries(rng *rand.Rand) []engine.BatchQuery {
 	rects := randomRects(12, 2, rng)
 	out := make([]engine.BatchQuery, 0, len(rects)+2)
@@ -122,7 +123,6 @@ func FuzzBatchCodec(f *testing.F) {
 		{Kind: engine.BatchCount, Rect: geom.R(10, 20, 30, 40)},
 		{Kind: engine.BatchRows, Rect: geom.R(0, 100, 0, 100)},
 		{Kind: engine.BatchSample, Rect: geom.R(5, 6, 7, 8)},
-		{Kind: engine.BatchSample, Sorted: true, Dim: 1, Iv: geom.Interval{Lo: 25, Hi: 75}},
 		{Kind: engine.BatchRowsAny, Rects: []geom.Rect{geom.R(0, 30, 0, 30), geom.R(20, 60, 10, 40)}},
 	}
 	eItems := &enc{}
@@ -134,7 +134,6 @@ func FuzzBatchCodec(f *testing.F) {
 		{Count: engine.ShardCount{Matched: 7, Examined: 21}},
 		{Rows: engine.ShardRows{Rows: []int{1, 2, 3}, Examined: 3}},
 		{Sample: engine.NewShardSample(9, []int32{4, 5, 6}, 2)},
-		{Sorted: []int32{8, 9, 10}},
 		{Rows: engine.ShardRows{Rows: []int{11, 4, 7}, Examined: 5}},
 	}
 	eResults := &enc{}
@@ -204,8 +203,7 @@ func newFuzzFixture(f *testing.F) *fuzzFixture {
 // item is malformed for the view. An accepted batch must match the
 // unsharded view item by item — counts summed and rows concatenated in
 // shard order — and so must the same batch asked of the view whose
-// shards are the worker's: counts, rows and seeded sample draws,
-// covering-index slices (merged coordinator-side) included.
+// shards are the worker's: counts, rows and seeded sample draws.
 func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 	dims := fx.base.Dims()
 	malformed := false
@@ -241,9 +239,6 @@ func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 	queries := make([]engine.BatchQuery, len(items))
 	for k, it := range items {
 		queries[k] = engine.BatchQuery{Kind: it.Kind, Rect: it.Rect, Rects: it.Rects, N: 7}
-		if it.Sorted {
-			queries[k].Rect = singleDimRect(dims, it.Dim, it.Iv.Lo, it.Iv.Hi)
-		}
 	}
 	want := fx.base.ExecuteBatch(queries)
 	got := fx.remote.ExecuteBatch(queries)
@@ -268,18 +263,14 @@ func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 }
 
 // wellFormedItem reports whether a shard of a dims-dimensional view can
-// evaluate it: a rect of the view's arity, a disjunction of one or more
-// such rects, or a covering-index slice of one of its dimensions, with
-// NaN-free, non-inverted intervals.
+// evaluate it: a rect of the view's arity or a disjunction of one or
+// more such rects, with NaN-free, non-inverted intervals.
 func wellFormedItem(it engine.ShardBatchItem, dims int) bool {
 	valid := func(iv geom.Interval) bool { return !math.IsNaN(iv.Lo) && !math.IsNaN(iv.Hi) && iv.Lo <= iv.Hi }
 	validRect := func(r geom.Rect) bool {
 		return len(r) == dims && !slices.ContainsFunc(r, func(iv geom.Interval) bool { return !valid(iv) })
 	}
-	switch {
-	case it.Sorted:
-		return it.Dim >= 0 && it.Dim < dims && valid(it.Iv)
-	case it.Kind == engine.BatchRowsAny:
+	if it.Kind == engine.BatchRowsAny {
 		return len(it.Rects) > 0 && !slices.ContainsFunc(it.Rects, func(r geom.Rect) bool { return !validRect(r) })
 	}
 	return validRect(it.Rect)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +17,8 @@ import (
 // every well-framed, CRC-valid request a worker's shard cannot evaluate
 // — a rect of the wrong arity, a NaN or inverted bound, a covering-index
 // slice of dimension 99, a disjunction of no rects or of a malformed
-// one, an item kind the protocol does not define — through opBatch and
-// the single ops. Each must be answered with opErr from validation (not
+// one, an item kind the protocol does not define or has retired —
+// through opBatch and the single ops. Each must be answered with opErr from validation (not
 // a recovered panic), on the same connection, which then still answers a
 // well-formed batch bit-identically to the local shard. The local shard
 // itself must refuse the malformed items, and the encoder must refuse to
@@ -68,6 +69,15 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	unknownKind.u32(1)
 	unknownKind.u8(9)
 	unknownKind.rect(geom.R(0, 100, 0, 100))
+	// Kind 3 was the covering-index slice (u32 dim, interval) until
+	// protocol version 3.
+	retiredKind := &enc{}
+	retiredKind.u32(shard)
+	retiredKind.u32(1)
+	retiredKind.u8(3)
+	retiredKind.u32(0)
+	retiredKind.f64(0)
+	retiredKind.f64(100)
 	single := func(rects ...geom.Rect) []byte {
 		e := &enc{}
 		e.u32(shard)
@@ -102,8 +112,7 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 		{"batch wrong-arity count", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchCount, Rect: short})},
 		{"batch NaN rows", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRows, Rect: nanRect})},
 		{"batch inverted sample", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchSample, Rect: inverted})},
-		{"batch sorted dim 99", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchSample, Sorted: true, Dim: 99, Iv: geom.Interval{Lo: 0, Hi: 100}})},
-		{"batch sorted NaN", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchSample, Sorted: true, Dim: 0, Iv: geom.Interval{Lo: nan, Hi: 100}})},
+		{"batch retired kind 3", opBatch, retiredKind.b},
 		{"batch valid then malformed", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchCount, Rect: full}, engine.ShardBatchItem{Kind: engine.BatchCount, Rect: short})},
 		{"batch rows_any no rects", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny})},
 		{"batch rows_any one wrong arity", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: []geom.Rect{full, short}})},
@@ -144,7 +153,7 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	items := []engine.ShardBatchItem{
 		{Kind: engine.BatchCount, Rect: geom.R(10, 60, 20, 80)},
 		{Kind: engine.BatchRows, Rect: geom.R(30, 50, 30, 50)},
-		{Kind: engine.BatchSample, Sorted: true, Dim: 1, Iv: geom.Interval{Lo: 20, Hi: 40}},
+		{Kind: engine.BatchSample, Rect: geom.R(20, 40, 0, 100)},
 		{Kind: engine.BatchRowsAny, Rects: []geom.Rect{geom.R(50, 100, 0, 60), geom.R(80, 100, 30, 70)}},
 	}
 	rop, resp := exchange(opBatch, batch(items...))
@@ -159,7 +168,10 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Count != want[0].Count || !reflect.DeepEqual(got[1].Rows, want[1].Rows) || !reflect.DeepEqual(got[2].Sorted, want[2].Sorted) ||
+	gotFull, gotPart := got[2].Sample.Blocks()
+	wantFull, wantPart := want[2].Sample.Blocks()
+	if got[0].Count != want[0].Count || !reflect.DeepEqual(got[1].Rows, want[1].Rows) ||
+		!reflect.DeepEqual(slices.Concat(append(gotFull, gotPart)...), slices.Concat(append(wantFull, wantPart)...)) ||
 		len(want[3].Rows.Rows) == 0 || !reflect.DeepEqual(got[3].Rows, want[3].Rows) {
 		t.Fatal("well-formed batch after the malformed ones differs from the local shard")
 	}

@@ -3,6 +3,7 @@ package shardrpc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -103,7 +104,7 @@ func randomRects(n, dims int, rng *rand.Rand) []geom.Rect {
 }
 
 // singleDimRect constrains only dim, which steers SampleRect onto the
-// covering-index path (remote SortedSlice).
+// covering-index path, answered from the coordinator's own index.
 func singleDimRect(dims, dim int, lo, hi float64) geom.Rect {
 	r := make(geom.Rect, dims)
 	for d := range r {
@@ -168,21 +169,7 @@ func TestHelloRejectsMismatches(t *testing.T) {
 	}
 	// A version-1 coordinator knows no RowsAny item: a mixed deploy fails
 	// here, at hello, instead of degrading to shard_partial later.
-	conn, err := net.Dial("unix", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	v1 := &enc{}
-	v1.u32(1)
-	v1.str(sharded.Fingerprint())
-	v1.u32(4)
-	if err := writeFrame(conn, opHello, v1.b); err != nil {
-		t.Fatal(err)
-	}
-	if op, resp, err := readFrame(conn); err != nil || op != opErr || !strings.Contains((&dec{b: resp}).str(), "protocol version 1") {
-		t.Fatalf("version-1 hello answered op %d (%v), want a protocol version error", op, err)
-	}
+	helloRefused(t, addr, sharded.Fingerprint(), 4, 1)
 	c, err := Dial(addr, sharded.Fingerprint(), 4, Options{})
 	if err != nil {
 		t.Fatalf("matching hello rejected: %v", err)
@@ -190,6 +177,37 @@ func TestHelloRejectsMismatches(t *testing.T) {
 	defer c.Close()
 	if got := len(c.Shards()); got != 2 {
 		t.Fatalf("announced shards = %d, want 2", got)
+	}
+}
+
+// TestHelloRefusesVersion2 pins the version-3 bump: a version-2
+// coordinator would still send covering-index slices (batch item kind
+// 3), which a worker no longer answers, so its hello is refused.
+func TestHelloRefusesVersion2(t *testing.T) {
+	_, sharded := testViews(t, 2000, 2)
+	addr, _ := startWorker(t, 2000, 2, []int{0, 1})
+	helloRefused(t, addr, sharded.Fingerprint(), 2, 2)
+}
+
+// helloRefused sends a hello at protocol version on a fresh connection
+// to addr and fails unless the worker answers a protocol version error.
+func helloRefused(t *testing.T, addr, fp string, shards int, version uint32) {
+	t.Helper()
+	conn, err := net.Dial("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := &enc{}
+	hello.u32(version)
+	hello.str(fp)
+	hello.u32(uint32(shards))
+	if err := writeFrame(conn, opHello, hello.b); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("protocol version %d", version)
+	if op, resp, err := readFrame(conn); err != nil || op != opErr || !strings.Contains((&dec{b: resp}).str(), want) {
+		t.Fatalf("version-%d hello answered op %d (%v), want a protocol version error", version, op, err)
 	}
 }
 
@@ -232,8 +250,8 @@ func TestRemoteBitIdentity(t *testing.T) {
 			t.Fatalf("rect %d: SampleRect (grid) diverged\n got %v\nwant %v", ri, got, want)
 		}
 	}
-	// Covering-index path: single constrained dimension, remote
-	// SortedSlice merged back into global order.
+	// Covering-index path: single constrained dimension, answered from
+	// the view's own covering index.
 	for ri, rect := range []geom.Rect{
 		singleDimRect(2, 0, 10, 30),
 		singleDimRect(2, 1, 42.5, 57.25),

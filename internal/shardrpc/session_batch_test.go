@@ -6,13 +6,15 @@ import (
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/explore"
 	"github.com/explore-by-example/aide/internal/geom"
+	"github.com/explore-by-example/aide/internal/obs"
 )
 
 // TestRemoteBitIdentitySessionRoundTrips pins the steering loop's
 // round-trip economy end to end: once discovery has drained its frontier,
 // an iteration over a mixed local/remote topology is ONE engine batch —
-// exactly one opBatch round-trip per remote shard — and the session stays
-// bit-identical to an unsharded one.
+// exactly one opBatch round-trip per remote shard when the batch holds a
+// grid-path item, none when every sample took the covering-index path —
+// and the session stays bit-identical to an unsharded one.
 func TestRemoteBitIdentitySessionRoundTrips(t *testing.T) {
 	base, sharded := testViews(t, 8000, 4)
 	addr, _ := startWorker(t, 8000, 4, []int{1, 3})
@@ -38,13 +40,14 @@ func TestRemoteBitIdentitySessionRoundTrips(t *testing.T) {
 	remote := newSession(mixed)
 	local := newSession(base)
 
+	gridItems := obs.GetCounter("engine.path_grid")
 	const iters = 7
 	for i := 0; i < iters; i++ {
-		before := obsRPCBatch.Value()
+		before, gridBefore := obsRPCBatch.Value(), gridItems.Value()
 		if _, err := remote.RunIteration(); err != nil {
 			t.Fatal(err)
 		}
-		rounds := obsRPCBatch.Value() - before
+		rounds, scattered := obsRPCBatch.Value()-before, gridItems.Value() > gridBefore
 		if _, err := local.RunIteration(); err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +59,12 @@ func TestRemoteBitIdentitySessionRoundTrips(t *testing.T) {
 			}
 			continue
 		}
-		if rounds != 2 {
-			t.Fatalf("iteration %d cost %d opBatch round-trips, want 2 (one batch, one round per remote shard)", i, rounds)
+		want := int64(0)
+		if scattered {
+			want = 2
+		}
+		if rounds != want {
+			t.Fatalf("iteration %d (grid items: %v) cost %d opBatch round-trips, want %d (one batch, one round per remote shard if it scatters)", i, scattered, rounds, want)
 		}
 	}
 

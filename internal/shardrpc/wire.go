@@ -58,8 +58,10 @@ const maxFrameSize = 64 << 20
 
 // protocolVersion is pinned inside the hello exchange; a mismatch is a
 // deploy error and fails the handshake. Version 2 added the RowsAny
-// batch item, which a version-1 worker would misread.
-const protocolVersion = 2
+// batch item, which a version-1 worker would misread; version 3 retired
+// batch item kind 3, the covering-index slice, which a version-2
+// coordinator would still send.
+const protocolVersion = 3
 
 // crcOf is the frame checksum: crc32-IEEE over op byte + payload.
 func crcOf(body []byte) uint32 { return crc32.ChecksumIEEE(body) }
@@ -305,31 +307,25 @@ func (d *dec) sample() engine.ShardSample {
 const maxBatchItems = 4096
 
 // Wire kinds of one batch sub-query. The first three mirror their
-// engine.BatchKind values; sorted is the covering-index slice, which has
-// no BatchKind because the engine plans it from a sample rect.
+// engine.BatchKind values. Kind 3, the covering-index slice of versions
+// 1–2, is retired: it decodes as an unknown kind.
 const (
 	batchWireCount   = byte(0)
 	batchWireRows    = byte(1)
 	batchWireSample  = byte(2)
-	batchWireSorted  = byte(3)
 	batchWireRowsAny = byte(4)
 )
 
 func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 
 // encodeBatchItems appends N sub-queries: u32 count, then per item a
-// kind byte followed by the rect (single-rect grid kinds), u32 count +
-// rects (RowsAny) or u32 dim + interval endpoints (sorted). A kind it
-// cannot name is an error, never another kind.
+// kind byte followed by the rect (single-rect kinds) or u32 count +
+// rects (RowsAny). A kind it cannot name is an error, never another
+// kind.
 func encodeBatchItems(e *enc, items []engine.ShardBatchItem) error {
 	e.u32(uint32(len(items)))
 	for _, it := range items {
 		switch {
-		case it.Sorted:
-			e.u8(batchWireSorted)
-			e.u32(uint32(it.Dim))
-			e.f64(it.Iv.Lo)
-			e.f64(it.Iv.Hi)
 		case it.Kind == engine.BatchRowsAny:
 			e.u8(batchWireRowsAny)
 			e.u32(uint32(len(it.Rects)))
@@ -358,13 +354,6 @@ func decodeBatchItems(d *dec) ([]engine.ShardBatchItem, error) {
 	items := make([]engine.ShardBatchItem, 0, n)
 	for i := 0; i < n; i++ {
 		switch kind := d.u8(); kind {
-		case batchWireSorted:
-			items = append(items, engine.ShardBatchItem{
-				Kind:   engine.BatchSample,
-				Sorted: true,
-				Dim:    int(d.u32()),
-				Iv:     geom.Interval{Lo: d.f64(), Hi: d.f64()},
-			})
 		case batchWireCount, batchWireRows, batchWireSample:
 			items = append(items, engine.ShardBatchItem{Kind: engine.BatchKind(kind), Rect: d.rect()})
 		case batchWireRowsAny:
@@ -397,8 +386,6 @@ func encodeBatchResults(e *enc, items []engine.ShardBatchItem, results []engine.
 	e.u32(uint32(len(results)))
 	for k, r := range results {
 		switch {
-		case items[k].Sorted:
-			e.block32(r.Sorted)
 		case items[k].Kind == engine.BatchCount:
 			e.i64(r.Count.Matched)
 			e.i64(r.Count.Examined)
@@ -424,8 +411,6 @@ func decodeBatchResults(d *dec, items []engine.ShardBatchItem) ([]engine.ShardBa
 	out := make([]engine.ShardBatchResult, n)
 	for k := range out {
 		switch {
-		case items[k].Sorted:
-			out[k].Sorted = d.block32()
 		case items[k].Kind == engine.BatchCount:
 			out[k].Count = engine.ShardCount{Matched: d.i64(), Examined: d.i64()}
 		case items[k].Kind == engine.BatchRows, items[k].Kind == engine.BatchRowsAny:
