@@ -108,9 +108,10 @@ type HotpathReport struct {
 	Results []HotpathResult `json:"results"`
 	// ShardRoundtripsPerIteration is the measured scatter-round count per
 	// steering iteration over a 4-shard session once discovery has
-	// drained its frontier. The batched execution path's contract is 1.0:
-	// one ExecuteBatch — one scatter, one backend round per healthy
-	// shard — per iteration.
+	// drained its frontier. The batched execution path's contract is ≤ 1:
+	// at most one ExecuteBatch scatter — one backend round per healthy
+	// shard — per iteration, and none when every sample resolves on the
+	// coordinator's covering index.
 	ShardRoundtripsPerIteration float64 `json:"shard_roundtrips_per_iteration"`
 }
 
@@ -134,7 +135,7 @@ func (r *HotpathReport) String() string {
 			b.Name, b.NsPerOpWorkers1, b.NsPerOpWorkersN, b.P50NsWorkersN, b.P99NsWorkersN,
 			b.Speedup, b.BytesPerOpWorkersN, b.AllocsPerOpWorkersN, b.Identical)
 	}
-	s += fmt.Sprintf("shard roundtrips per iteration: %.2f (batched session loop; 1.0 = one scatter per iteration)\n",
+	s += fmt.Sprintf("shard roundtrips per iteration: %.2f (batched session loop; contract ≤ 1 scatter per iteration)\n",
 		r.ShardRoundtripsPerIteration)
 	return s
 }
@@ -434,8 +435,9 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 // measureShardRoundtrips runs a short steering session over a 4-shard
 // view and reports scatter rounds per iteration once discovery has
 // drained its frontier — the round-trip economy the batched session loop
-// is built for. 1.0 means each iteration's whole exploitation sample set
-// traveled as one batch.
+// is built for. The contract is ≤ 1: each iteration's exploitation sample
+// set travels as at most one batch, and index-path samples resolve on the
+// coordinator without one.
 func measureShardRoundtrips(cfg HotpathConfig) (float64, error) {
 	rows := cfg.Rows
 	if rows > 30_000 {

@@ -1,6 +1,7 @@
 package cart
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -86,4 +87,25 @@ func BenchmarkMergeAreas(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MergeAreas(areas)
 	}
+}
+
+// BenchmarkSetRetrain is a steering session's training cost: one op
+// grows a fresh Set from 20 to 1 600 session-shaped 4-D points, 20 per
+// retrain, retraining after each batch (80 retrains). ns/retrain reads
+// beside BenchmarkTrain2000's one-shot ns/op.
+func BenchmarkSetRetrain(b *testing.B) {
+	const batch, total = 20, 1600
+	points, labels := randomTrainingSet(total, 4, 1)
+	params := DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var set Set
+		for n := batch; n <= total; n += batch {
+			if _, err := set.Train(context.Background(), points[:n], labels[:n], nil, params); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total/batch), "ns/retrain")
 }

@@ -15,9 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
-	"sync"
 
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/par"
@@ -99,44 +97,13 @@ type node struct {
 type Tree struct {
 	root   *node
 	dims   int
-	params Params
 	nodes  int  // total node count
 	capped bool // true when the MaxNodes budget stopped a split
-
-	// Induction scratch, released after Train. scratch holds one reusable
-	// (value, index) buffer per split-search chunk so recursive build
-	// calls stop reallocating; dimBest collects per-dimension candidates
-	// for the ordered cross-dimension merge. ctx carries TrainCtx's
-	// cancellation into the recursive build (nil: never cancelled).
-	// weights carries TrainWeightedCtx's per-sample weights (nil: the
-	// unweighted integer-arithmetic path).
-	scratch [][]keyedIndex
-	dimBest []splitResult
-	part    []int // right-side buffer for build's in-place partition
-	ctx     context.Context
-	weights []float64
 }
-
-// trainScratch is one Train call's induction scratch: the per-chunk
-// keyed sort buffers the split-search kernel reuses across par.ForWork
-// invocations, the per-dimension candidate table, and the partition
-// buffer. Pooling it across Train calls matters because steering
-// sessions retrain every iteration — without the pool, the parallel
-// path reallocated every chunk buffer per call (~494 KB/op at
-// workers=N vs ~198 KB/op sequential). Reuse is deterministic: every
-// buffer is fully overwritten before it is read (sortKeyed resizes and
-// rewrites, dimBest is written for all dims before the merge, part is
-// truncated per partition).
-type trainScratch struct {
-	bufs    [][]keyedIndex
-	dimBest []splitResult
-	part    []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return &trainScratch{} }}
 
 // Train fits a tree to the given points and labels. It returns an error
-// when the inputs are empty or ragged.
+// when the inputs are empty or ragged. It is a one-shot Set.Train: a
+// caller that retrains on a growing training set keeps a Set instead.
 func Train(points []geom.Point, labels []bool, params Params) (*Tree, error) {
 	return TrainCtx(context.Background(), points, labels, params)
 }
@@ -146,153 +113,7 @@ func Train(points []geom.Point, labels []bool, params Params) (*Tree, error) {
 // the partial tree. An uncancelled ctx yields a tree bit-identical to
 // Train's.
 func TrainCtx(ctx context.Context, points []geom.Point, labels []bool, params Params) (*Tree, error) {
-	return train(ctx, points, labels, nil, params)
-}
-
-// train is the shared induction entry point behind TrainCtx (weights nil)
-// and TrainWeightedCtx (weights per sample).
-func train(ctx context.Context, points []geom.Point, labels []bool, weights []float64, params Params) (*Tree, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("cart: no training samples")
-	}
-	if len(points) != len(labels) {
-		return nil, fmt.Errorf("cart: %d points vs %d labels", len(points), len(labels))
-	}
-	d := len(points[0])
-	if d == 0 {
-		return nil, fmt.Errorf("cart: zero-dimensional points")
-	}
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("cart: point %d has %d dims, want %d", i, len(p), d)
-		}
-	}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if params.MinLeaf < 1 {
-		params.MinLeaf = 1
-	}
-	idx := make([]int, len(points))
-	for i := range idx {
-		idx[i] = i
-	}
-	t := &Tree{dims: d, params: params, weights: weights}
-	if ctx != nil && ctx != context.Background() {
-		t.ctx = ctx
-	}
-	chunks := par.ChunkCount(params.Workers, d, 1)
-	sc := scratchPool.Get().(*trainScratch)
-	if len(sc.bufs) < chunks {
-		b := make([][]keyedIndex, chunks)
-		copy(b, sc.bufs) // keep already-grown chunk buffers
-		sc.bufs = b
-	}
-	if len(sc.dimBest) < d {
-		sc.dimBest = make([]splitResult, d)
-	}
-	t.scratch = sc.bufs[:chunks]
-	t.dimBest = sc.dimBest[:d]
-	t.part = sc.part[:0]
-	t.nodes = 1 // the root; each split commits two more
-	t.root = t.build(points, labels, idx, 0)
-	sc.part = t.part // partition buffer may have regrown; keep the capacity
-	scratchPool.Put(sc)
-	t.scratch, t.dimBest, t.part, t.weights = nil, nil, nil, nil
-	if t.ctx != nil {
-		if err := t.ctx.Err(); err != nil {
-			t.ctx = nil
-			return nil, fmt.Errorf("cart: training cancelled: %w", err)
-		}
-	}
-	t.ctx = nil
-	return t, nil
-}
-
-// build grows the subtree for the samples in idx. A cancelled training
-// context prunes the recursion immediately (TrainCtx discards the
-// partial tree).
-func (t *Tree) build(points []geom.Point, labels []bool, idx []int, depth int) *node {
-	if t.ctx != nil && t.ctx.Err() != nil {
-		return &node{dim: -1}
-	}
-	n := len(idx)
-	nPos := 0
-	for _, i := range idx {
-		if labels[i] {
-			nPos++
-		}
-	}
-	nd := &node{dim: -1, n: n, nPos: nPos, relevant: nPos*2 > n}
-	if t.weights != nil {
-		// Weighted majority vote: down-weighted (conflicted) samples pull
-		// less on the leaf prediction.
-		var wPos, wTot float64
-		for _, i := range idx {
-			w := t.weights[i]
-			wTot += w
-			if labels[i] {
-				wPos += w
-			}
-		}
-		nd.relevant = wPos*2 > wTot
-	}
-	if nPos == 0 || nPos == n {
-		return nd // pure
-	}
-	if t.params.MaxDepth > 0 && depth >= t.params.MaxDepth {
-		return nd
-	}
-	if t.params.MaxNodes > 0 && t.nodes+2 > t.params.MaxNodes {
-		// Node budget exhausted: stop splitting here. Because induction is
-		// depth-first in a fixed order, the truncation point — and thus the
-		// whole capped tree — is deterministic.
-		t.capped = true
-		return nd
-	}
-	var (
-		dim  int
-		thr  float64
-		gain float64
-	)
-	if t.weights == nil {
-		dim, thr, gain = t.bestSplit(points, labels, idx)
-	} else {
-		dim, thr, gain = t.bestSplitWeighted(points, labels, idx)
-	}
-	if dim < 0 || gain < t.params.MinGain {
-		return nd
-	}
-	// Partition idx in place around the split, preserving relative order
-	// on both sides (left as a prefix, right as a suffix) exactly as the
-	// old left/right append loops did. t.part buffers the right side; its
-	// contents are dead before the recursive calls below, so one per-tree
-	// buffer serves every node with zero per-node allocation. Permuting
-	// idx is safe even when the split is then rejected: callers never
-	// re-read their index slice after passing it down.
-	k := 0
-	t.part = t.part[:0]
-	for _, i := range idx {
-		if points[i][dim] <= thr {
-			idx[k] = i
-			k++
-		} else {
-			t.part = append(t.part, i)
-		}
-	}
-	copy(idx[k:], t.part)
-	left, right := idx[:k], idx[k:]
-	if len(left) < t.params.MinLeaf || len(right) < t.params.MinLeaf {
-		return nd
-	}
-	nd.dim = dim
-	nd.thr = thr
-	// Commit both children before recursing so the MaxNodes check above
-	// accounts for right siblings the depth-first walk has not built yet.
-	t.nodes += 2
-	nd.left = t.build(points, labels, left, depth+1)
-	nd.right = t.build(points, labels, right, depth+1)
-	return nd
+	return new(Set).Train(ctx, points, labels, nil, params)
 }
 
 // splitResult is one dimension's best split candidate.
@@ -302,73 +123,18 @@ type splitResult struct {
 	ok   bool
 }
 
-// bestSplit scans every dimension for the midpoint threshold with maximal
-// Gini gain. The per-dimension sweeps are independent, so they fan out
-// across the par worker pool (chunked over dimensions, one reusable sort
-// buffer per chunk); the cross-dimension merge then walks dimensions in
-// ascending order, so ties break toward the lower dimension index and
-// lower threshold and induction is deterministic — and identical — at
-// every worker count.
-//
-// Tie-break semantics: each dimension keeps the first candidate whose
-// gain exceeds its running per-dimension best by 1e-15, and the merge
-// keeps the first dimension whose best exceeds the running cross-dim
-// best by 1e-15. This is a fixed two-level rule independent of worker
-// count, but it is not bit-identical to a single global left-to-right
-// sweep (where acceptance within a dimension compared against bests
-// from earlier dimensions) when candidates land within 1e-15 of each
-// other across dimensions — a sub-epsilon near-tie that cannot occur
-// with the synthetic float data exercised here and is astronomically
-// rare on real data. The global-sweep rule is inherently sequential
-// (dimension d's choice depends on dimensions < d), so it cannot be
-// decomposed per-dimension; the two-level rule is the deterministic
-// replacement.
-func (t *Tree) bestSplit(points []geom.Point, labels []bool, idx []int) (bestDim int, bestThr, bestGain float64) {
-	n := len(idx)
-	nPos := 0
-	for _, i := range idx {
-		if labels[i] {
-			nPos++
-		}
-	}
-	parent := gini(nPos, n)
-
-	// Work hint: the sweep sorts len(idx) pairs per dimension, so total
-	// cost scales with dims × len(idx). Deep nodes with a handful of
-	// samples run inline instead of paying chunk handoff — the fix for the
-	// chunked path being a net slowdown on small subtrees.
-	par.ForWork(kernelSplit, t.params.Workers, t.dims, 1, t.dims*len(idx), func(chunk, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			t.dimBest[d] = bestSplitDim(points, labels, idx, d, parent, nPos, &t.scratch[chunk])
-		}
-	})
-
-	bestDim = -1
-	for d, r := range t.dimBest {
-		if r.ok && r.gain > bestGain+1e-15 {
-			bestDim, bestThr, bestGain = d, r.thr, r.gain
-		}
-	}
-	return bestDim, bestThr, bestGain
-}
-
-// bestSplitDim sweeps one dimension for its best midpoint threshold. buf
-// is the chunk's reusable (value, index) scratch: sorting dominates
-// induction cost, so the pairs are sorted with a concrete comparator and
-// the buffer is hoisted out of the recursive build to kill per-call
-// allocation churn.
-func bestSplitDim(points []geom.Point, labels []bool, idx []int, d int, parent float64, nPos int, buf *[]keyedIndex) splitResult {
-	n := len(idx)
-	keyed := sortKeyed(points, idx, d, buf)
+// sweep scans one dimension's presorted segment for its best midpoint
+// threshold, evaluating only between distinct values.
+func sweep(seg []entry, labels []bool, parent float64, nPos int) splitResult {
+	n := len(seg)
 	var best splitResult
 	leftPos, leftN := 0, 0
 	for k := 0; k < n-1; k++ {
-		i := keyed[k].idx
 		leftN++
-		if labels[i] {
+		if labels[seg[k].row] {
 			leftPos++
 		}
-		v, next := keyed[k].key, keyed[k+1].key
+		v, next := seg[k].key, seg[k+1].key
 		if v == next {
 			continue // can only split between distinct values
 		}
@@ -381,40 +147,6 @@ func bestSplitDim(points []geom.Point, labels []bool, idx []int, d int, parent f
 		}
 	}
 	return best
-}
-
-// keyedIndex pairs a sample index with its value on the dimension being
-// scanned, so split search can sort with a concrete comparator.
-type keyedIndex struct {
-	key float64
-	idx int
-}
-
-// sortKeyed fills buf with (value, index) pairs for idx on dimension d
-// and sorts them ascending by value, reusing buf's capacity across calls.
-func sortKeyed(points []geom.Point, idx []int, d int, buf *[]keyedIndex) []keyedIndex {
-	n := len(idx)
-	keyed := *buf
-	if cap(keyed) < n {
-		keyed = make([]keyedIndex, n)
-		*buf = keyed
-	} else {
-		keyed = keyed[:n]
-	}
-	for j, i := range idx {
-		keyed[j] = keyedIndex{key: points[i][d], idx: i}
-	}
-	slices.SortFunc(keyed, func(a, b keyedIndex) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return keyed
 }
 
 // gini returns the Gini impurity of a node with pos positives out of n.

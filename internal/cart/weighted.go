@@ -2,11 +2,8 @@ package cart
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"github.com/explore-by-example/aide/internal/geom"
-	"github.com/explore-by-example/aide/internal/par"
 )
 
 // TrainWeighted fits a tree with a per-sample weight on every training
@@ -26,67 +23,24 @@ func TrainWeighted(points []geom.Point, labels []bool, weights []float64, params
 // TrainWeightedCtx is TrainWeighted with cooperative cancellation,
 // mirroring TrainCtx.
 func TrainWeightedCtx(ctx context.Context, points []geom.Point, labels []bool, weights []float64, params Params) (*Tree, error) {
-	if weights == nil {
-		return TrainCtx(ctx, points, labels, params)
-	}
-	if len(weights) != len(points) {
-		return nil, fmt.Errorf("cart: %d weights vs %d points", len(weights), len(points))
-	}
-	for i, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-			return nil, fmt.Errorf("cart: weight %d = %v (want finite > 0)", i, w)
-		}
-	}
-	return train(ctx, points, labels, weights, params)
+	return new(Set).Train(ctx, points, labels, weights, params)
 }
 
-// bestSplitWeighted is bestSplit over weighted impurity. The per-dimension
-// sweeps accumulate weight sums sequentially in sorted-key order, so the
-// result is deterministic — and identical — at every worker count; the
-// cross-dimension merge keeps the same two-level 1e-15 tie-break as the
-// unweighted path.
-func (t *Tree) bestSplitWeighted(points []geom.Point, labels []bool, idx []int) (bestDim int, bestThr, bestGain float64) {
-	var wPos, wTot float64
-	for _, i := range idx {
-		w := t.weights[i]
-		wTot += w
-		if labels[i] {
-			wPos += w
-		}
-	}
-	parent := giniW(wPos, wTot)
-
-	// Same work hint as the unweighted path: sub-threshold nodes sweep
-	// inline instead of paying chunk handoff.
-	par.ForWork(kernelSplit, t.params.Workers, t.dims, 1, t.dims*len(idx), func(chunk, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			t.dimBest[d] = bestSplitDimWeighted(points, labels, t.weights, idx, d, parent, wPos, wTot, &t.scratch[chunk])
-		}
-	})
-
-	bestDim = -1
-	for d, r := range t.dimBest {
-		if r.ok && r.gain > bestGain+1e-15 {
-			bestDim, bestThr, bestGain = d, r.thr, r.gain
-		}
-	}
-	return bestDim, bestThr, bestGain
-}
-
-// bestSplitDimWeighted sweeps one dimension for the midpoint threshold
-// with maximal weighted Gini gain.
-func bestSplitDimWeighted(points []geom.Point, labels []bool, weights []float64, idx []int, d int, parent, wPos, wTot float64, buf *[]keyedIndex) splitResult {
-	n := len(idx)
-	keyed := sortKeyed(points, idx, d, buf)
+// sweepWeighted scans one dimension's presorted segment for the midpoint
+// threshold with maximal weighted Gini gain. Weight sums accumulate in
+// segment order — ascending value, ties by ascending row index — so the
+// result is deterministic at every worker count.
+func sweepWeighted(seg []entry, labels []bool, weights []float64, parent, wPos, wTot float64) splitResult {
+	n := len(seg)
 	var best splitResult
 	var leftWPos, leftW float64
 	for k := 0; k < n-1; k++ {
-		i := keyed[k].idx
+		i := seg[k].row
 		leftW += weights[i]
 		if labels[i] {
 			leftWPos += weights[i]
 		}
-		v, next := keyed[k].key, keyed[k+1].key
+		v, next := seg[k].key, seg[k+1].key
 		if v == next {
 			continue // can only split between distinct values
 		}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -26,6 +27,7 @@ type baseline struct {
 	labels  []bool
 	nPos    int
 
+	set   cart.Set // the labelled points, presorted across retrains
 	tree  *cart.Tree
 	areas []geom.Rect
 	iter  int
@@ -67,7 +69,7 @@ func (b *baseline) label(row int, res *IterationResult) bool {
 
 func (b *baseline) retrain(res *IterationResult) error {
 	if b.nPos > 0 && b.nPos < len(b.rows) {
-		tree, err := cart.Train(b.points, b.labels, cart.DefaultParams())
+		tree, err := b.set.Train(context.Background(), b.points, b.labels, nil, cart.DefaultParams())
 		if err != nil {
 			return err
 		}

@@ -51,6 +51,7 @@ type Session struct {
 	// degradation, never a silent wrong answer.
 	shardTracker *engine.ShardTracker
 
+	set   cart.Set // the labelled points, presorted across retrains
 	tree  *cart.Tree
 	areas []geom.Rect // current relevant areas (normalized, unmerged)
 
@@ -392,7 +393,7 @@ func (s *Session) RunIterationCtx(ctx context.Context) (*IterationResult, error)
 		// training through the exact unweighted integer path — the session
 		// stays bit-identical to one without the ledger. Conflicted rows
 		// train with their agreement ratio as weight.
-		tree, err := cart.TrainWeightedCtx(s.iterCtx(), s.points, s.labels, s.ledger.weights(s.rows), s.opts.Tree)
+		tree, err := s.set.Train(s.iterCtx(), s.points, s.labels, s.ledger.weights(s.rows), s.opts.Tree)
 		if err != nil {
 			ts.End()
 			root.End()
