@@ -10,7 +10,8 @@
 // rough factors, crossovers) reproduce the paper. See EXPERIMENTS.md.
 //
 // The -json flag instead runs the hot-path worker-pool benchmark (CART
-// training, grid scans, index build, k-means at workers=1 vs N) and
+// training, grid scans, index build at workers=1 vs N; k-means, which
+// runs sequentially, on both sides) and
 // writes the machine-readable report tracked as BENCH_hotpaths.json:
 //
 //	aidebench -json BENCH_hotpaths.json

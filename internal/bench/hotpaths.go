@@ -384,33 +384,36 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		measure(cfg.MinTime, benchKernelSeconds.With("sample_plan"), func() { drawPlans(planView, warmRng) }),
 		planIdentical))
 
+	// kmeans_cluster and kmeans_hierarchy: k-means has one sequential
+	// kernel (its bounds leave a compare per point, too little to fan
+	// out), so both sides time it. identical: two runs from one seed are
+	// bit-identical and leave the rng at the same position.
+	//
 	// kmeans_cluster: the assignment-dominated clustering behind
 	// skew-aware discovery and misclassified exploitation.
 	cpoints := hotpathClusterSet(cfg.ClusterPoints, 4, cfg.Seed)
-	clusterAt := func(w int) *kmeans.Result {
-		res, err := kmeans.Cluster(cpoints, kmeans.Params{K: 16, MaxIters: 20, Workers: w},
-			rand.New(rand.NewSource(cfg.Seed)))
+	cluster := func(rng *rand.Rand) *kmeans.Result {
+		res, err := kmeans.Cluster(cpoints, kmeans.Params{K: 16, MaxIters: 20}, rng)
 		if err != nil {
 			panic(err)
 		}
 		return res
 	}
-	cSeq, cPar := clusterAt(1), clusterAt(workers)
+	clusterSeeded := func() { cluster(rand.New(rand.NewSource(cfg.Seed))) }
 	rep.Results = append(rep.Results, hotpathResult("kmeans_cluster",
-		measure(cfg.MinTime, nil, func() { clusterAt(1) }),
-		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_cluster"), func() { clusterAt(workers) }),
-		reflect.DeepEqual(cSeq.Assign, cPar.Assign) && cSeq.Inertia == cPar.Inertia))
+		measure(cfg.MinTime, nil, clusterSeeded),
+		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_cluster"), clusterSeeded),
+		sameClustering(cfg.Seed, func(rng *rand.Rand) any { return cluster(rng) })))
 
 	// kmeans_hierarchy: the three-level fit clustering discovery runs
 	// inside session creation at default options — a 2000-point sample of
 	// a skewed 2-d space, K = 16/64/250, one rng threaded through the
-	// levels. Seeding-dominated at the deep levels, unlike kmeans_cluster.
+	// levels.
 	hpoints := hotpathClusterSet(2000, 2, cfg.Seed)
-	hierarchyAt := func(w int) []*kmeans.Result {
-		rng := rand.New(rand.NewSource(cfg.Seed))
+	hierarchy := func(rng *rand.Rand) []*kmeans.Result {
 		levels := make([]*kmeans.Result, 0, 3)
 		for _, k := range []int{16, 64, 250} {
-			res, err := kmeans.Cluster(hpoints, kmeans.Params{K: k, MaxIters: 20, Workers: w}, rng)
+			res, err := kmeans.Cluster(hpoints, kmeans.Params{K: k, MaxIters: 20}, rng)
 			if err != nil {
 				panic(err)
 			}
@@ -418,10 +421,11 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		}
 		return levels
 	}
+	hierarchySeeded := func() { hierarchy(rand.New(rand.NewSource(cfg.Seed))) }
 	rep.Results = append(rep.Results, hotpathResult("kmeans_hierarchy",
-		measure(cfg.MinTime, nil, func() { hierarchyAt(1) }),
-		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_hierarchy"), func() { hierarchyAt(workers) }),
-		reflect.DeepEqual(hierarchyAt(1), hierarchyAt(workers))))
+		measure(cfg.MinTime, nil, hierarchySeeded),
+		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_hierarchy"), hierarchySeeded),
+		sameClustering(cfg.Seed, func(rng *rand.Rand) any { return hierarchy(rng) })))
 
 	rt, err := measureShardRoundtrips(cfg)
 	if err != nil {
@@ -492,6 +496,14 @@ func levelZeroSamples(d, n int) []engine.BatchQuery {
 		out[i] = engine.BatchQuery{Kind: engine.BatchSample, N: 1, Rect: geom.RectAround(g.Center(c), gamma, geom.NewRect(d))}
 	}
 	return out
+}
+
+// sameClustering runs fit twice from one seed and reports whether the
+// two results are deeply equal and leave the rng at the same position.
+func sameClustering(seed int64, fit func(*rand.Rand) any) bool {
+	r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	a, b := fit(r1), fit(r2)
+	return reflect.DeepEqual(a, b) && r1.Int63() == r2.Int63()
 }
 
 func hotpathResult(name string, seq, parl measurement, identical bool) HotpathResult {

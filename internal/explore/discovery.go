@@ -265,7 +265,7 @@ func newClusterDiscovery(s *Session) (*clusterDiscovery, error) {
 
 	cd := &clusterDiscovery{}
 	for l, k := range ks {
-		resK, err := kmeans.Cluster(points, kmeans.Params{K: k, MaxIters: 20, Workers: s.opts.Workers}, s.rng)
+		resK, err := kmeans.Cluster(points, kmeans.Params{K: k, MaxIters: 20}, s.rng)
 		if err != nil {
 			return nil, fmt.Errorf("explore: clustering level %d: %w", l, err)
 		}

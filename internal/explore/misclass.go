@@ -58,7 +58,7 @@ func (s *Session) planMisclass(res *IterationResult) []sampleRequest {
 // f x c samples within a distance y of the farthest cluster member in
 // each dimension, where c is the cluster size (Figure 5).
 func (s *Session) planMisclassClustered(fns []geom.Point, k int) []sampleRequest {
-	res, err := kmeans.ClusterCtx(s.iterCtx(), fns, kmeans.Params{K: k, Workers: s.opts.Workers}, s.rng)
+	res, err := kmeans.ClusterCtx(s.iterCtx(), fns, kmeans.Params{K: k}, s.rng)
 	if err != nil {
 		return nil
 	}

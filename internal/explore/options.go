@@ -187,10 +187,10 @@ type Options struct {
 	// zero value is unlimited.
 	Budget Budget
 
-	// Workers sets the worker count for the session's parallel kernels,
-	// CART split search and k-means assignment: 0 means automatic (the
-	// AIDE_WORKERS environment variable, else GOMAXPROCS), 1 forces the
-	// sequential paths. Engine queries run one walk per batch and do not
+	// Workers sets the worker count for the session's one parallel
+	// kernel, CART split search: 0 means automatic (the AIDE_WORKERS
+	// environment variable, else GOMAXPROCS), 1 forces the sequential
+	// path. Engine queries run one walk per batch and do not
 	// read it. Every kernel produces results independent of the worker
 	// count, so sessions with equal seeds stay identical at any Workers
 	// setting.

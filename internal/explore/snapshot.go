@@ -2,12 +2,12 @@ package explore
 
 import (
 	"bufio"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
 
-	"github.com/explore-by-example/aide/internal/cart"
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/grid"
@@ -258,9 +258,11 @@ func Resume(r io.Reader, view *engine.View, oracle Oracle) (*Session, error) {
 		return nil, err
 	}
 	// Rebuild the classifier so areas/prediction are immediately
-	// available (they are derived state).
+	// available (they are derived state). It trains through the session's
+	// Set, so the restored rows are sorted here once and the first retrain
+	// sorts only the rows labelled after the resume.
 	if s.nPos > 0 && s.nPos < len(s.rows) {
-		tree, err := cart.TrainWeighted(s.points, s.labels, s.ledger.weights(s.rows), s.opts.Tree)
+		tree, err := s.set.Train(context.Background(), s.points, s.labels, s.ledger.weights(s.rows), s.opts.Tree)
 		if err != nil {
 			return nil, fmt.Errorf("explore: retraining after resume: %w", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/explore-by-example/aide/internal/dataset"
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/geom"
+	"github.com/explore-by-example/aide/internal/obs"
 )
 
 func TestSaveResumeRoundTrip(t *testing.T) {
@@ -209,5 +210,45 @@ func TestSaveResumeGridFrontierPreserved(t *testing.T) {
 	if len(gd.frontier) != origFrontier || len(gd.next) != origNext {
 		t.Errorf("frontier/next = %d/%d, want %d/%d",
 			len(gd.frontier), len(gd.next), origFrontier, origNext)
+	}
+}
+
+// TestResumeSortsRestoredRowsOnce: Resume rebuilds the classifier through
+// the session's cart.Set, so across the resume and the first retrain
+// after it CART sorts each labelled row once per dimension, not the
+// restored rows twice.
+func TestResumeSortsRestoredRowsOnce(t *testing.T) {
+	v := testView(t, 20000, 201)
+	target := geom.R(30, 45, 50, 65)
+	s, err := NewSession(v, rectOracle(target), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := s.RunIteration(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sorted := obs.GetCounter("cart.keys_sorted")
+	before := sorted.Value()
+	r, err := Resume(bytes.NewReader(buf.Bytes()), v, rectOracle(target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := r.LabeledCount()
+	if r.RelevantAreas() == nil {
+		t.Fatal("resume trained no classifier; the case no longer covers the resume retrain")
+	}
+	if _, err := r.RunIteration(); err != nil {
+		t.Fatal(err)
+	}
+	got := sorted.Value() - before
+	t.Logf("%d rows restored, %d after the first retrain, %d keys sorted", restored, r.LabeledCount(), got)
+	if want := int64(v.Dims() * r.LabeledCount()); got != want {
+		t.Errorf("keys sorted across resume and first retrain = %d, want dims × labelled rows = %d", got, want)
 	}
 }

@@ -16,22 +16,18 @@ import (
 
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/obs"
-	"github.com/explore-by-example/aide/internal/par"
 )
-
-// Parallel kernels: assignment (nearest-centroid search) and seeding
-// (distance-to-nearest-center). minAssignChunk keeps goroutine overhead
-// off small point sets.
-var (
-	kernelAssign = par.NewKernel("kmeans.assign")
-	kernelSeed   = par.NewKernel("kmeans.seed")
-)
-
-const minAssignChunk = 256
 
 // obsClusterSeconds is the wall time of one Cluster call (observational
 // only, resolved once).
 var obsClusterSeconds = obs.GetHistogram("kmeans.cluster_seconds")
+
+// obsDistanceEvals counts the point-to-centroid squared distances a run
+// evaluates: n per k-means++ round, which also settles the first Lloyd
+// assignment, then whatever the bounds leave of the later assignments,
+// the empty-cluster re-seeds and the final pass. Unpruned, a run costs
+// n·k·(Iters+1). Centroid-to-centroid gaps are not counted.
+var obsDistanceEvals = obs.GetCounter("kmeans.distance_evals")
 
 // Result holds the output of a clustering run.
 type Result struct {
@@ -106,13 +102,6 @@ type Params struct {
 	MaxIters int
 	// Tol stops early when centroid movement falls below it (default 1e-6).
 	Tol float64
-	// Workers sets the worker count for the assignment step: 0 means
-	// automatic (AIDE_WORKERS or GOMAXPROCS), 1 forces the sequential
-	// path. Results are bit-identical at every worker count: each point's
-	// nearest centroid is independent, and every floating-point
-	// accumulation (centroid sums, inertia) stays sequential in point
-	// order.
-	Workers int
 }
 
 // ErrBadParams marks Params rejected by Validate.
@@ -130,9 +119,6 @@ func (p Params) Validate() error {
 	}
 	if p.Tol < 0 || math.IsNaN(p.Tol) || math.IsInf(p.Tol, 0) {
 		return fmt.Errorf("%w: Tol = %v", ErrBadParams, p.Tol)
-	}
-	if p.Workers < 0 {
-		return fmt.Errorf("%w: Workers = %d", ErrBadParams, p.Workers)
 	}
 	return nil
 }
@@ -181,8 +167,9 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 		copy(pts[i*d:], p)
 	}
 
-	cents, k := seedPlusPlus(pts, n, d, params.K, rng, params.Workers)
-	assign := make([]int, n)
+	l := newLloyd(pts, n, d)
+	cents := l.seed(params.K, rng)
+	k, assign := l.k, l.assign
 	sizes := make([]int, k)
 
 	// Double-buffered centroid set: sums accumulate into next (never the
@@ -193,14 +180,16 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 	iters := 0
 	for iters < params.MaxIters {
 		if err := ctx.Err(); err != nil {
+			obsDistanceEvals.Add(l.evals)
 			return nil, fmt.Errorf("kmeans: cancelled after %d iterations: %w", iters, err)
 		}
-		iters++
-		// Assignment step: each point's nearest centroid is independent,
-		// so it fans out across the worker pool.
-		assignNearest(pts, cents, k, d, params.Workers, assign, nil)
+		// Seeding left every point at its nearest seed, so the first
+		// iteration's assignment step is already done.
+		if iters++; iters > 1 {
+			l.assignPass(cents, nil)
+		}
 		// Update step: sizes and centroid sums in one pass, sequential in
-		// point order so the float sums are the same at every worker count.
+		// point order.
 		clear(sizes)
 		clear(next)
 		for i, a := range assign {
@@ -211,59 +200,53 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 			}
 		}
 		moved := 0.0
+		far := -1
 		for c := 0; c < k; c++ {
-			nc := next[c*d : (c+1)*d]
+			oc, nc := cents[c*d:(c+1)*d], next[c*d:(c+1)*d]
 			if sizes[c] == 0 {
 				// Re-seed an empty cluster at the farthest point from its
-				// nearest old centroid to keep k stable.
-				f := farthestPoint(pts, cents, n, k, d)
-				copy(nc, pts[f*d:(f+1)*d])
+				// nearest old centroid to keep k stable. Every empty
+				// cluster of an iteration gets the same point, so it is
+				// searched for once.
+				if far < 0 {
+					far = l.farthestPoint(cents)
+				}
+				copy(nc, pts[far*d:(far+1)*d])
 				moved = math.Inf(1)
-				continue
+			} else {
+				for j := range nc {
+					nc[j] /= float64(sizes[c])
+				}
 			}
-			for j := range nc {
-				nc[j] /= float64(sizes[c])
+			step := math.Sqrt(sqDist(oc, nc))
+			if sizes[c] > 0 {
+				moved += step
 			}
-			moved += math.Sqrt(sqDist(cents[c*d:(c+1)*d], nc))
+			l.drift[c] = step
 		}
+		l.shift()
 		cents, next = next, cents
 		if moved < params.Tol {
 			break
 		}
 	}
 
-	// Final assignment with the converged centroids. Distances compute in
-	// parallel; inertia accumulates sequentially in point order so the
-	// float sum is reproducible at every worker count.
+	// Final assignment with the converged centroids; inertia accumulates
+	// sequentially in point order.
 	res := &Result{Centroids: make([]geom.Point, k), Assign: assign, Sizes: sizes, Iters: iters}
 	for c := range res.Centroids {
 		res.Centroids[c] = cents[c*d : (c+1)*d : (c+1)*d]
 	}
 	dists := make([]float64, n)
-	assignNearest(pts, cents, k, d, params.Workers, assign, dists)
+	l.assignPass(cents, dists)
 	clear(sizes)
 	for i, a := range assign {
 		sizes[a]++
 		res.Inertia += dists[i]
 	}
+	obsDistanceEvals.Add(l.evals)
 	obsClusterSeconds.Observe(time.Since(start).Seconds())
 	return res, nil
-}
-
-// nearest is the one distance kernel: it returns the index of the
-// centroid (the k rows of stride len(p) in cents) nearest to p and the
-// squared distance to it. Ties keep the lowest index, and each distance
-// sums its squared coordinate differences in dimension order, so a given
-// (point, centroid) pair yields the same float wherever it is evaluated.
-func nearest(p, cents []float64, k int) (best int, bestD float64) {
-	d := len(p)
-	bestD = math.Inf(1)
-	for c := 0; c < k; c++ {
-		if s := sqDist(p, cents[c*d:(c+1)*d]); s < bestD {
-			best, bestD = c, s
-		}
-	}
-	return best, bestD
 }
 
 func sqDist(a, b []float64) float64 {
@@ -276,73 +259,288 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// assignNearest writes each point's nearest-centroid index into assign
-// and its squared distance into dists (dists may be nil), chunking the
-// points across the worker pool. Writes are disjoint per point, so the
-// result is independent of the worker count.
-func assignNearest(pts, cents []float64, k, d, workers int, assign []int, dists []float64) {
-	// Work hint: one distance computation per (point, centroid) pair.
-	// Misclassified-exploitation clusterings over a handful of false
-	// negatives run inline; full-dataset discovery clusterings still fan
-	// out.
-	n := len(assign)
-	par.ForWork(kernelAssign, workers, n, minAssignChunk, n*k, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			best, bestD := nearest(pts[i*d:(i+1)*d], cents, k)
-			assign[i] = best
+// nearest is the exact nearest-centroid search: it returns the index of
+// the centroid (the k rows of stride len(p) in cents) nearest to p and
+// the squared distance to it. Ties keep the lowest index, and each
+// distance sums its squared coordinate differences in dimension order, so
+// a given (point, centroid) pair yields the same float wherever it is
+// evaluated.
+func nearest(p, cents []float64, k int) (best int, bestD float64) {
+	d := len(p)
+	bestD = math.Inf(1)
+	for c := 0; c < k; c++ {
+		if s := sqDist(p, cents[c*d:(c+1)*d]); s < bestD {
+			best, bestD = c, s
+		}
+	}
+	return best, bestD
+}
+
+// Pruning limits. Beyond them a run keeps no bounds and scans every point
+// against every centroid: a coordinate of magnitude above maxPruneAbs
+// could overflow a squared distance (and NaN/±Inf void the triangle
+// inequality), above maxPruneDims the relative margin would have to grow
+// past usefulness, and above maxPruneK the k×k centroid gap table would
+// outgrow the points.
+const (
+	maxPruneAbs  = 1e100
+	maxPruneDims = 1024
+	maxPruneK    = 1024
+	// boundSlack is an absolute widening, in distance units, that covers
+	// squared coordinate differences underflowing to subnormals or zero.
+	boundSlack = 1e-150
+)
+
+// lloyd is the assignment state of one run, pruned by Hamerly's bounds
+// (Hamerly, "Making k-means even faster", SDM 2010). For point i assigned
+// to a, upper[i] bounds its distance to centroid a from above and
+// lower[i] its distance to every other centroid from below; half[c]
+// bounds half the distance from centroid c to its nearest other centroid
+// from below. When upper[i] is below max(half[a], lower[i]), no other
+// centroid can be nearer than a and the point is skipped.
+//
+// Every bound is kept conservative in floating point: a new upper bound
+// is widened and a new lower bound narrowed by a relative margin 32 times
+// sqDist's rounding error plus boundSlack, and every test widens once
+// more. So a skip implies every other centroid's sqDist is strictly
+// greater than a's, and the exact scan would have returned a. The points
+// the bounds cannot settle are rescanned exactly, so assignments, and
+// with them every Result field, are bit-identical to an unpruned run.
+type lloyd struct {
+	pts     []float64
+	n, d, k int
+	evals   int64 // point-to-centroid distances evaluated
+	prune   bool  // the input admits bounds; else every pass scans all
+
+	assign       []int     // per point: its centroid
+	upper, lower []float64 // per point: the bounds above
+	half, drift  []float64 // per centroid: the bound above; distance moved by the last update
+	gap          []float64 // k×k squared centroid-to-centroid distances, when pruning
+	grow, shrink float64   // 1 ± the relative margin
+}
+
+func newLloyd(pts []float64, n, d int) *lloyd {
+	margin := 32 * float64(d+2) * 0x1p-53
+	l := &lloyd{pts: pts, n: n, d: d, prune: d <= maxPruneDims, grow: 1 + margin, shrink: 1 - margin}
+	for _, x := range pts {
+		if !(math.Abs(x) <= maxPruneAbs) { // also NaN
+			l.prune = false
+			break
+		}
+	}
+	return l
+}
+
+// up widens an upper bound; down narrows a lower bound.
+func (l *lloyd) up(x float64) float64   { return x*l.grow + boundSlack }
+func (l *lloyd) down(x float64) float64 { return x*l.shrink - boundSlack }
+
+// seed picks the initial centroids with the k-means++ strategy:
+// subsequent centers are drawn with probability proportional to squared
+// distance from the nearest existing center. Duplicated points cannot
+// yield more centers than distinct values, so it may pick fewer than k;
+// l.k is the count.
+//
+// dist keeps each point's distance to its nearest center so far, and a
+// round folds in only the center just added: O(n) per round, O(n*k)
+// overall. Centers fold in index order with a strict <, so every point
+// ends at the centroid nearest would return, at nearest's float: that is
+// the first Lloyd iteration's assignment, and the second-nearest distance
+// tracked alongside gives its lower bound. The total that scales the
+// draw sums dist in point order in the same pass.
+func (l *lloyd) seed(k int, rng *rand.Rand) []float64 {
+	n, d, pts := l.n, l.d, l.pts
+	cents := make([]float64, 0, min(k, n)*d)
+	l.assign = make([]int, n)
+	dist, second := make([]float64, n), make([]float64, n)
+	for i := range dist {
+		dist[i], second[i] = math.Inf(1), math.Inf(1)
+	}
+	newest := rng.Intn(n)
+	for c := 0; ; c++ {
+		cents = append(cents, pts[newest*d:(newest+1)*d]...)
+		center := cents[c*d:]
+		var total float64
+		for i := range dist {
+			if s := sqDist(pts[i*d:(i+1)*d], center); s < dist[i] {
+				second[i], dist[i], l.assign[i] = dist[i], s, c
+			} else if s < second[i] {
+				second[i] = s
+			}
+			total += dist[i]
+		}
+		l.evals += int64(n)
+		if c+1 == k || total == 0 { // total 0: fewer distinct points than k
+			l.k = c + 1
+			break
+		}
+		newest = weightedPick(dist, rng.Float64()*total)
+	}
+	k = l.k
+	l.half, l.drift = make([]float64, k), make([]float64, k)
+	if l.prune = l.prune && k <= maxPruneK; l.prune {
+		l.gap = make([]float64, k*k)
+		for i := range dist {
+			dist[i], second[i] = l.up(math.Sqrt(dist[i])), l.down(math.Sqrt(second[i]))
+		}
+		l.upper, l.lower = dist, second
+	}
+	return cents
+}
+
+// assignPass moves every point to its nearest centroid in cents. With
+// dists non-nil it is the final pass: it also writes each point's
+// squared distance to its centroid, the float nearest returns.
+func (l *lloyd) assignPass(cents []float64, dists []float64) {
+	d := l.d
+	if !l.prune {
+		for i := range l.assign {
+			best, bestD := nearest(l.pts[i*d:(i+1)*d], cents, l.k)
+			l.evals += int64(l.k)
+			l.assign[i] = best
 			if dists != nil {
 				dists[i] = bestD
 			}
 		}
-	})
+		return
+	}
+	l.gaps(cents)
+	for i, a := range l.assign {
+		m := max(l.half[a], l.lower[i])
+		if dists == nil && l.up(l.upper[i]) < m {
+			continue
+		}
+		da := sqDist(l.pts[i*d:(i+1)*d], cents[a*d:(a+1)*d])
+		l.evals++
+		if l.upper[i] = l.up(math.Sqrt(da)); l.up(l.upper[i]) >= m {
+			a, da = l.rescan(i, a, da, cents)
+			l.assign[i] = a
+		}
+		if dists != nil {
+			dists[i] = da
+		}
+	}
 }
 
-// seedPlusPlus picks initial centroids with the k-means++ strategy:
-// subsequent centers are drawn with probability proportional to squared
-// distance from the nearest existing center. Duplicated points cannot
-// yield more centers than distinct values, so the returned row count may
-// be smaller than k.
-//
-// dist keeps each point's distance to its nearest center so far, and a
-// round folds in only the center the previous round added: O(n) per
-// round, O(n*k) overall. A strict-< minimum over the same per-pair
-// distances is exact whatever order they arrive in, so dist is the same
-// array a recomputation against every center would give.
-func seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand, workers int) ([]float64, int) {
-	cents := make([]float64, 0, min(k, n)*d)
-	newest := rng.Intn(n)
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// rescan finds point i's nearest centroid exactly, given its distance da
+// to its assigned centroid a and a just-tightened upper[i]. It evaluates
+// sqDist to a centroid c only when the triangle inequality through a,
+// D(p,c) ≥ D(a,c) − upper[i], cannot rule c out of both the nearest and
+// the second-nearest place. Every evaluated distance is nearest's float
+// and a tie keeps the lower index, so the result is nearest's. The bounds
+// are reset from the two places.
+func (l *lloyd) rescan(i, a int, da float64, cents []float64) (int, float64) {
+	d, k := l.d, l.k
+	p := l.pts[i*d : (i+1)*d]
+	row := l.gap[a*k : (a+1)*k]
+	u := l.upper[i]
+	q := ranked{best: a, bestD: da, second: math.Inf(1)}
+	limit := math.Inf(1)
+	for c, g := range row {
+		if g > limit || c == a {
+			continue
+		}
+		l.evals++
+		if q.offer(c, sqDist(p, cents[c*d:(c+1)*d])) {
+			limit = l.reach(u, q.second)
+		}
 	}
-	chosen := 0
-	for {
-		cents = append(cents, pts[newest*d:(newest+1)*d]...)
-		if chosen++; chosen == k {
-			break
-		}
-		// Distance to the newest center is independent per point; the
-		// total (which shapes the rng draw) accumulates sequentially in
-		// point order to stay reproducible at every worker count. One
-		// round is n distances, so discovery-sized samples stay inline.
-		center := cents[len(cents)-d:]
-		par.ForWork(kernelSeed, workers, n, minAssignChunk, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if s := sqDist(pts[i*d:(i+1)*d], center); s < dist[i] {
-					dist[i] = s
-				}
-			}
-		})
-		var total float64
-		for _, w := range dist {
-			total += w
-		}
-		if total == 0 {
-			break // fewer distinct points than k
-		}
-		newest = weightedPick(dist, rng.Float64()*total)
+	l.upper[i] = l.up(math.Sqrt(q.bestD))
+	l.lower[i] = l.down(math.Sqrt(q.second))
+	return q.best, q.bestD
+}
+
+// reach returns the squared gap to the assigned centroid beyond which a
+// centroid lies farther from the point than sqrt(s), with margin to
+// spare, given the point's upper bound u.
+func (l *lloyd) reach(u, s float64) float64 {
+	r := l.up(l.up(math.Sqrt(s)) + u)
+	return l.up(r * r)
+}
+
+// ranked is a rescan's running nearest centroid and second-nearest
+// distance.
+type ranked struct {
+	best          int
+	bestD, second float64
+}
+
+// offer folds centroid c at squared distance s in; ties keep the lower
+// index as nearest. It reports whether either place changed.
+func (q *ranked) offer(c int, s float64) bool {
+	if s < q.bestD || (s == q.bestD && c < q.best) {
+		q.best, q.bestD, q.second = c, s, q.bestD
+		return true
 	}
-	return cents, chosen
+	if s < q.second {
+		q.second = s
+		return true
+	}
+	return false
+}
+
+// gaps fills the k×k table of squared centroid gaps and sets half[c] to a
+// lower bound on half the distance from centroid c to its nearest other
+// centroid (+Inf when k = 1).
+func (l *lloyd) gaps(cents []float64) {
+	d, k, half := l.d, l.k, l.half
+	for c := range half {
+		half[c] = math.Inf(1)
+	}
+	for c := 0; c < k; c++ {
+		cc := cents[c*d : (c+1)*d]
+		l.gap[c*k+c] = 0
+		for o := c + 1; o < k; o++ {
+			s := sqDist(cc, cents[o*d:(o+1)*d])
+			l.gap[c*k+o], l.gap[o*k+c] = s, s
+			half[c] = min(half[c], s)
+			half[o] = min(half[o], s)
+		}
+	}
+	for c, s := range half {
+		half[c] = l.down(0.5 * math.Sqrt(s))
+	}
+}
+
+// shift moves the bounds by the centroid drifts of an update step: a
+// point's upper bound grows by its own centroid's drift, its lower bound
+// shrinks by the largest drift among the other centroids.
+func (l *lloyd) shift() {
+	if !l.prune {
+		return
+	}
+	top, first, second := 0, 0.0, 0.0
+	for c, p := range l.drift {
+		p = l.up(p)
+		l.drift[c] = p
+		if p > first {
+			top, first, second = c, p, first
+		} else if p > second {
+			second = p
+		}
+	}
+	for i, a := range l.assign {
+		l.upper[i] = l.up(l.upper[i] + l.drift[a])
+		other := first
+		if a == top {
+			other = second
+		}
+		l.lower[i] = l.down(l.lower[i] - other)
+	}
+}
+
+// farthestPoint returns the index of the point with maximum distance to
+// its nearest centroid in cents, the first such point on ties.
+func (l *lloyd) farthestPoint(cents []float64) int {
+	d := l.d
+	bestIdx, bestD := 0, -1.0
+	for i := 0; i < l.n; i++ {
+		if _, near := nearest(l.pts[i*d:(i+1)*d], cents, l.k); near > bestD {
+			bestIdx, bestD = i, near
+		}
+	}
+	l.evals += int64(l.n * l.k)
+	return bestIdx
 }
 
 // weightedPick returns the first index at which the running sum of the
@@ -362,17 +560,4 @@ func weightedPick(w []float64, pick float64) int {
 		last = i
 	}
 	return last
-}
-
-// farthestPoint returns the index of the point with maximum distance to
-// its nearest centroid.
-func farthestPoint(pts, cents []float64, n, k, d int) int {
-	bestIdx, bestD := 0, -1.0
-	for i := 0; i < n; i++ {
-		if _, near := nearest(pts[i*d:(i+1)*d], cents, k); near > bestD {
-			bestD = near
-			bestIdx = i
-		}
-	}
-	return bestIdx
 }

@@ -1,9 +1,9 @@
 // Package par is the parallel-execution kernel behind AIDE's hot paths:
-// CART split search, grid-index scans, view index construction and
-// k-means assignment. It provides a bounded process-wide worker pool
-// (sized from GOMAXPROCS, overridable with AIDE_WORKERS) plus chunked
-// For/Map helpers whose results are merged in deterministic chunk order,
-// so every caller produces output independent of the worker count.
+// CART split search, grid-index scans and view index construction. It
+// provides a bounded process-wide worker pool (sized from GOMAXPROCS,
+// overridable with AIDE_WORKERS) plus chunked For/Map helpers whose
+// results are merged in deterministic chunk order, so every caller
+// produces output independent of the worker count.
 //
 // Design rules the package enforces:
 //
@@ -300,8 +300,8 @@ func ForCtx(ctx context.Context, k *Kernel, workers, n, minChunk int, fn func(ch
 // in the caller's goroutine, exactly like workers == 1. Because every
 // kernel is bit-identical at any worker count by construction, gating on
 // the hint changes scheduling only, never results. Use it for kernels
-// invoked across a huge dynamic range of input sizes (CART split search,
-// k-means assignment) where sub-threshold calls would pay more in chunk
+// invoked across a huge dynamic range of input sizes (CART split search)
+// where sub-threshold calls would pay more in chunk
 // handoff than they save.
 func ForWork(k *Kernel, workers, n, minChunk, work int, fn func(chunk, lo, hi int)) {
 	if work < MinParallelWork() {

@@ -564,10 +564,10 @@ type CreateSessionRequest struct {
 	DistanceHint float64 `json:"distance_hint,omitempty"`
 	// MaxIterations bounds the session (0: default 200).
 	MaxIterations int `json:"max_iterations,omitempty"`
-	// Workers sets the worker count of the session's CART training and
-	// k-means clustering (0: automatic — AIDE_WORKERS or GOMAXPROCS; 1:
-	// sequential); engine queries do not read it. Session results are
-	// identical at every setting.
+	// Workers sets the worker count of the session's CART training (0:
+	// automatic — AIDE_WORKERS or GOMAXPROCS; 1: sequential); engine
+	// queries and k-means do not read it. Session results are identical
+	// at every setting.
 	Workers int `json:"workers,omitempty"`
 	// ConflictPolicy resolves contradictory labels for the same tuple:
 	// "last-wins", "majority" or "strict" ("" = server default).
