@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -384,13 +385,12 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		measure(cfg.MinTime, benchKernelSeconds.With("sample_plan"), func() { drawPlans(planView, warmRng) }),
 		planIdentical))
 
-	// kmeans_cluster and kmeans_hierarchy: k-means has one sequential
-	// kernel (its bounds leave a compare per point, too little to fan
-	// out), so both sides time it. identical: two runs from one seed are
-	// bit-identical and leave the rng at the same position.
-	//
 	// kmeans_cluster: the assignment-dominated clustering behind
-	// skew-aware discovery and misclassified exploitation.
+	// skew-aware discovery and misclassified exploitation. k-means fits
+	// one clustering on one goroutine (its bounds leave a compare per
+	// point), so both sides time that one kernel. identical: two runs
+	// from one seed are bit-identical and leave the rng at the same
+	// position.
 	cpoints := hotpathClusterSet(cfg.ClusterPoints, 4, cfg.Seed)
 	cluster := func(rng *rand.Rand) *kmeans.Result {
 		res, err := kmeans.Cluster(cpoints, kmeans.Params{K: 16, MaxIters: 20}, rng)
@@ -408,11 +408,15 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 	// kmeans_hierarchy: the three-level fit clustering discovery runs
 	// inside session creation at default options — a 2000-point sample of
 	// a skewed 2-d space, K = 16/64/250, one rng threaded through the
-	// levels.
+	// levels. The _1 side fits the levels one Cluster call at a time, the
+	// _n side with one ClusterLevels call, whose Lloyd loops overlap the
+	// later levels' seeding; speedup is the pipeline's. identical: the
+	// two sides are bit-identical and leave the rng at the same position.
 	hpoints := hotpathClusterSet(2000, 2, cfg.Seed)
-	hierarchy := func(rng *rand.Rand) []*kmeans.Result {
-		levels := make([]*kmeans.Result, 0, 3)
-		for _, k := range []int{16, 64, 250} {
+	hks := []int{16, 64, 250}
+	hierarchySeq := func(rng *rand.Rand) []*kmeans.Result {
+		levels := make([]*kmeans.Result, 0, len(hks))
+		for _, k := range hks {
 			res, err := kmeans.Cluster(hpoints, kmeans.Params{K: k, MaxIters: 20}, rng)
 			if err != nil {
 				panic(err)
@@ -421,11 +425,19 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 		}
 		return levels
 	}
-	hierarchySeeded := func() { hierarchy(rand.New(rand.NewSource(cfg.Seed))) }
+	hierarchy := func(rng *rand.Rand) []*kmeans.Result {
+		levels, err := kmeans.ClusterLevels(context.Background(), hpoints, hks, kmeans.Params{MaxIters: 20}, rng)
+		if err != nil {
+			panic(err)
+		}
+		return levels
+	}
+	rSeq, rLevels := rand.New(rand.NewSource(cfg.Seed)), rand.New(rand.NewSource(cfg.Seed))
+	hierarchyIdentical := reflect.DeepEqual(hierarchySeq(rSeq), hierarchy(rLevels)) && rSeq.Int63() == rLevels.Int63()
 	rep.Results = append(rep.Results, hotpathResult("kmeans_hierarchy",
-		measure(cfg.MinTime, nil, hierarchySeeded),
-		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_hierarchy"), hierarchySeeded),
-		sameClustering(cfg.Seed, func(rng *rand.Rand) any { return hierarchy(rng) })))
+		measure(cfg.MinTime, nil, func() { hierarchySeq(rand.New(rand.NewSource(cfg.Seed))) }),
+		measure(cfg.MinTime, benchKernelSeconds.With("kmeans_hierarchy"), func() { hierarchy(rand.New(rand.NewSource(cfg.Seed))) }),
+		hierarchyIdentical))
 
 	rt, err := measureShardRoundtrips(cfg)
 	if err != nil {

@@ -263,12 +263,12 @@ func newClusterDiscovery(s *Session) (*clusterDiscovery, error) {
 		}
 	}
 
+	levels, err := kmeans.ClusterLevels(s.iterCtx(), points, ks, kmeans.Params{MaxIters: 20}, s.rng)
+	if err != nil {
+		return nil, fmt.Errorf("explore: clustering levels %v: %w", ks, err)
+	}
 	cd := &clusterDiscovery{}
-	for l, k := range ks {
-		resK, err := kmeans.Cluster(points, kmeans.Params{K: k, MaxIters: 20}, s.rng)
-		if err != nil {
-			return nil, fmt.Errorf("explore: clustering level %d: %w", l, err)
-		}
+	for l, resK := range levels {
 		radii := resK.Radii(points)
 		nodes := make([]clusterNode, len(resK.Centroids))
 		for c := range resK.Centroids {

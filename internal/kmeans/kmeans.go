@@ -12,21 +12,25 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/obs"
 )
 
-// obsClusterSeconds is the wall time of one Cluster call (observational
-// only, resolved once).
+// obsClusterSeconds is the wall time of one ClusterLevels call, all its
+// levels together; a Cluster call is a one-level one (observational only,
+// resolved once).
 var obsClusterSeconds = obs.GetHistogram("kmeans.cluster_seconds")
 
 // obsDistanceEvals counts the point-to-centroid squared distances a run
-// evaluates: n per k-means++ round, which also settles the first Lloyd
-// assignment, then whatever the bounds leave of the later assignments,
-// the empty-cluster re-seeds and the final pass. Unpruned, a run costs
-// n·k·(Iters+1). Centroid-to-centroid gaps are not counted.
+// evaluates: in each k-means++ round, the members of the seed groups the
+// new center can reach (n per round when unpruned), which also settles
+// the first Lloyd assignment; then whatever the bounds leave of the later
+// assignments, the empty-cluster re-seeds and the final pass. Unpruned,
+// a run costs n·k·(Iters+1). Centroid-to-centroid gaps are not counted.
 var obsDistanceEvals = obs.GetCounter("kmeans.distance_evals")
 
 // Result holds the output of a clustering run.
@@ -132,19 +136,47 @@ func Cluster(points []geom.Point, params Params, rng *rand.Rand) (*Result, error
 // ClusterCtx is Cluster with cooperative cancellation: the Lloyd loop
 // checks ctx once per iteration and returns ctx.Err() when cancelled
 // (the partial result is dropped). An uncancelled ctx yields a result
-// bit-identical to Cluster's.
+// bit-identical to Cluster's. It is ClusterLevels with one level, which
+// starts no goroutine.
 func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *rand.Rand) (*Result, error) {
+	res, err := ClusterLevels(ctx, points, []int{params.K}, params, rng)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// ClusterLevels fits one clustering per entry of ks to the same points,
+// each with params but K = ks[l] (params.K is not read). Every Result
+// field, and the position rng is left at, is bit-identical to successive
+// ClusterCtx calls sharing rng.
+//
+// Only k-means++ seeding reads rng, so a level's seeds depend on the
+// earlier levels' seeding and never on their Lloyd loops. The levels are
+// seeded on the calling goroutine in level order, and each level's Lloyd
+// loop starts on its own goroutine as soon as its seeding ends; the last
+// level's runs inline. So the wait is the seedings plus the last Lloyd
+// loop, not the sum of every level's fit. Each Lloyd loop checks ctx once
+// per iteration; on an error the call waits for every level and returns
+// the first error by level.
+func ClusterLevels(ctx context.Context, points []geom.Point, ks []int, params Params, rng *rand.Rand) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("kmeans: no points")
 	}
-	if err := params.Validate(); err != nil {
-		return nil, err
+	if len(ks) == 0 {
+		return nil, fmt.Errorf("%w: no levels", ErrBadParams)
 	}
-	if params.K < 1 {
-		return nil, fmt.Errorf("%w: K = %d", ErrBadParams, params.K)
+	for _, k := range ks {
+		params.K = k
+		if err := params.Validate(); err != nil {
+			return nil, err
+		}
+		if k < 1 {
+			return nil, fmt.Errorf("%w: K = %d", ErrBadParams, k)
+		}
 	}
 	if params.MaxIters == 0 {
 		params.MaxIters = 50
@@ -157,7 +189,7 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 	// Every kernel below reads points from one row-major array (point i
 	// is pts[i*d:(i+1)*d]) and centroids from another, so the distance
 	// loops walk contiguous memory instead of chasing a slice header per
-	// point and per centroid.
+	// point and per centroid. The levels share the one copy.
 	n, d := len(points), len(points[0])
 	pts := make([]float64, n*d)
 	for i, p := range points {
@@ -166,10 +198,45 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 		}
 		copy(pts[i*d:], p)
 	}
+	prune := prunable(pts, d)
 
-	l := newLloyd(pts, n, d)
-	cents := l.seed(params.K, rng)
-	k, assign := l.k, l.assign
+	res := make([]*Result, len(ks))
+	errs := make([]error, len(ks))
+	var wg sync.WaitGroup
+	for lv, k := range ks {
+		if lv > 0 {
+			if err := ctx.Err(); err != nil {
+				errs[lv] = fmt.Errorf("kmeans: cancelled before level %d: %w", lv, err)
+				break
+			}
+		}
+		l := newLloyd(pts, n, d, prune)
+		cents := l.seed(k, rng)
+		if lv == len(ks)-1 {
+			res[lv], errs[lv] = l.fit(ctx, cents, params)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[lv], errs[lv] = l.fit(ctx, cents, params)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	obsClusterSeconds.Observe(time.Since(start).Seconds())
+	return res, nil
+}
+
+// fit runs Lloyd's loop from the seeds in cents to convergence or
+// params.MaxIters and returns the clustering.
+func (l *lloyd) fit(ctx context.Context, cents []float64, params Params) (*Result, error) {
+	defer func() { obsDistanceEvals.Add(l.evals) }()
+	n, d, k, pts, assign := l.n, l.d, l.k, l.pts, l.assign
 	sizes := make([]int, k)
 
 	// Double-buffered centroid set: sums accumulate into next (never the
@@ -180,7 +247,6 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 	iters := 0
 	for iters < params.MaxIters {
 		if err := ctx.Err(); err != nil {
-			obsDistanceEvals.Add(l.evals)
 			return nil, fmt.Errorf("kmeans: cancelled after %d iterations: %w", iters, err)
 		}
 		// Seeding left every point at its nearest seed, so the first
@@ -223,6 +289,11 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 				moved += step
 			}
 			l.drift[c] = step
+			// A centroid is stale when a coordinate changed, not when step
+			// is 0: a squared difference can underflow.
+			if l.stale != nil && !slices.Equal(oc, nc) {
+				l.stale[c] = true
+			}
 		}
 		l.shift()
 		cents, next = next, cents
@@ -244,8 +315,6 @@ func ClusterCtx(ctx context.Context, points []geom.Point, params Params, rng *ra
 		sizes[a]++
 		res.Inertia += dists[i]
 	}
-	obsDistanceEvals.Add(l.evals)
-	obsClusterSeconds.Observe(time.Since(start).Seconds())
 	return res, nil
 }
 
@@ -315,20 +384,36 @@ type lloyd struct {
 	assign       []int     // per point: its centroid
 	upper, lower []float64 // per point: the bounds above
 	half, drift  []float64 // per centroid: the bound above; distance moved by the last update
-	gap          []float64 // k×k squared centroid-to-centroid distances, when pruning
 	grow, shrink float64   // 1 ± the relative margin
+
+	// The centroid gap table, when pruning: gap holds the k×k squared
+	// gaps of the current centroids, near[c] is c's nearest other
+	// centroid (-1 for none) at squared gap nearGap[c], and stale marks
+	// the centroids that moved since the table was last refreshed (moved
+	// lists them during a refresh).
+	gap, nearGap []float64
+	near, moved  []int
+	stale        []bool
 }
 
-func newLloyd(pts []float64, n, d int) *lloyd {
-	margin := 32 * float64(d+2) * 0x1p-53
-	l := &lloyd{pts: pts, n: n, d: d, prune: d <= maxPruneDims, grow: 1 + margin, shrink: 1 - margin}
+// prunable reports whether the flat points pts of d dimensions admit
+// bounds: every coordinate finite and at most maxPruneAbs in magnitude,
+// and d at most maxPruneDims.
+func prunable(pts []float64, d int) bool {
+	if d > maxPruneDims {
+		return false
+	}
 	for _, x := range pts {
 		if !(math.Abs(x) <= maxPruneAbs) { // also NaN
-			l.prune = false
-			break
+			return false
 		}
 	}
-	return l
+	return true
+}
+
+func newLloyd(pts []float64, n, d int, prune bool) *lloyd {
+	margin := 32 * float64(d+2) * 0x1p-53
+	return &lloyd{pts: pts, n: n, d: d, prune: prune, grow: 1 + margin, shrink: 1 - margin}
 }
 
 // up widens an upper bound; down narrows a lower bound.
@@ -342,12 +427,14 @@ func (l *lloyd) down(x float64) float64 { return x*l.shrink - boundSlack }
 // l.k is the count.
 //
 // dist keeps each point's distance to its nearest center so far, and a
-// round folds in only the center just added: O(n) per round, O(n*k)
-// overall. Centers fold in index order with a strict <, so every point
-// ends at the centroid nearest would return, at nearest's float: that is
-// the first Lloyd iteration's assignment, and the second-nearest distance
-// tracked alongside gives its lower bound. The total that scales the
-// draw sums dist in point order in the same pass.
+// round folds in only the center just added. Centers fold in index order
+// with a strict <, so every point ends at the centroid nearest would
+// return, at nearest's float: that is the first Lloyd iteration's
+// assignment, and the second-nearest distance tracked alongside gives its
+// lower bound. The total that scales the draw sums dist in point order.
+//
+// When pruning, a round visits only the seed groups (seedGroups) the new
+// center can reach; otherwise it visits every point.
 func (l *lloyd) seed(k int, rng *rand.Rand) []float64 {
 	n, d, pts := l.n, l.d, l.pts
 	cents := make([]float64, 0, min(k, n)*d)
@@ -356,20 +443,26 @@ func (l *lloyd) seed(k int, rng *rand.Rand) []float64 {
 	for i := range dist {
 		dist[i], second[i] = math.Inf(1), math.Inf(1)
 	}
+	var g seedGroups
+	if l.prune {
+		g = newSeedGroups(n, k)
+	}
 	newest := rng.Intn(n)
 	for c := 0; ; c++ {
 		cents = append(cents, pts[newest*d:(newest+1)*d]...)
-		center := cents[c*d:]
-		var total float64
-		for i := range dist {
-			if s := sqDist(pts[i*d:(i+1)*d], center); s < dist[i] {
-				second[i], dist[i], l.assign[i] = dist[i], s, c
-			} else if s < second[i] {
-				second[i] = s
+		if l.prune {
+			l.seedGrouped(&g, cents, dist, second)
+		} else {
+			center := cents[c*d:]
+			for i := range dist {
+				l.foldSeed(i, c, sqDist(pts[i*d:(i+1)*d], center), dist, second)
 			}
-			total += dist[i]
+			l.evals += int64(n)
 		}
-		l.evals += int64(n)
+		var total float64
+		for _, x := range dist {
+			total += x
+		}
 		if c+1 == k || total == 0 { // total 0: fewer distinct points than k
 			l.k = c + 1
 			break
@@ -380,12 +473,103 @@ func (l *lloyd) seed(k int, rng *rand.Rand) []float64 {
 	l.half, l.drift = make([]float64, k), make([]float64, k)
 	if l.prune = l.prune && k <= maxPruneK; l.prune {
 		l.gap = make([]float64, k*k)
+		l.nearGap, l.near, l.moved, l.stale = make([]float64, k), make([]int, k), make([]int, 0, k), make([]bool, k)
+		for c := range l.stale {
+			l.stale[c] = true // the table has never been filled
+		}
 		for i := range dist {
 			dist[i], second[i] = l.up(math.Sqrt(dist[i])), l.down(math.Sqrt(second[i]))
 		}
 		l.upper, l.lower = dist, second
 	}
 	return cents
+}
+
+// foldSeed folds center c at squared distance s from point i into the
+// point's nearest and second-nearest seed distances. It reports whether
+// c became the nearest.
+func (l *lloyd) foldSeed(i, c int, s float64, dist, second []float64) bool {
+	if s < dist[i] {
+		second[i], dist[i], l.assign[i] = dist[i], s, c
+		return true
+	}
+	if s < second[i] {
+		second[i] = s
+	}
+	return false
+}
+
+// seedGroups partitions the points by nearest seed while seeding prunes:
+// each seed's members form a list through next, from head[a] to a -1,
+// and reach[a] bounds √dist + √second over them from above. Before the
+// first round every point is on one list, from point 0. A round gathers
+// the points its center takes on the list from movers, with their reach.
+type seedGroups struct {
+	movers     int
+	moverReach float64
+	next, head []int
+	reach      []float64
+}
+
+func newSeedGroups(n, k int) seedGroups {
+	g := seedGroups{next: make([]int, n), head: make([]int, 0, min(k, n)), reach: make([]float64, 0, min(k, n))}
+	for i := range g.next {
+		g.next[i] = i + 1
+	}
+	g.next[n-1] = -1
+	return g
+}
+
+// seedGrouped folds the newest center c (the last row of cents) into the
+// seed distances, visiting only the groups c can reach. A point p nearest
+// to seed a has D(p,c) ≥ D(a,c) − D(p,a) by the triangle inequality, so
+// when the narrowed gap D(a,c) exceeds √dist + √second widened for every
+// member, c is farther than each member's second-nearest seed: neither
+// place can change and the whole group is skipped. A skip tested point by
+// point saves distance evaluations but no time; the loop is bound by its
+// branches. A visited group's members are folded exactly, as the
+// unpruned round would, so dist, second and assign are bit-identical.
+func (l *lloyd) seedGrouped(g *seedGroups, cents []float64, dist, second []float64) {
+	d := l.d
+	c := len(cents)/d - 1
+	center := cents[c*d:]
+	g.movers, g.moverReach = -1, 0
+	if c == 0 {
+		l.seedVisit(g, 0, c, center, dist, second)
+	}
+	for a, head := range g.head {
+		if head >= 0 && l.down(math.Sqrt(sqDist(cents[a*d:(a+1)*d], center))) <= g.reach[a] {
+			g.head[a], g.reach[a] = l.seedVisit(g, head, c, center, dist, second)
+		}
+	}
+	g.head = append(g.head, g.movers)
+	g.reach = append(g.reach, g.moverReach)
+}
+
+// seedVisit folds center c into every point on the list from i, moves
+// the points c takes to g's movers, and returns the list of the points
+// that stay, with their reach.
+func (l *lloyd) seedVisit(g *seedGroups, i, c int, center, dist, second []float64) (kept int, reach float64) {
+	d := l.d
+	kept = -1
+	for i >= 0 {
+		next := g.next[i]
+		l.evals++
+		if l.foldSeed(i, c, sqDist(l.pts[i*d:(i+1)*d], center), dist, second) {
+			g.next[i], g.movers = g.movers, i
+			g.moverReach = max(g.moverReach, l.seedReach(dist[i], second[i]))
+		} else {
+			g.next[i], kept = kept, i
+			reach = max(reach, l.seedReach(dist[i], second[i]))
+		}
+		i = next
+	}
+	return kept, reach
+}
+
+// seedReach widens √dist + √second for a seed group's reach.
+func (l *lloyd) seedReach(dist, second float64) float64 {
+	return l.up(l.up(math.Sqrt(dist)) + l.up(math.Sqrt(second)))
 }
 
 // assignPass moves every point to its nearest centroid in cents. With
@@ -479,27 +663,51 @@ func (q *ranked) offer(c int, s float64) bool {
 	return false
 }
 
-// gaps fills the k×k table of squared centroid gaps and sets half[c] to a
-// lower bound on half the distance from centroid c to its nearest other
-// centroid (+Inf when k = 1).
+// gaps brings the k×k table of squared centroid gaps up to date with
+// cents and sets half[c] to a lower bound on half the distance from
+// centroid c to its nearest other centroid (+Inf when k = 1). Only the
+// rows and columns of stale centroids are recomputed (sqDist is symmetric
+// bit for bit), and c's row is rescanned for its nearest only when c or
+// its old nearest is stale; otherwise the stale columns are folded in.
+// So every gap, and half, is the float a full refill would give.
 func (l *lloyd) gaps(cents []float64) {
-	d, k, half := l.d, l.k, l.half
-	for c := range half {
-		half[c] = math.Inf(1)
-	}
-	for c := 0; c < k; c++ {
-		cc := cents[c*d : (c+1)*d]
-		l.gap[c*k+c] = 0
-		for o := c + 1; o < k; o++ {
-			s := sqDist(cc, cents[o*d:(o+1)*d])
-			l.gap[c*k+o], l.gap[o*k+c] = s, s
-			half[c] = min(half[c], s)
-			half[o] = min(half[o], s)
+	d, k := l.d, l.k
+	moved := l.moved[:0]
+	for c, st := range l.stale {
+		if st {
+			moved = append(moved, c)
 		}
 	}
-	for c, s := range half {
-		half[c] = l.down(0.5 * math.Sqrt(s))
+	for _, c := range moved {
+		cc := cents[c*d : (c+1)*d]
+		l.gap[c*k+c] = 0
+		for o := 0; o < k; o++ {
+			if o == c || (o < c && l.stale[o]) { // o's row already set this gap
+				continue
+			}
+			s := sqDist(cc, cents[o*d:(o+1)*d])
+			l.gap[c*k+o], l.gap[o*k+c] = s, s
+		}
 	}
+	for c := 0; c < k; c++ {
+		row := l.gap[c*k : (c+1)*k]
+		if nc := l.near[c]; l.stale[c] || nc < 0 || l.stale[nc] {
+			l.near[c], l.nearGap[c] = -1, math.Inf(1)
+			for o, s := range row {
+				if o != c && s < l.nearGap[c] {
+					l.near[c], l.nearGap[c] = o, s
+				}
+			}
+		} else {
+			for _, o := range moved {
+				if s := row[o]; s < l.nearGap[c] {
+					l.near[c], l.nearGap[c] = o, s
+				}
+			}
+		}
+		l.half[c] = l.down(0.5 * math.Sqrt(l.nearGap[c]))
+	}
+	clear(l.stale)
 }
 
 // shift moves the bounds by the centroid drifts of an update step: a

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -282,7 +283,10 @@ func TestParamsValidate(t *testing.T) {
 // each round (O(n*k^2)), centroids as a slice of points, sizes counted in
 // their own pass, and the weighted pick with its index-0 fallback (it and
 // weightedPick part ways only on a rounding residue or a zero draw, see
-// TestWeightedPick). The worker-pool wrappers are dropped: they changed
+// TestWeightedPick, or on a non-finite total: with a NaN or ±Inf
+// coordinate, or one large enough that a squared distance overflows, the
+// reference takes index 0 and weightedPick the last positive weight; so
+// the reference checks only finite inputs such as refCase's). The worker-pool wrappers are dropped: they changed
 // scheduling only. reseeds counts empty-cluster re-seeds so the test can
 // tell that branch ran.
 func referenceCluster(points []geom.Point, params Params, rng *rand.Rand) (res *Result, reseeds int) {
@@ -466,6 +470,30 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// diffResult describes the first field in which got differs from want,
+// floats compared bit for bit, or returns "" when every field is
+// identical.
+func diffResult(got, want *Result) string {
+	if len(got.Centroids) != len(want.Centroids) {
+		return fmt.Sprintf("%d centroids, want %d", len(got.Centroids), len(want.Centroids))
+	}
+	for c := range want.Centroids {
+		if !sameBits(got.Centroids[c], want.Centroids[c]) {
+			return fmt.Sprintf("centroid %d = %v, want %v", c, got.Centroids[c], want.Centroids[c])
+		}
+	}
+	if !reflect.DeepEqual(got.Assign, want.Assign) {
+		return "assignments differ"
+	}
+	if !reflect.DeepEqual(got.Sizes, want.Sizes) {
+		return fmt.Sprintf("sizes %v, want %v", got.Sizes, want.Sizes)
+	}
+	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) || got.Iters != want.Iters {
+		return fmt.Sprintf("inertia %v iters %d, want %v / %d", got.Inertia, got.Iters, want.Inertia, want.Iters)
+	}
+	return ""
+}
+
 // checkMatchesReference clusters points with the reference and with
 // Cluster from the same rng seed and fails unless every Result field is
 // bit-identical and the rng is left at the same stream position. It
@@ -480,22 +508,8 @@ func checkMatchesReference(t *testing.T, label string, points []geom.Point, para
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if len(got.Centroids) != len(want.Centroids) {
-		t.Fatalf("%s: %d centroids, reference %d", label, len(got.Centroids), len(want.Centroids))
-	}
-	for c := range want.Centroids {
-		if !sameBits(got.Centroids[c], want.Centroids[c]) {
-			t.Fatalf("%s: centroid %d = %v, reference %v", label, c, got.Centroids[c], want.Centroids[c])
-		}
-	}
-	if !reflect.DeepEqual(got.Assign, want.Assign) {
-		t.Fatalf("%s: assignments differ from reference", label)
-	}
-	if !reflect.DeepEqual(got.Sizes, want.Sizes) {
-		t.Fatalf("%s: sizes %v, reference %v", label, got.Sizes, want.Sizes)
-	}
-	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) || got.Iters != want.Iters {
-		t.Fatalf("%s: inertia %v iters %d, reference %v / %d", label, got.Inertia, got.Iters, want.Inertia, want.Iters)
+	if diff := diffResult(got, want); diff != "" {
+		t.Fatalf("%s: %s (want: the reference's)", label, diff)
 	}
 	if next := rng.Int63(); next != wantNext {
 		t.Fatalf("%s: rng left at a different position than the reference", label)
@@ -580,7 +594,9 @@ func TestWeightedPick(t *testing.T) {
 // refCase inputs, with the seed and the size cap drawn by the fuzzer:
 // every Result field bit-identical and the rng left at the same position.
 // refCase's lattice kind is dense in exact distance ties, where the
-// bounds must hand every point to the exact scan.
+// bounds must hand every point to the exact scan. It checks a two-level
+// ClusterLevels the same way, against referenceCluster run once per
+// level on one rng.
 //
 // The inputs stay refCase's. On arbitrary coordinates the fuzzer soon
 // finds k-means++ draws where referenceCluster's pick, with its index-0
@@ -593,5 +609,25 @@ func FuzzClusterMatchesReference(f *testing.F) {
 		points, params := refCase(rand.New(rand.NewSource(seed)), 1+int(maxN)%3000)
 		label := fmt.Sprintf("seed=%d n=%d d=%d K=%d MaxIters=%d", seed, len(points), len(points[0]), params.K, params.MaxIters)
 		checkMatchesReference(t, label, points, params, seed)
+
+		ks := []int{params.K, 1 + params.K/2}
+		refRng := rand.New(rand.NewSource(seed))
+		want := make([]*Result, len(ks))
+		for l, k := range ks {
+			want[l], _ = referenceCluster(points, Params{K: k, MaxIters: params.MaxIters}, refRng)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		got, err := ClusterLevels(context.Background(), points, ks, params, rng)
+		if err != nil {
+			t.Fatalf("%s levels %v: %v", label, ks, err)
+		}
+		for l := range ks {
+			if diff := diffResult(got[l], want[l]); diff != "" {
+				t.Fatalf("%s levels %v: level %d: %s (want: the reference's)", label, ks, l, diff)
+			}
+		}
+		if rng.Int63() != refRng.Int63() {
+			t.Fatalf("%s levels %v: rng left at a different position than the reference", label, ks)
+		}
 	})
 }
