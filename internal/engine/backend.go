@@ -5,15 +5,17 @@ package engine
 // layer in shard.go needs from a shard, and nothing else — so the same
 // supervised fan-out drives two implementations: localShard (below),
 // which runs the batch walk in-process over the shard's slab slices,
-// and internal/shardrpc's remote client, which ships the same
-// operations over a framed wire protocol to a worker process holding a
-// bit-identical copy of the shard. Results are plain data (row ids,
-// counts, sample plan pieces); randomness, caching and gather order
-// stay coordinator-side, which is what makes a remote shard
-// bit-identical to a local one.
+// and internal/shardrpc's remote client, which ships each batch as one
+// framed exchange to a worker process holding a bit-identical copy of
+// the shard. Both write ExecuteBatch only; BatchAdapter derives the
+// single-item methods from it. Results are plain data (row ids, counts,
+// sample plan pieces); randomness, caching and gather order stay
+// coordinator-side, which is what makes a remote shard bit-identical to
+// a local one.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -93,9 +95,6 @@ type ShardBackend interface {
 	ShardIndex() int
 	// NumRows is the number of rows the shard owns.
 	NumRows() int
-	// Ping verifies the backend can serve (health probe; the remote
-	// implementation round-trips the wire).
-	Ping() error
 	// Count counts the shard's rows inside rect.
 	Count(rect geom.Rect) (ShardCount, error)
 	// RowsIn returns the shard's row ids inside rect in slot order.
@@ -105,21 +104,58 @@ type ShardBackend interface {
 	RowsInAny(rects []geom.Rect) (ShardRows, error)
 	// SampleGrid returns the shard's piece of rect's sample plan.
 	SampleGrid(rect geom.Rect) (ShardSample, error)
-	// SortedSlice returns the row ids of the shard's rows whose value
-	// along dim lies in iv, in the covering index's order (sortKey, then
-	// row id). No query path calls it: a view resolves covering-index
-	// samples from its own index, and a shard keeps none, so the local
-	// implementation selects and sorts the rows on demand.
+	// SortedSlice would return the shard's rows whose value along dim
+	// lies in iv, in the covering index's order. No query path calls it:
+	// a view answers covering-index samples from its own index and a
+	// shard keeps none, so BatchAdapter answers ErrNotServed.
 	SortedSlice(dim int, iv geom.Interval) ([]int32, error)
 	// ExecuteBatch answers every item of a batch in one call — one
 	// round-trip for remote backends — with results positionally
 	// aligned to items and each bit-identical to the corresponding
 	// single-item method.
 	ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, error)
-	// Close releases backend resources (connections, for the remote
-	// implementation). Local backends are no-ops.
-	Close() error
 }
+
+// ErrNotServed is every shard backend's SortedSlice answer.
+var ErrNotServed = errors.New("engine: shard backends serve no covering-index slice")
+
+// BatchAdapter writes ShardBackend's single-item methods once, each as
+// a one-item batch of Batch, so it answers exactly what the batch would,
+// Examined included. A backend embeds it and sets Batch to its own
+// ExecuteBatch.
+type BatchAdapter struct {
+	Batch func(items []ShardBatchItem) ([]ShardBatchResult, error)
+}
+
+func (a BatchAdapter) one(it ShardBatchItem) (ShardBatchResult, error) {
+	out, err := a.Batch([]ShardBatchItem{it})
+	if err != nil {
+		return ShardBatchResult{}, err
+	}
+	return out[0], nil
+}
+
+func (a BatchAdapter) Count(rect geom.Rect) (ShardCount, error) {
+	r, err := a.one(ShardBatchItem{Kind: BatchCount, Rect: rect})
+	return r.Count, err
+}
+
+func (a BatchAdapter) RowsIn(rect geom.Rect) (ShardRows, error) {
+	r, err := a.one(ShardBatchItem{Kind: BatchRows, Rect: rect})
+	return r.Rows, err
+}
+
+func (a BatchAdapter) RowsInAny(rects []geom.Rect) (ShardRows, error) {
+	r, err := a.one(ShardBatchItem{Kind: BatchRowsAny, Rects: rects})
+	return r.Rows, err
+}
+
+func (a BatchAdapter) SampleGrid(rect geom.Rect) (ShardSample, error) {
+	r, err := a.one(ShardBatchItem{Kind: BatchSample, Rect: rect})
+	return r.Sample, err
+}
+
+func (BatchAdapter) SortedSlice(int, geom.Interval) ([]int32, error) { return nil, ErrNotServed }
 
 // localShard is the in-process ShardBackend: the batch walk over the
 // shard's own grid — not the view's, so a worker keeps neither the
@@ -127,13 +163,18 @@ type ShardBackend interface {
 // (check); other local failures surface as panics, which the scatter
 // layer isolates per attempt.
 type localShard struct {
+	BatchAdapter
 	sh *shard
+}
+
+func newLocalShard(sh *shard) *localShard {
+	l := &localShard{sh: sh}
+	l.Batch = l.ExecuteBatch
+	return l
 }
 
 func (l *localShard) ShardIndex() int { return l.sh.index }
 func (l *localShard) NumRows() int    { return l.sh.nrows }
-func (l *localShard) Ping() error     { return nil }
-func (l *localShard) Close() error    { return nil }
 
 // check rejects what the shard cannot evaluate: a kind outside the
 // BatchKind enum; a rect whose arity is not the view's or with a NaN or
@@ -155,60 +196,6 @@ func (l *localShard) check(it ShardBatchItem) error {
 		return fmt.Errorf("engine: shard %d: malformed rect %v for a %d-dim view", l.sh.index, it.Rect, dims)
 	}
 	return nil
-}
-
-// one runs a single item as a batch of one: the single-op methods below
-// are that, so they answer exactly what the batch would.
-func (l *localShard) one(it ShardBatchItem) (ShardBatchResult, error) {
-	out, err := l.ExecuteBatch([]ShardBatchItem{it})
-	if err != nil {
-		return ShardBatchResult{}, err
-	}
-	return out[0], nil
-}
-
-func (l *localShard) Count(rect geom.Rect) (ShardCount, error) {
-	r, err := l.one(ShardBatchItem{Kind: BatchCount, Rect: rect})
-	return r.Count, err
-}
-
-func (l *localShard) RowsIn(rect geom.Rect) (ShardRows, error) {
-	r, err := l.one(ShardBatchItem{Kind: BatchRows, Rect: rect})
-	return r.Rows, err
-}
-
-func (l *localShard) RowsInAny(rects []geom.Rect) (ShardRows, error) {
-	r, err := l.one(ShardBatchItem{Kind: BatchRowsAny, Rects: rects})
-	return r.Rows, err
-}
-
-func (l *localShard) SampleGrid(rect geom.Rect) (ShardSample, error) {
-	r, err := l.one(ShardBatchItem{Kind: BatchSample, Rect: rect})
-	return r.Sample, err
-}
-
-// SortedSlice selects the slots whose value along dim lies in iv, puts
-// their rows in ascending order and sorts them by sortCovering: computed
-// on demand from the shard's own slabs. Like check, it rejects a
-// dimension the view lacks and a NaN or inverted interval.
-func (l *localShard) SortedSlice(dim int, iv geom.Interval) ([]int32, error) {
-	g := l.sh.grid
-	if dim < 0 || dim >= g.dims || !validInterval(iv) {
-		return nil, fmt.Errorf("engine: shard %d: covering-index slice of dim %d over %v in a %d-dim view", l.sh.index, dim, iv, g.dims)
-	}
-	var slots []int32
-	for s, x := range g.slabs[dim] {
-		if x >= iv.Lo && x <= iv.Hi {
-			slots = append(slots, int32(s))
-		}
-	}
-	slices.SortFunc(slots, func(a, b int32) int { return int(g.rows[a]) - int(g.rows[b]) })
-	keys, rows := make([]uint64, len(slots)), make([]int32, len(slots))
-	for i, s := range slots {
-		keys[i], rows[i] = sortKey(g.slabs[dim][s]), g.rows[s]
-	}
-	sortCovering(keys, rows, &coverScratch{}, 1)
-	return rows, nil
 }
 
 func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, error) {
@@ -243,7 +230,7 @@ func (v *View) LocalShardBackends() []ShardBackend {
 	}
 	out := make([]ShardBackend, v.shards.n)
 	for i, sh := range v.shards.shards {
-		out[i] = &localShard{sh: sh}
+		out[i] = newLocalShard(sh)
 	}
 	return out
 }

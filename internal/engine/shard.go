@@ -387,7 +387,7 @@ func buildShardSet(v *View, opts ShardOptions) *shardSet {
 	ss := newShardSet(opts)
 	ss.shards = newShards(v.grid.offsets, ss.n, func(_, c0, c1 int) *gridIndex { return v.grid.sub(c0, c1) })
 	for i, sh := range ss.shards {
-		ss.backends[i] = &localShard{sh: sh}
+		ss.backends[i] = newLocalShard(sh)
 	}
 	return ss
 }
@@ -419,7 +419,7 @@ func NewServedShards(tab *dataset.Table, attrs []string, workers, shards int, se
 		return g.layout(v, chunks, c0, c1, workers)
 	}) {
 		if sh != nil {
-			out[sh.index] = &localShard{sh: sh}
+			out[sh.index] = newLocalShard(sh)
 		}
 	}
 	return out, v.fp, nil

@@ -151,7 +151,13 @@ func TestChaosBitIdenticalUnderFaults(t *testing.T) {
 	}
 
 	clean := run(false)
+	faults := httpRequests("fault").Value()
 	faulty := run(true)
+	// The faulty run completed, so every injected 503 it met was retried;
+	// it must have met one, or the faults never fired.
+	if httpRequests("fault").Value() == faults {
+		t.Fatal("the faulty run met no injected 503: nothing was retried")
+	}
 	if len(clean.Areas) == 0 {
 		t.Fatal("fault-free run predicted nothing; target too hard for the budget")
 	}

@@ -657,9 +657,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		httpError(sw, http.StatusServiceUnavailable, "server overloaded; retry")
 	case faultinject.Err("service.request") != nil:
 		// Injected pre-dispatch unavailability: nothing has been read or
-		// mutated, so clients retry exactly like a shed request.
+		// mutated, so clients retry like a shed request — at once, since
+		// no load is behind it to wait out.
 		endpoint = "fault"
-		sw.Header().Set("Retry-After", "1")
+		sw.Header().Set("Retry-After", "0")
 		httpError(sw, http.StatusServiceUnavailable, "injected unavailability; retry")
 	default:
 		endpoint = s.dispatch(sw, r)

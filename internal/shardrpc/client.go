@@ -10,44 +10,16 @@ import (
 
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/faultinject"
-	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/obs"
 )
 
 // engine_shard_rpc{op}: remote shard calls by operation, resolved once.
 var (
-	obsRPCHello       = obs.GetCounterVec("engine_shard_rpc", "op").With("hello")
-	obsRPCPing        = obs.GetCounterVec("engine_shard_rpc", "op").With("ping")
-	obsRPCCount       = obs.GetCounterVec("engine_shard_rpc", "op").With("count")
-	obsRPCRowsIn      = obs.GetCounterVec("engine_shard_rpc", "op").With("rows_in")
-	obsRPCRowsInAny   = obs.GetCounterVec("engine_shard_rpc", "op").With("rows_in_any")
-	obsRPCSampleGrid  = obs.GetCounterVec("engine_shard_rpc", "op").With("sample_grid")
-	obsRPCSortedSlice = obs.GetCounterVec("engine_shard_rpc", "op").With("sorted_slice")
-	obsRPCBatch       = obs.GetCounterVec("engine_shard_rpc", "op").With("batch")
-	obsRPCRetried     = obs.GetCounterVec("engine_shard_rpc", "op").With("retried")
-	obsRPCErrors      = obs.GetCounterVec("engine_shard_rpc", "op").With("error")
+	obsRPCHello   = obs.GetCounterVec("engine_shard_rpc", "op").With("hello")
+	obsRPCBatch   = obs.GetCounterVec("engine_shard_rpc", "op").With("batch")
+	obsRPCRetried = obs.GetCounterVec("engine_shard_rpc", "op").With("retried")
+	obsRPCErrors  = obs.GetCounterVec("engine_shard_rpc", "op").With("error")
 )
-
-func opCounter(op byte) *obs.Counter {
-	switch op {
-	case opHello:
-		return obsRPCHello
-	case opPing:
-		return obsRPCPing
-	case opCount:
-		return obsRPCCount
-	case opRowsIn:
-		return obsRPCRowsIn
-	case opRowsInAny:
-		return obsRPCRowsInAny
-	case opSampleGrid:
-		return obsRPCSampleGrid
-	case opBatch:
-		return obsRPCBatch
-	default:
-		return obsRPCSortedSlice
-	}
-}
 
 // Options tunes a Client. The retry discipline is the service.Client
 // one — full-jitter draws from a doubling ceiling, context-free here
@@ -197,9 +169,6 @@ func Dial(addr, fp string, totalShards int, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// Addr returns the worker's address.
-func (c *Client) Addr() string { return c.addr }
-
 // Shards returns the shards the worker announced, in hello order.
 func (c *Client) Shards() []RemoteShard {
 	out := make([]RemoteShard, len(c.served))
@@ -212,7 +181,9 @@ func (c *Client) Shards() []RemoteShard {
 func (c *Client) Backends() map[int]engine.ShardBackend {
 	out := make(map[int]engine.ShardBackend, len(c.served))
 	for _, sh := range c.served {
-		out[sh.Index] = &remoteShard{c: c, index: sh.Index, rows: sh.Rows}
+		r := &remoteShard{c: c, index: sh.Index, rows: sh.Rows}
+		r.Batch = r.ExecuteBatch
+		out[sh.Index] = r
 	}
 	return out
 }
@@ -319,7 +290,11 @@ func (c *Client) call(shard int, op byte, payload []byte) ([]byte, error) {
 		obsRPCErrors.Inc()
 		return nil, err
 	}
-	opCounter(op).Inc()
+	if op == opHello {
+		obsRPCHello.Inc()
+	} else {
+		obsRPCBatch.Inc()
+	}
 	return resp, nil
 }
 
@@ -411,10 +386,11 @@ func (c *Client) callOnce(shard int, op byte, payload []byte) (resp []byte, retr
 }
 
 // remoteShard is the engine.ShardBackend a Client exposes for one
-// shard: each method is one framed exchange; decode failures are
+// shard: every call is one framed batch exchange; decode failures are
 // transport errors and flow into the breaker/supervisor path like any
 // other.
 type remoteShard struct {
+	engine.BatchAdapter
 	c     *Client
 	index int
 	rows  int
@@ -422,80 +398,6 @@ type remoteShard struct {
 
 func (r *remoteShard) ShardIndex() int { return r.index }
 func (r *remoteShard) NumRows() int    { return r.rows }
-func (r *remoteShard) Close() error    { return nil }
-
-func (r *remoteShard) Ping() error {
-	e := &enc{}
-	e.u32(uint32(r.index))
-	_, err := r.c.call(r.index, opPing, e.b)
-	return err
-}
-
-func (r *remoteShard) Count(rect geom.Rect) (engine.ShardCount, error) {
-	e := &enc{}
-	e.u32(uint32(r.index))
-	e.rect(rect)
-	resp, err := r.c.call(r.index, opCount, e.b)
-	if err != nil {
-		return engine.ShardCount{}, err
-	}
-	d := &dec{b: resp}
-	out := engine.ShardCount{Matched: d.i64(), Examined: d.i64()}
-	if d.err != nil {
-		return engine.ShardCount{}, d.err
-	}
-	return out, nil
-}
-
-func (r *remoteShard) RowsIn(rect geom.Rect) (engine.ShardRows, error) {
-	e := &enc{}
-	e.u32(uint32(r.index))
-	e.rect(rect)
-	resp, err := r.c.call(r.index, opRowsIn, e.b)
-	if err != nil {
-		return engine.ShardRows{}, err
-	}
-	return decodeRows(resp)
-}
-
-func (r *remoteShard) RowsInAny(rects []geom.Rect) (engine.ShardRows, error) {
-	e := &enc{}
-	e.u32(uint32(r.index))
-	e.u32(uint32(len(rects)))
-	for _, rect := range rects {
-		e.rect(rect)
-	}
-	resp, err := r.c.call(r.index, opRowsInAny, e.b)
-	if err != nil {
-		return engine.ShardRows{}, err
-	}
-	return decodeRows(resp)
-}
-
-func decodeRows(resp []byte) (engine.ShardRows, error) {
-	d := &dec{b: resp}
-	out := engine.ShardRows{Examined: d.i64(), Rows: d.rows32()}
-	if d.err != nil {
-		return engine.ShardRows{}, d.err
-	}
-	return out, nil
-}
-
-func (r *remoteShard) SampleGrid(rect geom.Rect) (engine.ShardSample, error) {
-	e := &enc{}
-	e.u32(uint32(r.index))
-	e.rect(rect)
-	resp, err := r.c.call(r.index, opSampleGrid, e.b)
-	if err != nil {
-		return engine.ShardSample{}, err
-	}
-	d := &dec{b: resp}
-	out := d.sample()
-	if d.err != nil {
-		return engine.ShardSample{}, d.err
-	}
-	return out, nil
-}
 
 // ExecuteBatch ships a whole batch of sub-queries in ONE framed
 // exchange — one round-trip, one breaker admission, one
@@ -516,22 +418,4 @@ func (r *remoteShard) ExecuteBatch(items []engine.ShardBatchItem) ([]engine.Shar
 		return nil, err
 	}
 	return decodeBatchResults(&dec{b: resp}, items)
-}
-
-func (r *remoteShard) SortedSlice(dim int, iv geom.Interval) ([]int32, error) {
-	e := &enc{}
-	e.u32(uint32(r.index))
-	e.u32(uint32(dim))
-	e.f64(iv.Lo)
-	e.f64(iv.Hi)
-	resp, err := r.c.call(r.index, opSortedSlice, e.b)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: resp}
-	rows := d.block32()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return rows, nil
 }

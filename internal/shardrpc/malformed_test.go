@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -15,42 +16,19 @@ import (
 
 // TestWorkerRejectsMalformedBatch sends, raw and after a valid hello,
 // every well-framed, CRC-valid request a worker's shard cannot evaluate
-// — a rect of the wrong arity, a NaN or inverted bound, a covering-index
-// slice of dimension 99, a disjunction of no rects or of a malformed
-// one, an item kind the protocol does not define or has retired —
-// through opBatch and the single ops. Each must be answered with opErr from validation (not
-// a recovered panic), on the same connection, which then still answers a
-// well-formed batch bit-identically to the local shard. The local shard
-// itself must refuse the malformed items, and the encoder must refuse to
-// send a kind it cannot name rather than send it as another kind.
+// — a rect of the wrong arity, a NaN or inverted bound, a disjunction of
+// no rects or of a malformed one, an item kind the protocol does not
+// define or has retired — through opBatch. Each must be answered with
+// opErr from validation (not a recovered panic), on the same connection,
+// which then still answers a well-formed batch bit-identically to the
+// local shard. The local shard itself must refuse the malformed items,
+// and the encoder must refuse to send a kind it cannot name rather than
+// send it as another kind.
 func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	const shard = 1
 	_, sharded := testViews(t, 4000, 2)
 	addr, _ := startWorker(t, 4000, 2, []int{shard})
-	conn, err := net.Dial("unix", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	exchange := func(op byte, payload []byte) (byte, []byte) {
-		t.Helper()
-		if err := writeFrame(conn, op, payload); err != nil {
-			t.Fatal(err)
-		}
-		rop, resp, err := readFrame(conn)
-		if err != nil {
-			t.Fatalf("op %d: the worker dropped the connection: %v", op, err)
-		}
-		return rop, resp
-	}
-	hello := &enc{}
-	hello.u32(protocolVersion)
-	hello.str(sharded.Fingerprint())
-	hello.u32(2)
-	if rop, _ := exchange(opHello, hello.b); rop != opOK {
-		t.Fatalf("hello answered op %d", rop)
-	}
+	exchange := rawExchange(t, addr, sharded.Fingerprint(), 2)
 
 	nan := math.NaN()
 	short := geom.Rect{{Lo: 0, Hi: 100}}
@@ -78,31 +56,6 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	retiredKind.u32(0)
 	retiredKind.f64(0)
 	retiredKind.f64(100)
-	single := func(rects ...geom.Rect) []byte {
-		e := &enc{}
-		e.u32(shard)
-		for _, r := range rects {
-			e.rect(r)
-		}
-		return e.b
-	}
-	anyOf := func(rects ...geom.Rect) []byte {
-		e := &enc{}
-		e.u32(shard)
-		e.u32(uint32(len(rects)))
-		for _, r := range rects {
-			e.rect(r)
-		}
-		return e.b
-	}
-	sorted := func(dim uint32, lo, hi float64) []byte {
-		e := &enc{}
-		e.u32(shard)
-		e.u32(dim)
-		e.f64(lo)
-		e.f64(hi)
-		return e.b
-	}
 	full := geom.R(0, 100, 0, 100)
 	cases := []struct {
 		name    string
@@ -118,11 +71,6 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 		{"batch rows_any one wrong arity", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: []geom.Rect{full, short}})},
 		{"batch rows_any NaN", opBatch, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: []geom.Rect{nanRect}})},
 		{"batch unknown kind", opBatch, unknownKind.b},
-		{"count wrong arity", opCount, single(short)},
-		{"rows_in NaN", opRowsIn, single(nanRect)},
-		{"rows_in_any one wrong arity", opRowsInAny, anyOf(full, short)},
-		{"sample_grid NaN", opSampleGrid, single(nanRect)},
-		{"sorted_slice dim 99", opSortedSlice, sorted(99, 0, 100)},
 	}
 	for _, tc := range cases {
 		rop, resp := exchange(tc.op, tc.payload)
@@ -174,5 +122,98 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 		!reflect.DeepEqual(slices.Concat(append(gotFull, gotPart)...), slices.Concat(append(wantFull, wantPart)...)) ||
 		len(want[3].Rows.Rows) == 0 || !reflect.DeepEqual(got[3].Rows, want[3].Rows) {
 		t.Fatal("well-formed batch after the malformed ones differs from the local shard")
+	}
+}
+
+// rawExchange dials the worker at addr, sends a valid hello for the
+// view fp sharded shards ways and returns a one-frame-each-way exchange
+// on that connection, which fails the test if the worker drops it.
+func rawExchange(t *testing.T, addr, fp string, shards int) func(op byte, payload []byte) (byte, []byte) {
+	t.Helper()
+	conn, err := net.Dial("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	exchange := func(op byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		if err := writeFrame(conn, op, payload); err != nil {
+			t.Fatal(err)
+		}
+		rop, resp, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("op %d: the worker dropped the connection: %v", op, err)
+		}
+		return rop, resp
+	}
+	hello := &enc{}
+	hello.u32(protocolVersion)
+	hello.str(fp)
+	hello.u32(uint32(shards))
+	if rop, _ := exchange(opHello, hello.b); rop != opOK {
+		t.Fatalf("hello answered op %d", rop)
+	}
+	return exchange
+}
+
+// TestRetiredOpsRefused sends each per-operation request protocol
+// version 4 retired, well-formed as a version-3 coordinator framed it.
+// Each must be answered with an opErr naming the op, on a connection
+// that then still answers a batch exactly as the local shard does.
+func TestRetiredOpsRefused(t *testing.T) {
+	const shard = 1
+	_, sharded := testViews(t, 2000, 2)
+	addr, _ := startWorker(t, 2000, 2, []int{shard})
+	exchange := rawExchange(t, addr, sharded.Fingerprint(), 2)
+
+	full := geom.R(0, 100, 0, 100)
+	payload := func(fill func(e *enc)) []byte {
+		e := &enc{}
+		e.u32(shard)
+		fill(e)
+		return e.b
+	}
+	oneRect := payload(func(e *enc) { e.rect(full) })
+	cases := []struct {
+		op      byte
+		name    string
+		payload []byte
+	}{
+		{2, "ping", payload(func(*enc) {})},
+		{3, "count", oneRect},
+		{4, "rows_in", oneRect},
+		{5, "rows_in_any", payload(func(e *enc) { e.u32(1); e.rect(full) })},
+		{6, "sample_grid", oneRect},
+		{7, "sorted_slice", payload(func(e *enc) { e.u32(0); e.f64(0); e.f64(100) })},
+	}
+	for _, tc := range cases {
+		rop, resp := exchange(tc.op, tc.payload)
+		want := fmt.Sprintf("op %d (%s) retired", tc.op, tc.name)
+		if msg := (&dec{b: resp}).str(); rop != opErr || !strings.Contains(msg, want) {
+			t.Fatalf("op %d answered op %d %q, want opErr naming %q", tc.op, rop, msg, want)
+		}
+	}
+
+	items := []engine.ShardBatchItem{{Kind: engine.BatchCount, Rect: full}, {Kind: engine.BatchRows, Rect: geom.R(30, 50, 30, 50)}}
+	batch := payload(func(e *enc) {
+		if err := encodeBatchItems(e, items); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rop, resp := exchange(opBatch, batch)
+	if rop != opOK {
+		t.Fatalf("batch after the retired ops answered op %d: %s", rop, (&dec{b: resp}).str())
+	}
+	got, err := decodeBatchResults(&dec{b: resp}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sharded.LocalShardBackends()[shard].ExecuteBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch after the retired ops = %+v, want %+v", got, want)
 	}
 }

@@ -117,21 +117,21 @@ func singleDimRect(dims, dim int, lo, hi float64) geom.Rect {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("the payload")
-	if err := writeFrame(&buf, opCount, payload); err != nil {
+	if err := writeFrame(&buf, opBatch, payload); err != nil {
 		t.Fatal(err)
 	}
 	op, got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != opCount || !bytes.Equal(got, payload) {
+	if op != opBatch || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: op=%d payload=%q", op, got)
 	}
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, opCount, []byte("payload")); err != nil {
+	if err := writeFrame(&buf, opBatch, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -141,7 +141,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 
 	buf.Reset()
-	writeFrame(&buf, opCount, []byte("payload"))
+	writeFrame(&buf, opBatch, []byte("payload"))
 	raw = buf.Bytes()
 	raw[3] = 0xff // absurd length field
 	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "length") {
@@ -151,7 +151,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	// A torn frame (truncated mid-payload) must error, not hang or
 	// succeed.
 	buf.Reset()
-	writeFrame(&buf, opCount, []byte("payload"))
+	writeFrame(&buf, opBatch, []byte("payload"))
 	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()[:buf.Len()-3])); err == nil {
 		t.Fatal("torn frame read succeeded")
 	}
@@ -180,13 +180,17 @@ func TestHelloRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestHelloRefusesVersion2 pins the version-3 bump: a version-2
-// coordinator would still send covering-index slices (batch item kind
-// 3), which a worker no longer answers, so its hello is refused.
-func TestHelloRefusesVersion2(t *testing.T) {
+// TestHelloRefusesOldVersions pins the version-3 and version-4 bumps:
+// a version-2 coordinator would still send covering-index slices (batch
+// item kind 3) and a version-3 one per-operation requests (ops 2–7),
+// neither of which a worker answers any more, so their hellos are
+// refused.
+func TestHelloRefusesOldVersions(t *testing.T) {
 	_, sharded := testViews(t, 2000, 2)
 	addr, _ := startWorker(t, 2000, 2, []int{0, 1})
-	helloRefused(t, addr, sharded.Fingerprint(), 2, 2)
+	for _, version := range []uint32{2, 3} {
+		helloRefused(t, addr, sharded.Fingerprint(), 2, version)
+	}
 }
 
 // helloRefused sends a hello at protocol version on a fresh connection
@@ -612,7 +616,7 @@ func TestRPCMetricsExposition(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`engine_shard_rpc{op="count"}`,
+		`engine_shard_rpc{op="batch"}`,
 		`engine_shard_rpc{op="hello"}`,
 		`shard_breaker{state="closed"}`,
 	} {
@@ -636,14 +640,60 @@ func TestServerRejectsUnservedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	bad := &remoteShard{c: c, index: 0, rows: 0}
-	if _, err := bad.Count(geom.R(0, 100, 0, 100)); err == nil || !strings.Contains(err.Error(), "not served") {
+	count := []engine.ShardBatchItem{{Kind: engine.BatchCount, Rect: geom.R(0, 100, 0, 100)}}
+	bad := &remoteShard{c: c, index: 0}
+	if _, err := bad.ExecuteBatch(count); err == nil || !strings.Contains(err.Error(), "not served") {
 		t.Fatalf("unserved shard: err = %v", err)
 	}
 	// The same connection still serves shard 1 afterwards.
-	good := &remoteShard{c: c, index: 1, rows: 0}
-	if _, err := good.Count(geom.R(0, 100, 0, 100)); err != nil {
+	good := &remoteShard{c: c, index: 1}
+	if _, err := good.ExecuteBatch(count); err != nil {
 		t.Fatalf("served shard after opErr: %v", err)
+	}
+}
+
+// TestSingleOpAdaptersMatchBatch pins engine.BatchAdapter on both
+// backends, local and over the wire: each single-item method answers
+// exactly what the one-item ExecuteBatch does, Examined included, and
+// SortedSlice is not served.
+func TestSingleOpAdaptersMatchBatch(t *testing.T) {
+	_, sharded := testViews(t, 4000, 2)
+	addr, _ := startWorker(t, 4000, 2, []int{0, 1})
+	c, err := Dial(addr, sharded.Fingerprint(), 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	remote := c.Backends()
+	rects := append(randomRects(8, 2, rand.New(rand.NewSource(5))), geom.R(0, 100, 0, 100))
+	for i, local := range sharded.LocalShardBackends() {
+		for name, b := range map[string]engine.ShardBackend{"local": local, "remote": remote[i]} {
+			batch := func(it engine.ShardBatchItem) engine.ShardBatchResult {
+				out, err := b.ExecuteBatch([]engine.ShardBatchItem{it})
+				if err != nil {
+					t.Fatalf("%s shard %d: %v", name, i, err)
+				}
+				return out[0]
+			}
+			check := func(method string, ri int, got any, err error, want any) {
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s shard %d rect %d: %s = %+v (%v), want the one-item batch's %+v", name, i, ri, method, got, err, want)
+				}
+			}
+			for ri, rect := range rects {
+				count, err := b.Count(rect)
+				check("Count", ri, count, err, batch(engine.ShardBatchItem{Kind: engine.BatchCount, Rect: rect}).Count)
+				rows, err := b.RowsIn(rect)
+				check("RowsIn", ri, rows, err, batch(engine.ShardBatchItem{Kind: engine.BatchRows, Rect: rect}).Rows)
+				anyRows, err := b.RowsInAny(rects[:ri+1])
+				check("RowsInAny", ri, anyRows, err, batch(engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: rects[:ri+1]}).Rows)
+				sample, err := b.SampleGrid(rect)
+				check("SampleGrid", ri, sample, err, batch(engine.ShardBatchItem{Kind: engine.BatchSample, Rect: rect}).Sample)
+			}
+			if _, err := b.SortedSlice(0, geom.Interval{Lo: 0, Hi: 100}); !errors.Is(err, engine.ErrNotServed) {
+				t.Fatalf("%s shard %d: SortedSlice err = %v, want ErrNotServed", name, i, err)
+			}
+		}
 	}
 }
 

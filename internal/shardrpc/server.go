@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/explore-by-example/aide/internal/engine"
-	"github.com/explore-by-example/aide/internal/geom"
 )
 
 // Server serves a subset of one sharded view's shards over the framed
@@ -45,16 +44,6 @@ func NewServer(fp string, totalShards int, backends map[int]engine.ShardBackend)
 		backends: bs,
 		conns:    make(map[net.Conn]struct{}),
 	}
-}
-
-// Shards returns the sorted-free list of shard indexes this server
-// serves (map iteration order; callers sort if they care).
-func (s *Server) Shards() []int {
-	out := make([]int, 0, len(s.backends))
-	for i := range s.backends {
-		out = append(out, i)
-	}
-	return out
 }
 
 // Serve accepts connections on ln until Close, one goroutine per
@@ -155,9 +144,20 @@ func (s *Server) handle(op byte, payload []byte) (resp []byte, err error) {
 		}
 	}()
 	d := &dec{b: payload}
-	if op == opHello {
+	switch op {
+	case opHello:
 		return s.handleHello(d)
+	case opBatch:
+		return s.handleBatch(d)
 	}
+	if name, ok := retiredOps[op]; ok {
+		return nil, fmt.Errorf("shardrpc: op %d (%s) retired at protocol version 4; send it as a batch item", op, name)
+	}
+	return nil, fmt.Errorf("shardrpc: unknown op %d", op)
+}
+
+// handleBatch answers one shard's batch of sub-queries.
+func (s *Server) handleBatch(d *dec) ([]byte, error) {
 	shard := int(d.u32())
 	b, okShard := s.backends[shard]
 	if d.err != nil {
@@ -166,92 +166,20 @@ func (s *Server) handle(op byte, payload []byte) (resp []byte, err error) {
 	if !okShard {
 		return nil, fmt.Errorf("shardrpc: shard %d not served here", shard)
 	}
-	e := &enc{}
-	switch op {
-	case opPing:
-		if err := b.Ping(); err != nil {
-			return nil, err
-		}
-		return e.b, nil
-	case opCount:
-		rect := d.rect()
-		if d.err != nil {
-			return nil, d.err
-		}
-		out, err := b.Count(rect)
-		if err != nil {
-			return nil, err
-		}
-		e.i64(out.Matched)
-		e.i64(out.Examined)
-		return e.b, nil
-	case opRowsIn:
-		rect := d.rect()
-		if d.err != nil {
-			return nil, d.err
-		}
-		out, err := b.RowsIn(rect)
-		if err != nil {
-			return nil, err
-		}
-		e.i64(out.Examined)
-		e.rows32(out.Rows)
-		return e.b, nil
-	case opRowsInAny:
-		n := d.count(4)
-		rects := make([]geom.Rect, 0, n)
-		for i := 0; i < n; i++ {
-			rects = append(rects, d.rect())
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		out, err := b.RowsInAny(rects)
-		if err != nil {
-			return nil, err
-		}
-		e.i64(out.Examined)
-		e.rows32(out.Rows)
-		return e.b, nil
-	case opSampleGrid:
-		rect := d.rect()
-		if d.err != nil {
-			return nil, d.err
-		}
-		out, err := b.SampleGrid(rect)
-		if err != nil {
-			return nil, err
-		}
-		e.sample(out)
-		return e.b, nil
-	case opSortedSlice:
-		dim := int(d.u32())
-		iv := geom.Interval{Lo: d.f64(), Hi: d.f64()}
-		if d.err != nil {
-			return nil, d.err
-		}
-		rows, err := b.SortedSlice(dim, iv)
-		if err != nil {
-			return nil, err
-		}
-		e.block32(rows)
-		return e.b, nil
-	case opBatch:
-		items, err := decodeBatchItems(d)
-		if err != nil {
-			return nil, err
-		}
-		results, err := b.ExecuteBatch(items)
-		if err != nil {
-			return nil, err
-		}
-		if len(results) != len(items) {
-			return nil, fmt.Errorf("shardrpc: backend answered %d results for %d items", len(results), len(items))
-		}
-		encodeBatchResults(e, items, results)
-		return e.b, nil
+	items, err := decodeBatchItems(d)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("shardrpc: unknown op %d", op)
+	results, err := b.ExecuteBatch(items)
+	if err != nil {
+		return nil, err
+	}
+	if len(results) != len(items) {
+		return nil, fmt.Errorf("shardrpc: backend answered %d results for %d items", len(results), len(items))
+	}
+	e := &enc{}
+	encodeBatchResults(e, items, results)
+	return e.b, nil
 }
 
 // handleHello validates the client's (version, fingerprint, total

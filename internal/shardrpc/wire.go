@@ -1,9 +1,10 @@
-// Package shardrpc is the remote-shard transport: it ships the
-// engine.ShardBackend surface — one shard's Count/RowsIn/RowsInAny/
-// SampleGrid/SortedSlice plus a health ping — over a length-prefixed,
-// CRC-framed binary protocol on TCP or unix sockets, so shards can run
-// in separate worker processes (cmd/aideshard) with real fault
-// isolation.
+// Package shardrpc is the remote-shard transport: it ships one shard's
+// engine.ShardBackend batches over a length-prefixed, CRC-framed binary
+// protocol on TCP or unix sockets, so shards can run in separate worker
+// processes (cmd/aideshard) with real fault isolation. The protocol has
+// two requests: a hello that pins the deployment, and a batch that
+// carries every sub-query one shard answers in a scatter round. The
+// single-item backend methods are one-item batches (engine.BatchAdapter).
 //
 // The frame layout reuses the durable WAL's framing discipline:
 //
@@ -33,21 +34,22 @@ import (
 	"github.com/explore-by-example/aide/internal/geom"
 )
 
-// Protocol ops. Requests carry the shard index first (except hello);
-// every exchange is one request frame, one response frame.
+// Protocol ops. A batch request carries the shard index first; every
+// exchange is one request frame, one response frame.
 const (
-	opHello       = byte(1) // fingerprint + total shard count -> served shard list
-	opPing        = byte(2)
-	opCount       = byte(3)
-	opRowsIn      = byte(4)
-	opRowsInAny   = byte(5)
-	opSampleGrid  = byte(6)
-	opSortedSlice = byte(7)
-	opBatch       = byte(8) // N length-prefixed sub-queries -> N results, one round-trip
+	opHello = byte(1) // fingerprint + total shard count -> served shard list
+	opBatch = byte(8) // N length-prefixed sub-queries -> N results, one round-trip
 
 	opOK  = byte(128) // success; payload is op-specific
 	opErr = byte(129) // failure; payload is the error string
 )
+
+// retiredOps names the per-operation requests of protocol versions 1–3,
+// each now a one-item batch. A worker answers one with an opErr naming
+// it and keeps the connection.
+var retiredOps = map[byte]string{
+	2: "ping", 3: "count", 4: "rows_in", 5: "rows_in_any", 6: "sample_grid", 7: "sorted_slice",
+}
 
 // headerSize is the fixed frame prefix: u32 length + u32 crc.
 const headerSize = 8
@@ -60,8 +62,9 @@ const maxFrameSize = 64 << 20
 // deploy error and fails the handshake. Version 2 added the RowsAny
 // batch item, which a version-1 worker would misread; version 3 retired
 // batch item kind 3, the covering-index slice, which a version-2
-// coordinator would still send.
-const protocolVersion = 3
+// coordinator would still send; version 4 retired ops 2–7 (retiredOps),
+// which a version-3 coordinator would still send.
+const protocolVersion = 4
 
 // crcOf is the frame checksum: crc32-IEEE over op byte + payload.
 func crcOf(body []byte) uint32 { return crc32.ChecksumIEEE(body) }
@@ -244,18 +247,6 @@ func (d *dec) rows32() []int {
 	return rows
 }
 
-func (d *dec) block32() []int32 {
-	n := d.count(4)
-	if n == 0 {
-		return nil
-	}
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(d.u32())
-	}
-	return rows
-}
-
 // sample decodes enc.sample's frame into one flat row array at the
 // wire's int32 width — the blocks back to back, then the survivors —
 // sized by a pass over the length prefixes before anything is copied.
@@ -380,8 +371,7 @@ func decodeBatchItems(d *dec) ([]engine.ShardBatchItem, error) {
 	return items, nil
 }
 
-// encodeBatchResults appends N results, each shaped by its item's kind
-// exactly like the corresponding single-op response payload.
+// encodeBatchResults appends N results, each shaped by its item's kind.
 func encodeBatchResults(e *enc, items []engine.ShardBatchItem, results []engine.ShardBatchResult) {
 	e.u32(uint32(len(results)))
 	for k, r := range results {
