@@ -9,10 +9,10 @@
 // Absolute numbers depend on machine and scale; the shapes (orderings,
 // rough factors, crossovers) reproduce the paper. See EXPERIMENTS.md.
 //
-// The -json flag instead runs the hot-path worker-pool benchmark (CART
-// training, grid scans, index build at workers=1 vs N; k-means, which
-// runs sequentially, on both sides) and
-// writes the machine-readable report tracked as BENCH_hotpaths.json:
+// The -json flag instead runs the hot-path benchmark (grid scans and
+// index build at workers=1 vs N; CART training and k-means, which run
+// sequentially, on both sides) and writes the machine-readable report
+// tracked as BENCH_hotpaths.json:
 //
 //	aidebench -json BENCH_hotpaths.json
 //	aidebench -json - -workers 8 -quick
@@ -74,8 +74,8 @@ func main() {
 		verbose  = flag.Bool("v", false, "stream per-session progress")
 		csvDir   = flag.String("csvdir", "", "also write each report as <id>.csv into this directory")
 		metrics  = flag.String("metrics", "", "after all runs, dump internal counters as JSON to this file ('-' for stdout)")
-		jsonOut  = flag.String("json", "", "run the hot-path worker-pool benchmark and write its JSON report to this file ('-' for stdout)")
-		workers  = flag.Int("workers", 0, "worker count for the -json benchmark's parallel side (0: AIDE_WORKERS or GOMAXPROCS)")
+		jsonOut  = flag.String("json", "", "run the hot-path benchmark and write its JSON report to this file ('-' for stdout)")
+		workers  = flag.Int("workers", 0, "worker count for the -json benchmark's parallel side (0: GOMAXPROCS)")
 		procs    = flag.Int("gomaxprocs", 0, "GOMAXPROCS while benchmarking (0: runtime.NumCPU(); honest speedups need gomaxprocs >= workers)")
 		baseline = flag.String("baseline", "", "regression-gate mode: rerun the hot-path suite at this committed BENCH_hotpaths.json's scale and exit nonzero if grid_scan, grid_scan_batched or sample_plan single-thread ns/op regresses >20%, one batch of 16 loses to 16 batches of one, or any identical gate fails")
 
@@ -196,7 +196,7 @@ func main() {
 	}
 }
 
-// runHotpaths benchmarks the parallelized hot paths at workers=1 vs N
+// runHotpaths benchmarks the hot paths, each as a pair of sides,
 // and writes the JSON perf-trajectory report (see BENCH_hotpaths.json).
 func runHotpaths(path string, workers, rows int, seed int64, quick bool) error {
 	cfg := bench.DefaultHotpathConfig()

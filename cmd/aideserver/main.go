@@ -294,7 +294,7 @@ type viewSpec struct {
 // <view>.index_mb).
 func setup(srv *service.Server, views []viewSpec, logger *slog.Logger) error {
 	for _, vs := range views {
-		if err := srv.RegisterTable(vs.name, vs.tab, vs.attrs, 0); err != nil {
+		if err := srv.RegisterTable(vs.name, vs.tab, vs.attrs); err != nil {
 			return fmt.Errorf("view %s: %w", vs.name, err)
 		}
 		v := srv.View(vs.name)

@@ -45,7 +45,6 @@ func main() {
 		csvName     = flag.String("csv-name", "csv", "table name for -csv (part of the view identity)")
 		seed        = flag.Int64("seed", 1, "dataset generation seed; must match the coordinator's")
 		attrs       = flag.String("attrs", "rowc,colc", "exploration attributes; must match the coordinator's")
-		workers     = flag.Int("workers", 0, "index build worker count (0: GOMAXPROCS)")
 		shards      = flag.Int("shards", 0, "total shard count of the view; must match the coordinator's -shards")
 		serve       = flag.String("serve", "", "comma-separated shard indexes to serve (empty: all of them)")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
@@ -95,7 +94,7 @@ func main() {
 		fatal("bad -serve", "err", err)
 	}
 	rows := tab.NumRows()
-	subset, fp, err := setup(tab, exploreAttrs, *workers, *shards, indexes)
+	subset, fp, err := setup(tab, exploreAttrs, *shards, indexes)
 	if err != nil {
 		fatal("building view", "err", err)
 	}
@@ -146,8 +145,8 @@ func main() {
 // OS and restarts the GC pacer from what the worker serves, not from the
 // build's peak, and obs.PaceStaticHeap then sizes the GC goal for that
 // static heap.
-func setup(tab *dataset.Table, attrs []string, workers, shards int, serve []int) (map[int]engine.ShardBackend, string, error) {
-	subset, fp, err := engine.NewServedShards(tab, attrs, workers, shards, serve)
+func setup(tab *dataset.Table, attrs []string, shards int, serve []int) (map[int]engine.ShardBackend, string, error) {
+	subset, fp, err := engine.NewServedShards(tab, attrs, shards, serve)
 	if err != nil {
 		return nil, "", err
 	}

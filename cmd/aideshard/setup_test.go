@@ -64,7 +64,7 @@ func TestWorkerSetupResetsHeapGoal(t *testing.T) {
 	const rows = 200_000
 	runtime.GC()
 	base := heapSnapshot()
-	subset, _, err := setup(dataset.GenerateSDSS(rows, 1), []string{"rowc", "colc", "ra", "dec"}, 0, 2, []int{0})
+	subset, _, err := setup(dataset.GenerateSDSS(rows, 1), []string{"rowc", "colc", "ra", "dec"}, 2, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}

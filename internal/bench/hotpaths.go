@@ -20,7 +20,6 @@ import (
 	"github.com/explore-by-example/aide/internal/grid"
 	"github.com/explore-by-example/aide/internal/kmeans"
 	"github.com/explore-by-example/aide/internal/obs"
-	"github.com/explore-by-example/aide/internal/par"
 )
 
 // benchKernelSeconds records each kernel's timed reps at the configured
@@ -29,7 +28,7 @@ import (
 // BENCH_hotpaths.json summarizes as p50/p95/p99.
 var benchKernelSeconds = obs.GetHistogramVec("bench_kernel_seconds", "kernel")
 
-// HotpathConfig scales the worker-pool benchmark (aidebench -json).
+// HotpathConfig scales the hot-path benchmark (aidebench -json).
 type HotpathConfig struct {
 	// Rows is the table size behind the scan and index-build kernels
 	// (default 150000).
@@ -38,8 +37,8 @@ type HotpathConfig struct {
 	TrainPoints int
 	// ClusterPoints is the k-means point count (default 40000).
 	ClusterPoints int
-	// Workers is the parallel side's worker count (0: automatic —
-	// AIDE_WORKERS or GOMAXPROCS). The sequential side is always 1.
+	// Workers is the parallel side's worker count (0: GOMAXPROCS). The
+	// sequential side is always 1.
 	Workers int
 	// Seed drives dataset generation.
 	Seed int64
@@ -222,7 +221,10 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 	if cfg.MinTime <= 0 {
 		cfg.MinTime = def.MinTime
 	}
-	workers := par.Resolve(cfg.Workers)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	rep := &HotpathReport{
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Workers:       workers,
@@ -237,22 +239,21 @@ func RunHotpaths(cfg HotpathConfig) (*HotpathReport, error) {
 	}
 
 	// cart_train: induction over a 4-d labeled set, the per-iteration
-	// classifier retraining cost of the steering loop.
+	// classifier retraining cost of the steering loop. Both columns run
+	// the one sequential induction; identical compares two trainings.
 	points, labels := hotpathTrainingSet(cfg.TrainPoints, 4, cfg.Seed)
-	trainAt := func(w int) *cart.Tree {
-		p := cart.DefaultParams()
-		p.Workers = w
-		t, err := cart.Train(points, labels, p)
+	train := func() *cart.Tree {
+		t, err := cart.Train(points, labels, cart.DefaultParams())
 		if err != nil {
 			panic(err)
 		}
 		return t
 	}
-	seqTree, parTree := trainAt(1), trainAt(workers)
+	first, second := train(), train()
 	rep.Results = append(rep.Results, hotpathResult("cart_train",
-		measure(cfg.MinTime, nil, func() { trainAt(1) }),
-		measure(cfg.MinTime, benchKernelSeconds.With("cart_train"), func() { trainAt(workers) }),
-		seqTree.String(nil) == parTree.String(nil)))
+		measure(cfg.MinTime, nil, func() { train() }),
+		measure(cfg.MinTime, benchKernelSeconds.With("cart_train"), func() { train() }),
+		first.String(nil) == second.String(nil)))
 
 	// grid_scan: Count + RowsIn over a large region of a 2-d view — the
 	// shape of evaluation queries and density probes. The w=1 column is

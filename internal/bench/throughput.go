@@ -143,7 +143,6 @@ func (r *ThroughputReport) Gate() error {
 func throughputSession(view *engine.View, target eval.Target, seed int64, iters int) (string, []time.Duration, int, error) {
 	opts := explore.DefaultOptions()
 	opts.Seed = seed
-	opts.Workers = 1
 	opts.MaxIterations = iters
 	sess, err := explore.NewSession(view, eval.NewSimulatedUser(target), opts)
 	if err != nil {
@@ -279,7 +278,7 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputReport, error) {
 	// Baseline: every session builds a private view inside the timed
 	// region and runs uncached.
 	perSession, perSQL, _, err := runThroughputMode(cfg, "per_session_views", target,
-		func(int) (*engine.View, error) { return engine.NewViewWorkers(tab, attrs, 1) })
+		func(int) (*engine.View, error) { return engine.NewView(tab, attrs) })
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +290,7 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputReport, error) {
 	cache := engine.NewCache(cfg.CacheBytes)
 	shared, sharedSQL, boundary, err := runThroughputMode(cfg, "shared_view", target,
 		func(int) (*engine.View, error) {
-			v, err := registry.AcquireWorkers(tab, attrs, 1)
+			v, err := registry.Acquire(tab, attrs)
 			if err != nil {
 				return nil, err
 			}

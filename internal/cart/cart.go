@@ -18,14 +18,10 @@ import (
 	"strings"
 
 	"github.com/explore-by-example/aide/internal/geom"
-	"github.com/explore-by-example/aide/internal/par"
 )
 
 // ErrBadParams marks Params rejected by Validate.
 var ErrBadParams = errors.New("cart: invalid params")
-
-// kernelSplit tracks the parallel per-dimension Gini sweeps of bestSplit.
-var kernelSplit = par.NewKernel("cart.best_split")
 
 // Params controls tree induction.
 type Params struct {
@@ -36,12 +32,6 @@ type Params struct {
 	MinLeaf int
 	// MinGain is the minimum Gini impurity decrease a split must achieve.
 	MinGain float64
-	// Workers sets the worker count for the per-dimension split search:
-	// 0 means automatic (AIDE_WORKERS or GOMAXPROCS), 1 forces the
-	// sequential path. The trained tree is bit-identical at every worker
-	// count: each dimension's sweep is independent and the cross-dimension
-	// merge keeps the lower-dim/lower-threshold tie-break.
-	Workers int
 	// MaxNodes caps the total node count (a resource budget: each split
 	// adds two nodes). 0 means unbounded. When the cap stops a split, the
 	// affected subtree becomes a majority-vote leaf and the tree reports
@@ -51,7 +41,7 @@ type Params struct {
 
 // Validate rejects negative or non-finite parameter values with a typed
 // error (errors.Is(err, ErrBadParams)). Zero values are allowed: they
-// mean "default" (MinLeaf 1, unbounded depth/nodes, automatic workers).
+// mean "default" (MinLeaf 1, unbounded depth/nodes).
 func (p Params) Validate() error {
 	if p.MaxDepth < 0 {
 		return fmt.Errorf("%w: MaxDepth = %d", ErrBadParams, p.MaxDepth)
@@ -61,9 +51,6 @@ func (p Params) Validate() error {
 	}
 	if p.MinGain < 0 || math.IsNaN(p.MinGain) || math.IsInf(p.MinGain, 0) {
 		return fmt.Errorf("%w: MinGain = %v", ErrBadParams, p.MinGain)
-	}
-	if p.Workers < 0 {
-		return fmt.Errorf("%w: Workers = %d", ErrBadParams, p.Workers)
 	}
 	if p.MaxNodes < 0 {
 		return fmt.Errorf("%w: MaxNodes = %d", ErrBadParams, p.MaxNodes)

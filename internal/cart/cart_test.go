@@ -8,6 +8,28 @@ import (
 	"github.com/explore-by-example/aide/internal/geom"
 )
 
+// randomTrainingSet builds n labeled points in d dimensions against a
+// random rectangular target, the worst-case shape for split-search ties.
+func randomTrainingSet(n, d int, seed int64) ([]geom.Point, []bool) {
+	rng := rand.New(rand.NewSource(seed))
+	target := make(geom.Rect, d)
+	for i := range target {
+		lo := rng.Float64() * 70
+		target[i] = geom.Interval{Lo: lo, Hi: lo + 10 + rng.Float64()*20}
+	}
+	points := make([]geom.Point, n)
+	labels := make([]bool, n)
+	for i := range points {
+		p := make(geom.Point, d)
+		for j := range p {
+			p[j] = rng.Float64() * 100
+		}
+		points[i] = p
+		labels[i] = target.Contains(p)
+	}
+	return points, labels
+}
+
 // labeledGrid builds training data on a lattice where label = inside(rect).
 func labeledGrid(n int, rect geom.Rect, seed int64) ([]geom.Point, []bool) {
 	rng := rand.New(rand.NewSource(seed))
@@ -385,5 +407,24 @@ func TestGini(t *testing.T) {
 	}
 	if gini(10, 10) != 0 {
 		t.Error("pure node gini should be 0")
+	}
+}
+
+// TestTrainScratchReuse trains twice on the same tree-sized inputs and
+// asserts repeatability: the hoisted scratch buffers must not leak state
+// between dimensions or trainings.
+func TestTrainScratchReuse(t *testing.T) {
+	points, labels := randomTrainingSet(800, 3, 42)
+	params := DefaultParams()
+	first, err := Train(points, labels, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Train(points, labels, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.String(nil) != second.String(nil) {
+		t.Fatal("repeated training produced different trees")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/explore-by-example/aide/internal/geom"
 	"github.com/explore-by-example/aide/internal/obs"
-	"github.com/explore-by-example/aide/internal/par"
 )
 
 // obsKeysSorted counts keys passed to a sort, once per dimension per key:
@@ -42,11 +41,10 @@ type Set struct {
 	// left marks, per row, the side of the split being applied; spill
 	// buffers a partition's right side; fresh holds the new rows' keys
 	// while they sort.
-	work    [][]entry
-	left    []bool
-	spill   []entry
-	fresh   []entry
-	dimBest []splitResult
+	work  [][]entry
+	left  []bool
+	spill []entry
+	fresh []entry
 }
 
 // entry is one row's key on the dimension an order sorts.
@@ -158,7 +156,6 @@ func (s *Set) absorb(points []geom.Point) {
 		s.dims = len(points[0])
 		s.sorted = make([][]entry, s.dims)
 		s.work = make([][]entry, s.dims+1)
-		s.dimBest = make([]splitResult, s.dims)
 	}
 	for d := range s.sorted {
 		fresh := slices.Grow(s.fresh[:0], n-n0)
@@ -310,12 +307,10 @@ func (b *builder) build(lo, hi, depth int) *node {
 }
 
 // bestSplit scans every dimension's presorted segment for the midpoint
-// threshold with maximal (weighted, when weights are set) Gini gain. The
-// per-dimension sweeps are independent, so they fan out across the par
-// worker pool; the cross-dimension merge then walks dimensions in
-// ascending order, so ties break toward the lower dimension index and
-// lower threshold and induction is deterministic — and identical — at
-// every worker count.
+// threshold with maximal (weighted, when weights are set) Gini gain.
+// Dimensions are walked in ascending order, so ties break toward the
+// lower dimension index and lower threshold and induction is
+// deterministic.
 //
 // Tie-break semantics: each dimension keeps the first candidate whose
 // gain exceeds its running per-dimension best by 1e-15, and the merge
@@ -327,25 +322,18 @@ func (b *builder) build(lo, hi, depth int) *node {
 // dimension.
 func (b *builder) bestSplit(lo, hi, nPos int, wPos, wTot float64) (bestDim int, bestThr, bestGain float64) {
 	s := b.set
-	n := hi - lo
-	parent := gini(nPos, n)
+	parent := gini(nPos, hi-lo)
 	if b.weights != nil {
 		parent = giniW(wPos, wTot)
 	}
-	// Work hint: the sweep reads n entries per dimension, so total cost
-	// scales with dims × n. Deep nodes with a handful of samples run
-	// inline instead of paying chunk handoff.
-	par.ForWork(kernelSplit, b.params.Workers, s.dims, 1, s.dims*n, func(_, dlo, dhi int) {
-		for d := dlo; d < dhi; d++ {
-			if b.weights == nil {
-				s.dimBest[d] = sweep(s.work[d][lo:hi], b.labels, parent, nPos)
-			} else {
-				s.dimBest[d] = sweepWeighted(s.work[d][lo:hi], b.labels, b.weights, parent, wPos, wTot)
-			}
-		}
-	})
 	bestDim = -1
-	for d, r := range s.dimBest {
+	for d := 0; d < s.dims; d++ {
+		var r splitResult
+		if b.weights == nil {
+			r = sweep(s.work[d][lo:hi], b.labels, parent, nPos)
+		} else {
+			r = sweepWeighted(s.work[d][lo:hi], b.labels, b.weights, parent, wPos, wTot)
+		}
 		if r.ok && r.gain > bestGain+1e-15 {
 			bestDim, bestThr, bestGain = d, r.thr, r.gain
 		}

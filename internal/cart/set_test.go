@@ -152,22 +152,19 @@ func FuzzTrainIncremental(f *testing.F) {
 }
 
 // TestSetMatchesReference grows session-shaped 4-D training sets 20 rows
-// per retrain and checks every retrain's tree, at one worker and at
-// several, against the reference induction.
+// per retrain and checks every retrain's tree against the reference
+// induction.
 func TestSetMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		points, labels := randomTrainingSet(800, 4, seed)
-		for _, workers := range []int{1, 4} {
-			params := DefaultParams()
-			params.Workers = workers
-			var set Set
-			for n := 20; n <= len(points); n += 20 {
-				got, err := set.Train(context.Background(), points[:n], labels[:n], nil, params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstReference(t, got, points[:n], labels[:n], nil, params)
+		params := DefaultParams()
+		var set Set
+		for n := 20; n <= len(points); n += 20 {
+			got, err := set.Train(context.Background(), points[:n], labels[:n], nil, params)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkAgainstReference(t, got, points[:n], labels[:n], nil, params)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TrainWeightedCtx(ctx context.Context, points []geom.Point, labels []bool, w
 // sweepWeighted scans one dimension's presorted segment for the midpoint
 // threshold with maximal weighted Gini gain. Weight sums accumulate in
 // segment order — ascending value, ties by ascending row index — so the
-// result is deterministic at every worker count.
+// result is deterministic.
 func sweepWeighted(seg []entry, labels []bool, weights []float64, parent, wPos, wTot float64) splitResult {
 	n := len(seg)
 	var best splitResult

@@ -153,7 +153,6 @@ func TestParamsValidate(t *testing.T) {
 		{MinLeaf: -1},
 		{MinGain: -0.1},
 		{MinGain: math.NaN()},
-		{Workers: -1},
 		{MaxNodes: -1},
 	}
 	for _, p := range bad {

@@ -99,7 +99,7 @@ func (g *gridIndex) countCells(v *View, workers int) (chunks [][]int32) {
 	cells := len(g.offsets) - 1
 	rows := v.NumRows()
 	chunks = make([][]int32, par.ChunkCount(workers, rows, 1024))
-	par.For(kernelIndex, workers, rows, 1024, func(c, lo, hi int) {
+	par.For(workers, rows, 1024, func(c, lo, hi int) {
 		counts := make([]int32, cells)
 		for r := lo; r < hi; r++ {
 			counts[g.cellOf(v, r)]++
@@ -139,7 +139,7 @@ func (g *gridIndex) layout(v *View, chunks [][]int32, c0, c1, workers int) *grid
 			run[id] += counts[c0+id]
 		}
 	}
-	par.For(kernelIndex, workers, v.NumRows(), 1024, func(c, lo, hi int) {
+	par.For(workers, v.NumRows(), 1024, func(c, lo, hi int) {
 		nx := next[c]
 		for r := lo; r < hi; r++ {
 			if id := g.cellOf(v, r) - c0; uint(id) < uint(len(nx)) {
@@ -151,7 +151,7 @@ func (g *gridIndex) layout(v *View, chunks [][]int32, c0, c1, workers int) *grid
 	out.slabs = make([][]float64, g.dims)
 	out.zoneMin = make([][]float64, g.dims)
 	out.zoneMax = make([][]float64, g.dims)
-	par.For(kernelIndex, workers, g.dims, 1, func(_, dlo, dhi int) {
+	par.For(workers, g.dims, 1, func(_, dlo, dhi int) {
 		for i := dlo; i < dhi; i++ {
 			slab := make([]float64, len(out.rows))
 			zmin := make([]float64, cells)

@@ -416,7 +416,7 @@ func TestServedBuildRetainsItsShardOnly(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	served, _, err := NewServedShards(tab, []string{"rowc", "colc", "ra", "dec"}, 1, 2, []int{0})
+	served, _, err := NewServedShards(tab, []string{"rowc", "colc", "ra", "dec"}, 2, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,12 +458,12 @@ func TestBuildsAllocateNoRowOrderedCopy(t *testing.T) {
 	tab := dataset.GenerateSDSS(rows, 3)
 	remote := allocatedPerRow(rows, func() {
 		backends := map[int]ShardBackend{0: &localShard{}, 1: &localShard{}}
-		if _, err := NewRemoteView(tab, attrs, 1, ShardOptions{Shards: 2}, backends); err != nil {
+		if _, err := NewRemoteView(tab, attrs, ShardOptions{Shards: 2}, backends); err != nil {
 			t.Fatal(err)
 		}
 	})
 	served := allocatedPerRow(rows, func() {
-		if _, _, err := NewServedShards(tab, attrs, 1, 2, []int{0}); err != nil {
+		if _, _, err := NewServedShards(tab, attrs, 2, []int{0}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -68,17 +68,15 @@ type View struct {
 	tracker    *ShardTracker   // per-session partial-result sink; nil = untracked
 }
 
-var kernelIndex = par.NewKernel("engine.index_build")
-
 // NewView builds a View over the named exploration attributes, creating
 // the covering index (sorted indexes + columnar grid index) with the
-// default build worker count (AIDE_WORKERS or GOMAXPROCS).
+// default build worker count, GOMAXPROCS.
 func NewView(tab *dataset.Table, attrs []string) (*View, error) {
 	return NewViewWorkers(tab, attrs, 0)
 }
 
 // NewViewWorkers is NewView with an explicit worker count for the index
-// build: 0 means automatic, 1 forces the sequential path. The built view
+// build: 0 means GOMAXPROCS, 1 forces the sequential path. The built view
 // is identical at every worker count, and its queries do not depend on
 // it.
 func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, error) {
@@ -115,7 +113,7 @@ func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, erro
 	}
 	v := &View{tab: tab, cols: cols, norm: norm, stats: &Stats{}, fp: ViewFingerprint(tab, attrs)}
 	v.nanCol = make([]bool, len(cols))
-	par.For(kernelIndex, workers, len(cols), 1, func(_, lo, hi int) {
+	par.For(workers, len(cols), 1, func(_, lo, hi int) {
 		for d := lo; d < hi; d++ {
 			v.nanCol[d] = slices.ContainsFunc(tab.Col(cols[d]), func(raw float64) bool { return math.IsNaN(norm.ToNormValue(d, raw)) })
 		}
@@ -203,7 +201,7 @@ func sortCovering(keys []uint64, rows []int32, sc *coverScratch, workers int) {
 	}
 	srcK, srcR, dstK, dstR := keys, rows, sc.keys[:n], sc.rows[:n]
 	for shift := 0; shift < 64; shift += radixBits {
-		par.For(kernelIndex, workers, n, minChunk, func(c, lo, hi int) {
+		par.For(workers, n, minChunk, func(c, lo, hi int) {
 			cnt := sc.counts[c]
 			clear(cnt)
 			for _, k := range srcK[lo:hi] {
@@ -216,7 +214,7 @@ func sortCovering(keys []uint64, rows []int32, sc *coverScratch, workers int) {
 				cnt[b], sum = sum, sum+cnt[b]
 			}
 		}
-		par.For(kernelIndex, workers, n, minChunk, func(c, lo, hi int) {
+		par.For(workers, n, minChunk, func(c, lo, hi int) {
 			off := sc.counts[c]
 			for i := lo; i < hi; i++ {
 				k := srcK[i]
@@ -242,7 +240,7 @@ func (v *View) buildCoveringIndex(workers int) {
 	v.sorted = make([][]int32, len(v.cols))
 	for d := range v.sorted {
 		rows := make([]int32, n)
-		par.For(kernelIndex, workers, n, 1<<16, func(_, lo, hi int) {
+		par.For(workers, n, 1<<16, func(_, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				rows[r], keys[r] = int32(r), sortKey(v.normAt(d, r))
 			}

@@ -37,7 +37,7 @@ func loopbackRemoteView(tb testing.TB, v *engine.View, shards int) *engine.View 
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { c.Close() })
-	remote, err := engine.NewRemoteView(v.Table(), v.Attrs(), 1, engine.ShardOptions{Shards: shards}, c.Backends())
+	remote, err := engine.NewRemoteView(v.Table(), v.Attrs(), engine.ShardOptions{Shards: shards}, c.Backends())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func loopbackRemoteView(tb testing.TB, v *engine.View, shards int) *engine.View 
 func TestServedShardsOverWire(t *testing.T) {
 	tab := dataset.GenerateSDSS(20_000, 5)
 	attrs := []string{"rowc", "colc", "ra", "dec"}
-	served, fp, err := engine.NewServedShards(tab, attrs, 1, 3, []int{0, 2})
+	served, fp, err := engine.NewServedShards(tab, attrs, 3, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

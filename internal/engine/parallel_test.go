@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/explore-by-example/aide/internal/dataset"
 	"github.com/explore-by-example/aide/internal/geom"
+	"github.com/explore-by-example/aide/internal/par"
 )
 
 // randomRects yields n random query rects in d dims, mixing narrow boxes,
@@ -60,6 +64,50 @@ func TestViewBuildParallelEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got.grid.zoneMin, seq.grid.zoneMin) ||
 			!reflect.DeepEqual(got.grid.zoneMax, seq.grid.zoneMax) {
 			t.Fatalf("workers=%d: zonemaps differ", workers)
+		}
+	}
+}
+
+// TestSortCoveringMultiChunk runs the covering-index radix sort on
+// enough keys for three 65 536-row chunks, where each chunk's bucket
+// offsets start after the earlier chunks' rows, and checks the result
+// at workers 1 and 3 against a stable sort: identical keys and rows,
+// keys ascending, row ids ascending within equal keys. The keys carry
+// heavy duplicates, −0 beside +0, and NaNs (which sort last).
+func TestSortCoveringMultiChunk(t *testing.T) {
+	const n = 3*(1<<16) + 12_345
+	if got := par.ChunkCount(3, n, 1<<16); got != 3 {
+		t.Fatalf("ChunkCount(3, %d, 65536) = %d, want 3", n, got)
+	}
+	rng := rand.New(rand.NewSource(47))
+	alphabet := []float64{math.NaN(), math.Copysign(0, -1), 0, 12.5, 50, 100}
+	keys := make([]uint64, n)
+	for i := range keys {
+		v := rng.Float64() * 100
+		if rng.Intn(4) != 0 {
+			v = alphabet[rng.Intn(len(alphabet))]
+		}
+		keys[i] = sortKey(v)
+	}
+	type keyed struct {
+		key uint64
+		row int32
+	}
+	want := make([]keyed, n)
+	for i, k := range keys {
+		want[i] = keyed{k, int32(i)}
+	}
+	slices.SortStableFunc(want, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	for _, workers := range []int{1, 3} {
+		k, rows := slices.Clone(keys), make([]int32, n)
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		sortCovering(k, rows, &coverScratch{}, workers)
+		for i, w := range want {
+			if k[i] != w.key || rows[i] != w.row {
+				t.Fatalf("workers=%d: position %d holds (key %#x, row %d), want (key %#x, row %d)", workers, i, k[i], rows[i], w.key, w.row)
+			}
 		}
 	}
 }

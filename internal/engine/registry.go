@@ -17,15 +17,14 @@ var (
 
 // regKey identifies one shareable view: table content (fingerprint, not
 // pointer — two loads of the same dataset share), the ordered
-// exploration attributes, the index-build worker knob, and the shard
-// count (0 = unsharded). Shard timing knobs (deadline, hedge) are
-// deliberately not part of the key: they are server-wide policy, and
-// the first Acquire's values win for a shared view.
+// exploration attributes, and the shard count (0 = unsharded). Shard
+// timing knobs (deadline, hedge) are deliberately not part of the key:
+// they are server-wide policy, and the first Acquire's values win for a
+// shared view.
 type regKey struct {
-	table   uint64
-	attrs   string
-	workers int
-	shards  int
+	table  uint64
+	attrs  string
+	shards int
 }
 
 // regEntry is one refcounted registry slot. ready closes when the build
@@ -39,7 +38,7 @@ type regEntry struct {
 }
 
 // Registry is a refcounted, process-wide pool of shared Views. All
-// sessions over the same (dataset, attrs, workers) triple get one
+// sessions over the same (dataset, attrs) pair get one
 // immutable View whose covering and grid indexes were built exactly
 // once: after the first Acquire, creating a session costs O(1) instead
 // of O(index build). Concurrent first Acquires are single-flighted —
@@ -68,30 +67,24 @@ func NewRegistry() *Registry {
 // registers its datasets with.
 var SharedViews = NewRegistry()
 
-// Acquire returns the shared view over the named attributes of tab with
-// the default worker knob, building it on first use.
-func (r *Registry) Acquire(tab *dataset.Table, attrs []string) (*View, error) {
-	return r.AcquireWorkers(tab, attrs, 0)
-}
-
-// AcquireWorkers is Acquire with an explicit index-build worker count
-// (0 automatic, 1 sequential). Each successful call takes one reference
+// Acquire returns the shared view over the named attributes of tab,
+// building it on first use. Each successful call takes one reference
 // that must be returned with Release.
-func (r *Registry) AcquireWorkers(tab *dataset.Table, attrs []string, workers int) (*View, error) {
-	return r.AcquireShardedWorkers(tab, attrs, workers, ShardOptions{})
+func (r *Registry) Acquire(tab *dataset.Table, attrs []string) (*View, error) {
+	return r.AcquireSharded(tab, attrs, ShardOptions{})
 }
 
-// AcquireShardedWorkers is AcquireWorkers for sharded views: the shared
+// AcquireSharded is Acquire for sharded views: the shared
 // view scatters queries across opts.Shards cell-range shards
 // (opts.Shards <= 0 builds the plain unsharded view). Sharding leaves
 // the view's fingerprint unchanged — shard count is execution policy,
 // not content — so durable logs recover against any shard count.
-func (r *Registry) AcquireShardedWorkers(tab *dataset.Table, attrs []string, workers int, opts ShardOptions) (*View, error) {
+func (r *Registry) AcquireSharded(tab *dataset.Table, attrs []string, opts ShardOptions) (*View, error) {
 	shards := opts.Shards
 	if shards < 0 {
 		shards = 0
 	}
-	key := regKey{table: TableFingerprint(tab), attrs: strings.Join(attrs, "\x00"), workers: workers, shards: shards}
+	key := regKey{table: TableFingerprint(tab), attrs: strings.Join(attrs, "\x00"), shards: shards}
 	r.mu.Lock()
 	if e, ok := r.entries[key]; ok {
 		e.refs++
@@ -110,7 +103,7 @@ func (r *Registry) AcquireShardedWorkers(tab *dataset.Table, attrs []string, wor
 	r.mu.Unlock()
 	obsRegistryMisses.Inc()
 
-	v, err := NewViewWorkers(tab, attrs, workers)
+	v, err := NewView(tab, attrs)
 	if err == nil && shards > 0 {
 		v = v.WithShards(opts)
 	}

@@ -89,7 +89,7 @@ func TestRegistryConcurrentAcquire(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v, err := r.AcquireWorkers(tab, []string{"rowc", "colc"}, 2)
+			v, err := r.Acquire(tab, []string{"rowc", "colc"})
 			if err != nil {
 				t.Error(err)
 				return

@@ -211,7 +211,7 @@ func planTopologies(t testing.TB, base *View) map[string]*View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := NewRemoteView(base.Table(), base.Attrs(), 1, ShardOptions{Shards: 4}, backends)
+	remote, err := NewRemoteView(base.Table(), base.Attrs(), ShardOptions{Shards: 4}, backends)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestServedShardsMatchFullView(t *testing.T) {
 						serve = append(serve, i)
 					}
 				}
-				served, fp, err := NewServedShards(tab, attrs, 2, n, serve)
+				served, fp, err := NewServedShards(tab, attrs, n, serve)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func TestServedShardsMatchFullView(t *testing.T) {
 // seed, and compares results and Stats deltas.
 func checkServedView(t *testing.T, label string, base, sharded *View, served map[int]ShardBackend, opts ShardOptions, rng *rand.Rand) {
 	t.Helper()
-	rv, err := NewRemoteView(base.Table(), base.Attrs(), 1, opts, served)
+	rv, err := NewRemoteView(base.Table(), base.Attrs(), opts, served)
 	if err != nil {
 		t.Fatal(err)
 	}

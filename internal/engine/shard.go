@@ -156,12 +156,12 @@ func (v *View) WithShards(opts ShardOptions) *View {
 
 // NewRemoteView builds a view whose every shard is served by one of
 // backends — remote shard workers, typically (internal/shardrpc). It
-// builds the covering index NewViewWorkers builds, from the table it
+// builds the covering index NewView builds, from the table it
 // holds, and no grid or shard partitions: covering-index samples
 // resolve here, and everything else scatters as through
 // WithShardBackends, with the same results. It errors unless backends
 // holds a non-nil backend for every index in [0, opts.Shards).
-func NewRemoteView(tab *dataset.Table, attrs []string, workers int, opts ShardOptions, backends map[int]ShardBackend) (*View, error) {
+func NewRemoteView(tab *dataset.Table, attrs []string, opts ShardOptions, backends map[int]ShardBackend) (*View, error) {
 	if opts.Shards <= 0 || len(backends) != opts.Shards {
 		return nil, fmt.Errorf("engine: NewRemoteView got %d backends for %d shards", len(backends), opts.Shards)
 	}
@@ -172,11 +172,11 @@ func NewRemoteView(tab *dataset.Table, attrs []string, workers int, opts ShardOp
 		}
 		ss.backends[i], ss.remote[i] = b, true
 	}
-	v, err := normalizeView(tab, attrs, workers)
+	v, err := normalizeView(tab, attrs, 0)
 	if err != nil {
 		return nil, err
 	}
-	v.buildCoveringIndex(workers)
+	v.buildCoveringIndex(0)
 	v.shards = ss
 	return v, nil
 }
@@ -396,27 +396,27 @@ func buildShardSet(v *View, opts ShardOptions) *shardSet {
 // over attrs of tab split into shards shards, and returns their backends
 // by index and the view fingerprint: what a shard worker (cmd/aideshard)
 // serves. Each backend answers exactly as the one at its index in
-// NewViewWorkers(tab, attrs, workers).WithShards(ShardOptions{Shards:
+// NewView(tab, attrs).WithShards(ShardOptions{Shards:
 // shards}).LocalShardBackends(), but nothing else is built: a census
 // counts the rows per cell without storing anything per row, shardCuts
 // cuts the cells from the counts, and only the served cells' rows are
 // laid out and normalized.
-func NewServedShards(tab *dataset.Table, attrs []string, workers, shards int, serve []int) (map[int]ShardBackend, string, error) {
+func NewServedShards(tab *dataset.Table, attrs []string, shards int, serve []int) (map[int]ShardBackend, string, error) {
 	if i := slices.IndexFunc(serve, func(i int) bool { return i < 0 || i >= shards }); i >= 0 {
 		return nil, "", fmt.Errorf("engine: shard %d outside [0,%d)", serve[i], shards)
 	}
-	v, err := normalizeView(tab, attrs, workers)
+	v, err := normalizeView(tab, attrs, 0)
 	if err != nil {
 		return nil, "", err
 	}
 	g := newGridIndex(len(v.cols), tab.NumRows())
-	chunks := g.countCells(v, workers)
+	chunks := g.countCells(v, 0)
 	out := make(map[int]ShardBackend, len(serve))
 	for _, sh := range newShards(g.offsets, shards, func(i, c0, c1 int) *gridIndex {
 		if !slices.Contains(serve, i) {
 			return nil
 		}
-		return g.layout(v, chunks, c0, c1, workers)
+		return g.layout(v, chunks, c0, c1, 0)
 	}) {
 		if sh != nil {
 			out[sh.index] = newLocalShard(sh)

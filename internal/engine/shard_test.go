@@ -368,20 +368,20 @@ func TestAcquireShardedWorkersSharesAndFingerprints(t *testing.T) {
 	r := NewRegistry()
 	tab := dataset.GenerateSDSS(5_000, 1)
 	attrs := []string{"rowc", "colc"}
-	plain, err := r.AcquireWorkers(tab, attrs, 1)
+	plain, err := r.Acquire(tab, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := r.AcquireShardedWorkers(tab, attrs, 1, ShardOptions{Shards: 4})
+	s1, err := r.AcquireSharded(tab, attrs, ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := r.AcquireShardedWorkers(tab, attrs, 1, ShardOptions{Shards: 4})
+	s2, err := r.AcquireSharded(tab, attrs, ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1 != s2 {
-		t.Fatal("same (table, attrs, workers, shards) must share one view")
+		t.Fatal("same (table, attrs, shards) must share one view")
 	}
 	if s1 == plain {
 		t.Fatal("sharded and unsharded acquisitions must be distinct entries")
@@ -419,15 +419,15 @@ func TestNewRemoteViewContract(t *testing.T) {
 		"out of range":  {0: local[0], 2: local[1]},
 		"extra backend": {0: local[0], 1: local[1], 2: local[1]},
 	} {
-		if _, err := NewRemoteView(tab, attrs, 1, ShardOptions{Shards: 2}, backends); err == nil {
+		if _, err := NewRemoteView(tab, attrs, ShardOptions{Shards: 2}, backends); err == nil {
 			t.Errorf("%s: NewRemoteView succeeded", name)
 		}
 	}
-	if _, err := NewRemoteView(tab, attrs, 1, ShardOptions{}, nil); err == nil {
+	if _, err := NewRemoteView(tab, attrs, ShardOptions{}, nil); err == nil {
 		t.Error("zero shards: NewRemoteView succeeded")
 	}
 
-	rv, err := NewRemoteView(tab, attrs, 1, ShardOptions{Shards: 2}, map[int]ShardBackend{0: local[0], 1: local[1]})
+	rv, err := NewRemoteView(tab, attrs, ShardOptions{Shards: 2}, map[int]ShardBackend{0: local[0], 1: local[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestNewRemoteViewContract(t *testing.T) {
 }
 
 // TestCoveringIndexBuildsAgree pins the one covering-index build: a
-// NewRemoteView builds exactly the index NewViewWorkers does, at any
+// NewRemoteView builds exactly the index NewViewWorkers does at any
 // worker count, and that index holds the covering index's order as
 // spelled out with float comparisons — every row once, ascending value
 // with −0 equal to +0, NaNs after every number, ties by ascending row id
@@ -500,7 +500,7 @@ func TestCoveringIndexBuildsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := NewRemoteView(tab, attrs, 1+trial%2, ShardOptions{Shards: 2}, map[int]ShardBackend{0: &localShard{}, 1: &localShard{}})
+		remote, err := NewRemoteView(tab, attrs, ShardOptions{Shards: 2}, map[int]ShardBackend{0: &localShard{}, 1: &localShard{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func TestIndexSampleSendsNoShardItems(t *testing.T) {
 	for i, b := range sharded.LocalShardBackends() {
 		counted[i] = &countingShard{ShardBackend: b, calls: &calls[i]}
 	}
-	remote, err := NewRemoteView(base.Table(), base.Attrs(), 1, ShardOptions{Shards: 3}, counted)
+	remote, err := NewRemoteView(base.Table(), base.Attrs(), ShardOptions{Shards: 3}, counted)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestGoldenBitIdentityRemoteShards(t *testing.T) {
 		{"all-remote/", func(int) bool { return true },
 			func(t *testing.T, _ *engine.View, tab *dataset.Table, attrs []string) (*engine.View, error) {
 				c := worker(t, tab, attrs, 0, 1, 2, 3)
-				return engine.NewRemoteView(tab, attrs, 0, engine.ShardOptions{Shards: shards}, c.Backends())
+				return engine.NewRemoteView(tab, attrs, engine.ShardOptions{Shards: shards}, c.Backends())
 			}},
 	}
 

@@ -187,15 +187,6 @@ type Options struct {
 	// zero value is unlimited.
 	Budget Budget
 
-	// Workers sets the worker count for the session's one parallel
-	// kernel, CART split search: 0 means automatic (the AIDE_WORKERS
-	// environment variable, else GOMAXPROCS), 1 forces the sequential
-	// path. Engine queries run one walk per batch and do not
-	// read it. Every kernel produces results independent of the worker
-	// count, so sessions with equal seeds stay identical at any Workers
-	// setting.
-	Workers int
-
 	// CacheBytes, when positive, attaches a session-private predicate
 	// result cache of roughly this many bytes to the view (memoizing
 	// Count/RowsIn; see engine.Cache) — unless the view already carries a
@@ -279,9 +270,6 @@ func (o *Options) validate(dims int) error {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 200
 	}
-	if o.Workers < 0 {
-		return fmt.Errorf("explore: Workers = %d", o.Workers)
-	}
 	if o.CacheBytes < 0 {
 		return fmt.Errorf("explore: CacheBytes = %d", o.CacheBytes)
 	}
@@ -290,9 +278,6 @@ func (o *Options) validate(dims int) error {
 	}
 	if err := o.Budget.validate(); err != nil {
 		return err
-	}
-	if o.Tree.Workers == 0 {
-		o.Tree.Workers = o.Workers
 	}
 	if o.Budget.MaxTreeNodes > 0 &&
 		(o.Tree.MaxNodes == 0 || o.Tree.MaxNodes > o.Budget.MaxTreeNodes) {

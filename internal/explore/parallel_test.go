@@ -9,8 +9,9 @@ import (
 	"github.com/explore-by-example/aide/internal/geom"
 )
 
-// runSession drives a full steering session at the given worker count and
-// returns its final query SQL, stats and labeled set.
+// runSession drives a full steering session over a view built at the
+// given worker count and returns its final query SQL, stats and labeled
+// set.
 func runSession(t *testing.T, workers int, discovery DiscoveryStrategy) (string, SessionStats, []geom.Point, []bool) {
 	t.Helper()
 	tab := dataset.GenerateClusters(8000, 2, []dataset.ClusterSpec{
@@ -23,7 +24,6 @@ func runSession(t *testing.T, workers int, discovery DiscoveryStrategy) (string,
 	}
 	opts := DefaultOptions()
 	opts.Seed = 17
-	opts.Workers = workers
 	opts.Discovery = discovery
 	s, err := NewSession(v, rectOracle(geom.R(25, 45, 25, 45)), opts)
 	if err != nil {
@@ -41,7 +41,8 @@ func runSession(t *testing.T, workers int, discovery DiscoveryStrategy) (string,
 // TestSessionParallelEquivalence is the end-to-end determinism gate:
 // a full steering session — discovery, misclassified exploitation,
 // boundary exploitation, CART training, k-means clustering, every engine
-// scan — must produce identical results at workers=1 and workers=8.
+// scan — must produce identical results over views built at
+// NewViewWorkers counts 1 and 8.
 func TestSessionParallelEquivalence(t *testing.T) {
 	for _, disc := range []DiscoveryStrategy{DiscoveryGrid, DiscoveryClustering} {
 		sqlSeq, statsSeq, pointsSeq, labelsSeq := runSession(t, 1, disc)
@@ -58,23 +59,5 @@ func TestSessionParallelEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(statsSeq, statsPar) {
 			t.Fatalf("%v: session stats differ\nworkers=1: %+v\nworkers=8: %+v", disc, statsSeq, statsPar)
 		}
-	}
-}
-
-func TestOptionsWorkersValidation(t *testing.T) {
-	v := testView(t, 100, 1)
-	opts := DefaultOptions()
-	opts.Workers = -1
-	if _, err := NewSession(v, rectOracle(), opts); err == nil {
-		t.Error("negative Workers should error")
-	}
-	opts = DefaultOptions()
-	opts.Workers = 4
-	s, err := NewSession(v, rectOracle(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Options().Tree.Workers; got != 4 {
-		t.Errorf("Tree.Workers = %d, want 4 (inherited from Options.Workers)", got)
 	}
 }

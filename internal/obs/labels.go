@@ -90,7 +90,7 @@ type CounterVec struct{ v *vec[Counter] }
 func (c *CounterVec) With(value string) *Counter { return c.v.with(value) }
 
 // GaugeVec is a family of gauges distinguished by one label, e.g.
-// par_pool{state="queued"|"running"}.
+// par_domain_active{domain="engine.shards"}.
 type GaugeVec struct{ v *vec[Gauge] }
 
 // With returns the gauge for the given label value.

@@ -1,7 +1,7 @@
 package par
 
 import (
-	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,12 +14,14 @@ func TestChunkCount(t *testing.T) {
 	}{
 		{1, 100, 1, 1},
 		{4, 100, 1, 4},
-		{4, 3, 1, 3},     // never more chunks than items
-		{4, 0, 1, 0},     // empty range
-		{4, -5, 1, 0},    // negative range
-		{8, 100, 50, 2},  // minChunk bounds chunk count
-		{8, 100, 200, 1}, // range smaller than one chunk
-		{8, 100, 0, 8},   // minChunk <= 0 treated as 1
+		{4, 3, 1, 3},                           // never more chunks than items
+		{4, 0, 1, 0},                           // empty range
+		{4, -5, 1, 0},                          // negative range
+		{8, 100, 50, 2},                        // minChunk bounds chunk count
+		{8, 100, 200, 1},                       // range smaller than one chunk
+		{8, 100, 0, 8},                         // minChunk <= 0 treated as 1
+		{0, 1 << 20, 1, runtime.GOMAXPROCS(0)}, // workers <= 0 means GOMAXPROCS
+		{-3, 1 << 20, 1, runtime.GOMAXPROCS(0)},
 	}
 	for _, c := range cases {
 		if got := ChunkCount(c.workers, c.n, c.minChunk); got != c.want {
@@ -49,16 +51,29 @@ func TestChunkBoundsCoverExactly(t *testing.T) {
 	}
 }
 
+// TestForVisitsEachItemOnce checks that every item runs once and that
+// chunk c is handed chunkBounds(c): the contract per-chunk scratch and
+// chunk-order merges rely on.
 func TestForVisitsEachItemOnce(t *testing.T) {
-	k := NewKernel("test.for_once")
 	for _, workers := range []int{1, 2, 4, 16} {
 		const n = 1000
 		var visits [n]atomic.Int32
-		For(k, workers, n, 1, func(_, lo, hi int) {
+		chunks := ChunkCount(workers, n, 1)
+		calls := make([]atomic.Int32, chunks)
+		For(workers, n, 1, func(c, lo, hi int) {
+			calls[c].Add(1)
+			if wlo, whi := chunkBounds(c, chunks, n); lo != wlo || hi != whi {
+				t.Errorf("workers=%d: chunk %d got [%d,%d), want [%d,%d)", workers, c, lo, hi, wlo, whi)
+			}
 			for i := lo; i < hi; i++ {
 				visits[i].Add(1)
 			}
 		})
+		for c := range calls {
+			if got := calls[c].Load(); got != 1 {
+				t.Fatalf("workers=%d: chunk %d ran %d times", workers, c, got)
+			}
+		}
 		for i := range visits {
 			if got := visits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: item %d visited %d times", workers, i, got)
@@ -70,9 +85,8 @@ func TestForVisitsEachItemOnce(t *testing.T) {
 func TestForSequentialRunsInCaller(t *testing.T) {
 	// workers == 1 must be a plain loop in the calling goroutine:
 	// chunk index 0, full range, no concurrency.
-	k := NewKernel("test.seq")
 	calls := 0
-	For(k, 1, 50, 1, func(chunk, lo, hi int) {
+	For(1, 50, 1, func(chunk, lo, hi int) {
 		calls++
 		if chunk != 0 || lo != 0 || hi != 50 {
 			t.Fatalf("sequential call got (chunk=%d, lo=%d, hi=%d)", chunk, lo, hi)
@@ -83,58 +97,7 @@ func TestForSequentialRunsInCaller(t *testing.T) {
 	}
 }
 
-func TestMapOrderedMerge(t *testing.T) {
-	k := NewKernel("test.map")
-	for _, workers := range []int{1, 3, 8} {
-		got := Map(k, workers, 100, 1, func(chunk, lo, hi int) string {
-			return fmt.Sprintf("%d:[%d,%d)", chunk, lo, hi)
-		})
-		if len(got) != ChunkCount(workers, 100, 1) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), ChunkCount(workers, 100, 1))
-		}
-		prev := 0
-		for c, s := range got {
-			var chunk, lo, hi int
-			if _, err := fmt.Sscanf(s, "%d:[%d,%d)", &chunk, &lo, &hi); err != nil {
-				t.Fatal(err)
-			}
-			if chunk != c || lo != prev {
-				t.Fatalf("workers=%d: result %d out of order: %s", workers, c, s)
-			}
-			prev = hi
-		}
-		if prev != 100 {
-			t.Fatalf("workers=%d: results cover %d items", workers, prev)
-		}
-	}
-}
-
-func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	k := NewKernel("test.det")
-	sum := func(workers int) int {
-		parts := Map(k, workers, 10_000, 1, func(_, lo, hi int) int {
-			s := 0
-			for i := lo; i < hi; i++ {
-				s += i * i
-			}
-			return s
-		})
-		total := 0
-		for _, p := range parts {
-			total += p
-		}
-		return total
-	}
-	want := sum(1)
-	for _, workers := range []int{2, 3, 8, 32} {
-		if got := sum(workers); got != want {
-			t.Fatalf("workers=%d: sum %d, want %d", workers, got, want)
-		}
-	}
-}
-
 func TestForPanicPropagation(t *testing.T) {
-	k := NewKernel("test.panic")
 	for _, workers := range []int{1, 8} {
 		func() {
 			defer func() {
@@ -146,7 +109,7 @@ func TestForPanicPropagation(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v", workers, r)
 				}
 			}()
-			For(k, workers, 100, 1, func(_, lo, hi int) {
+			For(workers, 100, 1, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					if i == 37 {
 						panic("boom")
@@ -157,13 +120,10 @@ func TestForPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestForFromPoolWorkers hammers the kernel from more independent caller
-// goroutines than the pool has workers; the bounded queue must fall back
-// to inline execution rather than deadlock, and every invocation must
-// still complete. (True nesting — For inside a For chunk — is covered by
-// TestForNested.)
+// TestForFromPoolWorkers runs For from more independent caller
+// goroutines than there are cores: every invocation must complete with
+// each item visited once, and -race checks the calls share nothing.
 func TestForFromPoolWorkers(t *testing.T) {
-	k := NewKernel("test.saturate")
 	const callers = 64
 	var wg sync.WaitGroup
 	var total atomic.Int64
@@ -171,7 +131,7 @@ func TestForFromPoolWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			For(k, 8, 512, 1, func(_, lo, hi int) {
+			For(8, 512, 1, func(_, lo, hi int) {
 				total.Add(int64(hi - lo))
 			})
 		}()
@@ -183,21 +143,17 @@ func TestForFromPoolWorkers(t *testing.T) {
 }
 
 // TestForNested calls For from inside another For's chunk callbacks at
-// workers > 1 — the reentrancy shape the package doc guarantees is
-// deadlock-free. With a parking wait this hangs once every pool worker
-// is blocked in an inner wait; the help-drain wait must keep the queue
-// moving. A watchdog fails fast instead of tripping the go test timeout.
+// workers > 1: every chunk has its own goroutine, so an outer chunk
+// waiting on an inner call can never starve it. A watchdog fails fast
+// instead of tripping the go test timeout.
 func TestForNested(t *testing.T) {
-	outer := NewKernel("test.nested_outer")
-	inner := NewKernel("test.nested_inner")
 	finished := make(chan int64)
 	go func() {
 		var total atomic.Int64
-		// More outer chunks than pool workers, each blocking on an inner
-		// parallel call — the repro that deadlocked a bare wg.Wait().
-		For(outer, 16, 64, 1, func(_, lo, hi int) {
+		// More outer chunks than cores, each blocking on an inner call.
+		For(16, 64, 1, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				For(inner, 8, 512, 1, func(_, ilo, ihi int) {
+				For(8, 512, 1, func(_, ilo, ihi int) {
 					total.Add(int64(ihi - ilo))
 				})
 			}
@@ -215,9 +171,8 @@ func TestForNested(t *testing.T) {
 }
 
 // TestForNestedDeep drives three levels of nesting concurrently from
-// several callers, the worst case for pool-worker starvation.
+// several callers at once.
 func TestForNestedDeep(t *testing.T) {
-	k := NewKernel("test.nested_deep")
 	finished := make(chan int64)
 	go func() {
 		var total atomic.Int64
@@ -226,11 +181,11 @@ func TestForNestedDeep(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				For(k, 8, 8, 1, func(_, lo, hi int) {
+				For(8, 8, 1, func(_, lo, hi int) {
 					for i := lo; i < hi; i++ {
-						For(k, 8, 8, 1, func(_, mlo, mhi int) {
+						For(8, 8, 1, func(_, mlo, mhi int) {
 							for j := mlo; j < mhi; j++ {
-								For(k, 8, 64, 1, func(_, ilo, ihi int) {
+								For(8, 64, 1, func(_, ilo, ihi int) {
 									total.Add(int64(ihi - ilo))
 								})
 							}
@@ -253,18 +208,15 @@ func TestForNestedDeep(t *testing.T) {
 }
 
 // TestForNestedPanic checks that a panic raised inside an inner For
-// surfaces through the outer call even while waits are help-draining
-// other callers' tasks.
+// surfaces through the outer call.
 func TestForNestedPanic(t *testing.T) {
-	outer := NewKernel("test.nested_panic_outer")
-	inner := NewKernel("test.nested_panic_inner")
 	defer func() {
 		if r := recover(); r != "inner boom" {
 			t.Fatalf("recovered %v, want inner boom", r)
 		}
 	}()
-	For(outer, 8, 16, 1, func(_, lo, hi int) {
-		For(inner, 8, 128, 1, func(_, ilo, ihi int) {
+	For(8, 16, 1, func(_, lo, hi int) {
+		For(8, 128, 1, func(_, ilo, ihi int) {
 			for i := ilo; i < ihi; i++ {
 				if i == 77 {
 					panic("inner boom")
@@ -272,19 +224,4 @@ func TestForNestedPanic(t *testing.T) {
 			}
 		})
 	})
-}
-
-func TestResolve(t *testing.T) {
-	if got := Resolve(3); got != 3 {
-		t.Fatalf("Resolve(3) = %d", got)
-	}
-	if got := Resolve(0); got != Workers() {
-		t.Fatalf("Resolve(0) = %d, want Workers() = %d", got, Workers())
-	}
-	if got := Resolve(-1); got != Workers() {
-		t.Fatalf("Resolve(-1) = %d, want Workers() = %d", got, Workers())
-	}
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d", Workers())
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -136,6 +137,103 @@ func testRecoverSessionsReplay(t *testing.T, discovery string) {
 	if !queriesEqual(qRecovered, qControl) {
 		t.Errorf("recovered run diverged from control:\nrecovered: %q\ncontrol:   %q",
 			qRecovered.SQL, qControl.SQL)
+	}
+}
+
+// TestRecoverCreateRecordWithWorkers checks that create records carrying
+// the retired "workers" field still recover: the same log, with and
+// without "workers": 2 in its create payload, replays to the same label
+// count, predicate and next sample.
+func TestRecoverCreateRecordWithWorkers(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	m, err := newTestDurable(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := uniformView(t, 1)
+	srv := NewServer(map[string]*engine.View{"uniform": v})
+	srv.SampleWait = 5 * time.Second
+	srv.Durable = m
+	ts := httptest.NewServer(srv)
+	c := NewClient(ts.URL, nil)
+	id, err := c.CreateSession(ctx, CreateSessionRequest{View: "uniform", Seed: 7, SamplesPerIteration: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const labels = 30 // three whole iterations, all counted by Status
+	if n := labelLoop(t, c, ctx, id, v, geom.R(30, 45, 50, 65), labels); n != labels {
+		t.Fatalf("labeled %d, want %d", n, labels)
+	}
+	ts.Close()
+	recs, err := durable.ReadLog(filepath.Join(m.Dir(), id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs[0].Type != durable.RecCreate || recs[0].Payload[0] != '{' {
+		t.Fatalf("first record is type %d: %q", recs[0].Type, recs[0].Payload)
+	}
+	withWorkers := append([]byte(`{"workers":2,`), recs[0].Payload[1:]...)
+
+	type recovered struct {
+		status Status
+		query  QueryResponse
+		next   Sample
+	}
+	recoverFrom := func(create []byte) recovered {
+		t.Helper()
+		mR, err := newTestDurable(t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := mR.Create(id, create)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs[1:] {
+			if err := l.Append(r.Type, r.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srvR := NewServer(map[string]*engine.View{"uniform": uniformView(t, 1)})
+		srvR.SampleWait = 5 * time.Second
+		srvR.Durable = mR
+		if n, err := srvR.RecoverSessions(slog.New(slog.NewTextHandler(io.Discard, nil))); err != nil || n != 1 {
+			t.Fatalf("RecoverSessions = %d, %v", n, err)
+		}
+		tsR := httptest.NewServer(srvR)
+		defer tsR.Close()
+		cR := NewClient(tsR.URL, nil)
+		var out recovered
+		// The next sample is one the log has no label for, so once it is
+		// served the replay has consumed every logged label.
+		if out.next, err = cR.NextSample(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if out.status, err = cR.Status(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if out.query, err = cR.PredictedQuery(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		out.status.WaitSeconds = 0
+		return out
+	}
+	plain, old := recoverFrom(recs[0].Payload), recoverFrom(withWorkers)
+	if plain.status.TotalLabeled != labels {
+		t.Fatalf("recovered %d labels, want %d", plain.status.TotalLabeled, labels)
+	}
+	if !reflect.DeepEqual(old.status, plain.status) {
+		t.Errorf("status differs:\nwith workers: %+v\nwithout:      %+v", old.status, plain.status)
+	}
+	if !queriesEqual(old.query, plain.query) {
+		t.Errorf("predicate differs:\nwith workers: %q\nwithout:      %q", old.query.SQL, plain.query.SQL)
+	}
+	if !reflect.DeepEqual(old.next, plain.next) {
+		t.Errorf("next sample differs: with workers %+v, without %+v", old.next, plain.next)
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 // real handler: each answer must be a 4xx or a valid success, never a
 // panic or a 5xx. A created session is asked for its first sample, so
 // the label lands on a session with a sample outstanding, then deleted.
+// Seeds carrying the retired "workers" field stay: older clients may
+// still send it, and it must be ignored.
 func FuzzServerRequests(f *testing.F) {
 	srv, _ := newTestServer(f)
 	srv.SampleWait = 2 * time.Second

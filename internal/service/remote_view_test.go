@@ -66,7 +66,7 @@ func TestRemoteViewRetainsOnlyCoveringIndex(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if err := srv.RegisterTable("sdss", tab, attrs, 1); err != nil {
+	if err := srv.RegisterTable("sdss", tab, attrs); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

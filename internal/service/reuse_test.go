@@ -25,12 +25,12 @@ func TestRegisterTableSharesViewsAndCaches(t *testing.T) {
 	s1 := NewServer(nil)
 	s1.Registry = reg
 	s1.CacheBytes = 1 << 20
-	if err := s1.RegisterTable("uniform", tab, []string{"a0", "a1"}, 1); err != nil {
+	if err := s1.RegisterTable("uniform", tab, []string{"a0", "a1"}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewServer(nil)
 	s2.Registry = reg
-	if err := s2.RegisterTable("uniform", tab, []string{"a0", "a1"}, 1); err != nil {
+	if err := s2.RegisterTable("uniform", tab, []string{"a0", "a1"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Len(); got != 1 {
@@ -49,7 +49,7 @@ func TestRegisterTableSharesViewsAndCaches(t *testing.T) {
 	if v2.Cache() != nil {
 		t.Fatal("CacheBytes == 0 attached a cache")
 	}
-	if err := s1.RegisterTable("uniform", tab, []string{"a0", "a1"}, 1); err == nil {
+	if err := s1.RegisterTable("uniform", tab, []string{"a0", "a1"}); err == nil {
 		t.Fatal("duplicate name registration succeeded")
 	}
 	s1.Close()

@@ -188,14 +188,14 @@ func (s *Server) registry() *engine.Registry {
 
 // RegisterTable registers name over a view of tab acquired through the
 // server's registry. Servers (and, within a server, sessions) that
-// register the same data with the same attrs and workers share one
+// register the same data with the same attrs share one
 // immutable view — the covering indexes are built at most once
 // process-wide, so after the first registration this is O(1). When
 // s.CacheBytes is positive the view also gets a shared predicate-result
 // cache memoizing Count/RowsIn across all of its sessions. Call Close to
 // release the acquired views. When ShardAddrs' workers announce every
 // shard, the view comes from engine.NewRemoteView instead, with no index.
-func (s *Server) RegisterTable(name string, tab *dataset.Table, attrs []string, workers int) error {
+func (s *Server) RegisterTable(name string, tab *dataset.Table, attrs []string) error {
 	opts := engine.ShardOptions{Shards: s.Shards, Deadline: s.ShardDeadline, HedgeAfter: s.HedgeAfter}
 	var (
 		remote    map[int]engine.ShardBackend
@@ -209,8 +209,8 @@ func (s *Server) RegisterTable(name string, tab *dataset.Table, attrs []string, 
 		}
 	}
 	if s.Shards > 0 && len(remote) == s.Shards {
-		shared, err = engine.NewRemoteView(tab, attrs, workers, opts, remote)
-	} else if v, err = s.registry().AcquireShardedWorkers(tab, attrs, workers, opts); err == nil {
+		shared, err = engine.NewRemoteView(tab, attrs, opts, remote)
+	} else if v, err = s.registry().AcquireSharded(tab, attrs, opts); err == nil {
 		shared, err = v.WithShardBackends(remote)
 	}
 	fail := func(err error) error {
@@ -564,11 +564,6 @@ type CreateSessionRequest struct {
 	DistanceHint float64 `json:"distance_hint,omitempty"`
 	// MaxIterations bounds the session (0: default 200).
 	MaxIterations int `json:"max_iterations,omitempty"`
-	// Workers sets the worker count of the session's CART training (0:
-	// automatic — AIDE_WORKERS or GOMAXPROCS; 1: sequential); engine
-	// queries and k-means do not read it. Session results are identical
-	// at every setting.
-	Workers int `json:"workers,omitempty"`
 	// ConflictPolicy resolves contradictory labels for the same tuple:
 	// "last-wins", "majority" or "strict" ("" = server default).
 	ConflictPolicy string `json:"conflict_policy,omitempty"`
@@ -838,9 +833,6 @@ func (s *Server) optsFromRequest(req CreateSessionRequest) (explore.Options, err
 	}
 	if req.MaxIterations > 0 {
 		opts.MaxIterations = req.MaxIterations
-	}
-	if req.Workers > 0 {
-		opts.Workers = req.Workers
 	}
 	if req.DistanceHint > 0 {
 		opts.DistanceHint = req.DistanceHint

@@ -32,7 +32,7 @@ func shardedServer(t *testing.T) (*Server, *engine.View) {
 	}
 	srv.SLO = mon
 	tab := dataset.GenerateUniform(10_000, 2, 1)
-	if err := srv.RegisterTable("uniform", tab, []string{"a0", "a1"}, 1); err != nil {
+	if err := srv.RegisterTable("uniform", tab, []string{"a0", "a1"}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
@@ -234,7 +234,7 @@ func recoverOnShardedServer(t *testing.T, workers func(tab *dataset.Table) []str
 	if workers != nil {
 		srvB.ShardAddrs = workers(tab)
 	}
-	if err := srvB.RegisterTable("uniform", tab, []string{"a0", "a1"}, 1); err != nil {
+	if err := srvB.RegisterTable("uniform", tab, []string{"a0", "a1"}); err != nil {
 		t.Fatal(err)
 	}
 	defer srvB.Close()

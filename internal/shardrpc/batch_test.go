@@ -191,7 +191,7 @@ func newFuzzFixture(f *testing.F) *fuzzFixture {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { c.Close() })
-	remote, err := engine.NewRemoteView(base.Table(), base.Attrs(), 1, engine.ShardOptions{Shards: shards}, c.Backends())
+	remote, err := engine.NewRemoteView(base.Table(), base.Attrs(), engine.ShardOptions{Shards: shards}, c.Backends())
 	if err != nil {
 		f.Fatal(err)
 	}
