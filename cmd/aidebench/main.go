@@ -22,7 +22,8 @@
 // warning field, because time-sliced "parallel" timings say nothing
 // about multicore scaling — and -json exits nonzero after writing the
 // report, so a CI-regenerated BENCH_hotpaths.json can never quietly
-// carry a warning. The -baseline flag turns aidebench into a regression
+// carry a warning. It also exits nonzero, naming them, when any kernel's
+// row reads identical: false. The -baseline flag turns aidebench into a regression
 // gate: it reruns the hot-path suite at a committed BENCH_hotpaths.json's
 // scale and exits nonzero when grid_scan, grid_scan_batched or sample_plan
 // single-thread ns/op regresses more than 20%, one batch of 16 probes
@@ -50,6 +51,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -231,13 +233,34 @@ func runHotpaths(path string, workers, rows int, seed int64, quick bool) error {
 			return err
 		}
 	}
-	// A warned report is written (so the numbers can still be inspected)
-	// but never accepted: exiting nonzero keeps CI from committing a
-	// BENCH_hotpaths.json whose speedups are time-slicing artifacts.
+	return reportErr(rep)
+}
+
+// reportErr is why a written hot-path report is not accepted, nil when
+// it is. A kernel whose two sides disagreed is a determinism break. A
+// warned report's speedups are time-slicing artifacts, and exiting
+// nonzero keeps CI from committing them as BENCH_hotpaths.json.
+func reportErr(rep *bench.HotpathReport) error {
+	var warn error
 	if rep.Warning != "" {
-		return fmt.Errorf("report carries a warning: %s", rep.Warning)
+		warn = fmt.Errorf("report carries a warning: %s", rep.Warning)
 	}
-	return nil
+	return errors.Join(lostIdentity(rep), warn)
+}
+
+// lostIdentity names every kernel whose report row reads identical:
+// false, nil when there is none.
+func lostIdentity(rep *bench.HotpathReport) error {
+	var lost []string
+	for _, r := range rep.Results {
+		if !r.Identical {
+			lost = append(lost, r.Name)
+		}
+	}
+	if len(lost) == 0 {
+		return nil
+	}
+	return fmt.Errorf("kernels lost bit-identity (identical: false): %s", strings.Join(lost, ", "))
 }
 
 // maxGridScanRegress is the gate threshold: a fresh grid_scan (or
@@ -290,10 +313,8 @@ func runBaselineGate(path string, workers int, seed int64) error {
 		return err
 	}
 	fmt.Fprint(os.Stderr, rep.String())
-	for _, r := range rep.Results {
-		if !r.Identical {
-			return fmt.Errorf("gate: kernel %s lost its bit-identity gate", r.Name)
-		}
+	if err := lostIdentity(rep); err != nil {
+		return fmt.Errorf("gate: %w", err)
 	}
 	find := func(rep *bench.HotpathReport, name string) *bench.HotpathResult {
 		for i := range rep.Results {

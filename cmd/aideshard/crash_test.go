@@ -81,10 +81,10 @@ func randomRects(n int, rng *rand.Rand) []geom.Rect {
 // TestWorkerKillRecovery is the process-isolation smoke: a coordinator
 // routes two shards to a real aideshard process, the process is
 // SIGKILLed mid-service, and the coordinator must degrade to the named
-// shard_partial contract — never a silently wrong answer — with the
-// shard's breaker open. A replacement worker started with the same
-// flags (rebinding over the stale socket file) brings the topology back
-// to healthy with bit-exact answers.
+// shard_partial contract — never a silently wrong answer — with its
+// shards quarantined by the supervisor. A replacement worker started
+// with the same flags (rebinding over the stale socket file) brings the
+// topology back to healthy with bit-exact answers.
 func TestWorkerKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -100,12 +100,8 @@ func TestWorkerKillRecovery(t *testing.T) {
 	}
 	sharded := base.WithShards(engine.ShardOptions{Shards: 4, CooldownOps: 2})
 	client, err := shardrpc.Dial(sock, base.Fingerprint(), 4, shardrpc.Options{
-		DialTimeout:     500 * time.Millisecond,
-		OpTimeout:       5 * time.Second,
-		MaxRetries:      1,
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      5 * time.Millisecond,
-		BreakerCooldown: 2,
+		DialTimeout: 500 * time.Millisecond,
+		OpTimeout:   5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +155,10 @@ func TestWorkerKillRecovery(t *testing.T) {
 	if !sawPartial {
 		t.Fatal("worker death never surfaced as a partial result")
 	}
-	if client.BreakerState(1) == shardrpc.BreakerClosed && client.BreakerState(3) == shardrpc.BreakerClosed {
-		t.Fatal("no breaker opened with the worker dead")
+	for _, i := range []int{1, 3} {
+		if st := mixed.ShardHealth()[i].State; st != engine.ShardQuarantined.String() {
+			t.Fatalf("shard %d %s with the worker dead, want quarantined", i, st)
+		}
 	}
 
 	// Same flags, same socket: the replacement removes the stale socket
@@ -173,8 +171,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 				return false
 			}
 		}
-		return client.BreakerState(1) == shardrpc.BreakerClosed &&
-			client.BreakerState(3) == shardrpc.BreakerClosed
+		return true
 	}
 	for i := 0; i < 100 && !recovered(); i++ {
 		mixed.Count(full)

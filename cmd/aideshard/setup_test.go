@@ -26,7 +26,7 @@ func TestWorkerSurvivesMalformedBatch(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "w.sock")
 	startWorker(t, sock, "1", "-sdss", "50000", "-seed", "1", "-shards", "2", "-serve", "0")
 	fp := engine.ViewFingerprint(dataset.GenerateSDSS(50000, 1), []string{"rowc", "colc"})
-	client, err := shardrpc.Dial(sock, fp, 2, shardrpc.Options{MaxRetries: -1})
+	client, err := shardrpc.Dial(sock, fp, 2, shardrpc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

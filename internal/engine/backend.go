@@ -87,7 +87,7 @@ type ShardBatchResult struct {
 // shard, and the bit-identity guarantee rests on it.
 //
 // Errors are the fault-isolation channel: a backend that cannot serve
-// (worker dead, breaker open, torn frame) returns an error and the
+// (worker dead, connection refused, torn frame) returns an error and the
 // supervised scatter degrades to the named shard_partial:n/N contract;
 // it must never return a partially wrong answer with a nil error.
 type ShardBackend interface {

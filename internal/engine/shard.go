@@ -90,17 +90,15 @@ type ShardOptions struct {
 	// faults, so a shard's fault stream consumption stays deterministic.
 	HedgeAfter time.Duration
 	// MaxAttempts is the sequential attempt budget per shard per
-	// operation (retries use full-jitter backoff); 0 means 2.
+	// operation (retries use full-jitter backoff); 0 means 2. It is the
+	// one retry layer: a remote backend makes one wire exchange per
+	// attempt, so a shard costs at most MaxAttempts wire attempts per
+	// scatter, plus one hedge per attempt when HedgeAfter is set, and
+	// none while quarantined.
 	MaxAttempts int
 	// CooldownOps is how many operations a quarantined shard sits out
 	// before a recovery probe; 0 means 8.
 	CooldownOps int
-	// CooldownTime, when positive, measures the quarantine cooldown in
-	// wall time instead of scatter operations: a quarantined shard is
-	// probed once this long has elapsed since it entered quarantine.
-	// The supervisor's clock is injectable (tests walk the full state
-	// machine without sleeping). Zero keeps the CooldownOps behavior.
-	CooldownTime time.Duration
 }
 
 // shard is one cell-range partition of a view's grid. Its grid is the
@@ -616,8 +614,8 @@ func attemptShard[T any](ss *shardSet, ctx context.Context, pt string, i int, fn
 // execShard runs the shard backend with per-attempt fault hooks and
 // panic isolation: an injected (or real) panic inside one shard's core
 // becomes that shard's attempt error, never the query's. Remote
-// backends additionally surface their own transport errors (breaker
-// open, torn frame) through the same error path.
+// backends additionally surface their own transport errors (refused
+// dial, torn frame) through the same error path.
 func execShard[T any](ss *shardSet, i int, pt string, rollFaults bool, fn func(b ShardBackend) (T, error)) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {

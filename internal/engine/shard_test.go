@@ -209,6 +209,39 @@ func TestSupervisorTransitionsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSupervisorOpTickCooldownUnchanged pins the supervisor's one
+// clock at the state-machine level: a quarantined shard is skipped for
+// CooldownOps-1 scatter operations and probed at exactly the
+// CooldownOps'th.
+func TestSupervisorOpTickCooldownUnchanged(t *testing.T) {
+	sup := newSupervisor(1, ShardOptions{Shards: 1, CooldownOps: 3})
+	var tick uint64
+	for i := 0; i < 2; i++ {
+		tick = sup.beginOp()
+		sup.admit(0, tick)
+		sup.record(0, tick, false)
+	}
+	if got := sup.state(0); got != ShardQuarantined {
+		t.Fatalf("state = %v, want quarantined", got)
+	}
+	// Ops 3 and 4 are inside the cooldown window; op 5 (tick delta 3)
+	// admits the probe.
+	for i := 0; i < 2; i++ {
+		tick = sup.beginOp()
+		if admitted, _ := sup.admit(0, tick); admitted {
+			t.Fatalf("op %d: admitted inside op-tick cooldown", i)
+		}
+	}
+	tick = sup.beginOp()
+	if admitted, probe := sup.admit(0, tick); !admitted || !probe {
+		t.Fatalf("probe after op cooldown: admitted=%v probe=%v", admitted, probe)
+	}
+	sup.record(0, tick, true)
+	if got := sup.state(0); got != ShardHealthy {
+		t.Fatalf("state = %v, want healthy", got)
+	}
+}
+
 func TestShardProbeFailureRequarantines(t *testing.T) {
 	sv := shardedPair(t, ShardOptions{Shards: 2, CooldownOps: 2})
 	full := geom.R(0, 100, 0, 100)

@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ShardState is one step of a shard's supervised health lifecycle.
@@ -70,28 +69,22 @@ const defaultCooldownOps = 8
 // maxTransitionLog bounds the supervisor's transition history.
 const maxTransitionLog = 256
 
-// supervisor tracks per-shard health across scatter operations. All
-// state sits behind one mutex — transitions are rare (failures only)
-// and the per-operation cost for a healthy shard is one short critical
-// section in admit plus one in record.
-//
-// The quarantine cooldown has two modes. The default counts scatter
-// operations (deterministic under test, load-proportional in
-// production). When ShardOptions.CooldownTime is positive the cooldown
-// is wall time instead, read through the injectable now func so tests
-// walk the full state machine against a fake clock without sleeping.
+// supervisor tracks per-shard health across scatter operations; it is
+// the only failure detector between the coordinator and its shards,
+// local or remote. All state sits behind one mutex — transitions are
+// rare (failures only) and the per-operation cost for a healthy shard
+// is one short critical section in admit plus one in record. The
+// quarantine cooldown counts scatter operations: deterministic under
+// test, load-proportional in production.
 type supervisor struct {
-	tick         atomic.Uint64 // scatter operations started; the clock op-cooldowns count in
-	cooldown     uint64
-	cooldownTime time.Duration    // > 0 switches quarantine cooldown to wall time
-	now          func() time.Time // injectable clock; time.Now outside tests
+	tick     atomic.Uint64 // scatter operations started; the clock cooldowns count in
+	cooldown uint64
 
-	mu              sync.Mutex
-	states          []ShardState
-	fails           []int    // consecutive failed operations per shard
-	quarantinedAt   []uint64 // tick of the most recent quarantine entry
-	quarantinedWhen []time.Time
-	log             []ShardTransition
+	mu            sync.Mutex
+	states        []ShardState
+	fails         []int    // consecutive failed operations per shard
+	quarantinedAt []uint64 // tick of the most recent quarantine entry
+	log           []ShardTransition
 }
 
 func newSupervisor(n int, opts ShardOptions) *supervisor {
@@ -100,13 +93,10 @@ func newSupervisor(n int, opts ShardOptions) *supervisor {
 		cooldownOps = defaultCooldownOps
 	}
 	return &supervisor{
-		cooldown:        uint64(cooldownOps),
-		cooldownTime:    opts.CooldownTime,
-		now:             time.Now,
-		states:          make([]ShardState, n),
-		fails:           make([]int, n),
-		quarantinedAt:   make([]uint64, n),
-		quarantinedWhen: make([]time.Time, n),
+		cooldown:      uint64(cooldownOps),
+		states:        make([]ShardState, n),
+		fails:         make([]int, n),
+		quarantinedAt: make([]uint64, n),
 	}
 }
 
@@ -127,22 +117,12 @@ func (s *supervisor) admit(i int, tick uint64) (admitted, probe bool) {
 	case ShardRecovering:
 		return true, true
 	default: // ShardQuarantined
-		if s.cooldownElapsed(i, tick) {
+		if tick-s.quarantinedAt[i] >= s.cooldown {
 			s.transition(i, tick, ShardRecovering)
 			return true, true
 		}
 		return false, false
 	}
-}
-
-// cooldownElapsed reports whether shard i has sat out its quarantine:
-// wall time when CooldownTime is configured, operation ticks otherwise.
-// Callers hold s.mu.
-func (s *supervisor) cooldownElapsed(i int, tick uint64) bool {
-	if s.cooldownTime > 0 {
-		return s.now().Sub(s.quarantinedWhen[i]) >= s.cooldownTime
-	}
-	return tick-s.quarantinedAt[i] >= s.cooldown
 }
 
 // record notes the outcome of shard i's operation (post-retry,
@@ -171,13 +151,10 @@ func (s *supervisor) record(i int, tick uint64, ok bool) {
 	}
 }
 
-// quarantine stamps both cooldown clocks and enters quarantine; callers
+// quarantine stamps the cooldown clock and enters quarantine; callers
 // hold s.mu.
 func (s *supervisor) quarantine(i int, tick uint64) {
 	s.quarantinedAt[i] = tick
-	if s.cooldownTime > 0 {
-		s.quarantinedWhen[i] = s.now()
-	}
 	s.transition(i, tick, ShardQuarantined)
 }
 

@@ -145,9 +145,6 @@ type Server struct {
 	// being registered, so ShardAddrs is typically used with exactly one
 	// registered view. Empty disables.
 	ShardAddrs []string
-	// ShardRPC tunes the remote-shard transport (zero value: shardrpc
-	// defaults).
-	ShardRPC shardrpc.Options
 
 	// acquired tracks the base registry views RegisterTable took, so
 	// Close can release them.
@@ -264,7 +261,7 @@ func (s *Server) dialShardWorkers(fp string) (map[int]engine.ShardBackend, []*sh
 		return nil, nil, err
 	}
 	for _, addr := range s.ShardAddrs {
-		c, err := shardrpc.Dial(addr, fp, s.Shards, s.ShardRPC)
+		c, err := shardrpc.Dial(addr, fp, s.Shards, shardrpc.Options{})
 		if err != nil {
 			return fail(fmt.Errorf("service: shard worker %s: %w", addr, err))
 		}

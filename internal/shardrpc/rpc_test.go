@@ -103,6 +103,35 @@ func randomRects(n, dims int, rng *rand.Rand) []geom.Rect {
 	return out
 }
 
+// checkNeverWrong fails unless got is want, or a subset of it carrying
+// a named shard_partial degradation; it returns whether it degraded.
+func checkNeverWrong(t *testing.T, tracker *engine.ShardTracker, got, want []int) bool {
+	t.Helper()
+	name, partial := tracker.Drain()
+	if !partial {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("undegraded result differs from the reference")
+		}
+		return false
+	}
+	if !strings.HasPrefix(name, "shard_partial:") {
+		t.Fatalf("degradation %q, want shard_partial:n/N", name)
+	}
+	ref := make(map[int]struct{}, len(want))
+	for _, r := range want {
+		ref[r] = struct{}{}
+	}
+	for _, r := range got {
+		if _, ok := ref[r]; !ok {
+			t.Fatalf("degraded result has row %d absent from the reference", r)
+		}
+	}
+	if len(got) > len(want) {
+		t.Fatal("degraded result larger than the reference")
+	}
+	return true
+}
+
 // singleDimRect constrains only dim, which steers SampleRect onto the
 // covering-index path, answered from the coordinator's own index.
 func singleDimRect(dims, dim int, lo, hi float64) geom.Rect {
@@ -314,92 +343,19 @@ func TestRemoteSharedCacheBitIdentity(t *testing.T) {
 	}
 }
 
-func TestBreakerDeterministicTransitions(t *testing.T) {
-	b := newBreaker(0, 3, 4)
-	defer b.release()
-	if b.Allow() != nil {
-		t.Fatal("closed breaker rejected a call")
-	}
-	b.Record(false)
-	b.Allow()
-	b.Record(false)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after 2/3 failures = %v, want closed", b.State())
-	}
-	b.Allow()
-	b.Record(false) // third consecutive failure opens
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after 3 failures = %v, want open", b.State())
-	}
-	// Open: fast-fail until the cooldown (4 Allow ticks) elapses.
-	rejected := 0
-	for b.State() == BreakerOpen {
-		if err := b.Allow(); err != nil {
-			if !errors.Is(err, ErrBreakerOpen) {
-				t.Fatalf("rejection error = %v", err)
-			}
-			rejected++
-			if rejected > 10 {
-				t.Fatal("breaker never admitted a half-open probe")
-			}
-			continue
-		}
-		break
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after cooldown = %v, want half_open", b.State())
-	}
-	// Only one probe at a time in half-open.
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("second concurrent probe admitted: %v", err)
-	}
-	b.Record(false) // failed probe -> open again
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-	for b.Allow() != nil {
-	}
-	b.Record(true) // successful probe -> closed
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
-	}
-
-	wantSeq := []struct{ from, to BreakerState }{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
-	}
-	log := b.Transitions()
-	if len(log) != len(wantSeq) {
-		t.Fatalf("transition log length = %d, want %d: %+v", len(log), len(wantSeq), log)
-	}
-	for i, w := range wantSeq {
-		if log[i].From != w.from || log[i].To != w.to {
-			t.Fatalf("transition %d = %v->%v, want %v->%v", i, log[i].From, log[i].To, w.from, w.to)
-		}
-	}
-}
-
 // TestChaosRemoteShardPartialNeverWrong runs the engine chaos
 // invariant over the wire: under injected network faults — connection
 // refusals, latency spikes, torn frames, mid-stream disconnects — a
 // mixed local/remote topology either answers bit-identically to the
 // reference or reports the named shard_partial degradation with a
-// strict subset; after faults clear, breakers close, the supervisor
-// recovers every shard and answers are exact again.
+// strict subset; after faults clear, the supervisor recovers every
+// shard and answers are exact again.
 func TestChaosRemoteShardPartialNeverWrong(t *testing.T) {
 	seed := chaosSeed(t)
 	base, _ := testViews(t, 8000, 4)
 	sharded := base.WithShards(engine.ShardOptions{Shards: 4, CooldownOps: 2})
 	addr, _ := startWorker(t, 8000, 4, []int{1, 3})
-	mixed, client := dialWorker(t, sharded, addr, Options{
-		MaxRetries:      1,
-		BaseBackoff:     100 * time.Microsecond,
-		MaxBackoff:      time.Millisecond,
-		BreakerCooldown: 2,
-	})
+	mixed, _ := dialWorker(t, sharded, addr, Options{})
 	mixed, tracker := mixed.WithShardTracker()
 
 	faultinject.Activate(faultinject.New(faultinject.Config{
@@ -423,39 +379,17 @@ func TestChaosRemoteShardPartialNeverWrong(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(seed))
 	sawPartial := false
-	for ri, rect := range randomRects(30, 2, rng) {
-		want := base.RowsIn(rect)
-		got := mixed.RowsIn(rect)
-		name, partial := tracker.Drain()
-		if !partial {
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("rect %d: undegraded result differs from reference", ri)
-			}
-			continue
-		}
-		sawPartial = true
-		if !strings.HasPrefix(name, "shard_partial:") {
-			t.Fatalf("rect %d: degradation %q, want shard_partial:n/N", ri, name)
-		}
-		ref := make(map[int]struct{}, len(want))
-		for _, r := range want {
-			ref[r] = struct{}{}
-		}
-		for _, r := range got {
-			if _, ok := ref[r]; !ok {
-				t.Fatalf("rect %d: degraded result contains row %d absent from reference", ri, r)
-			}
-		}
-		if len(got) > len(want) {
-			t.Fatalf("rect %d: degraded result larger than reference", ri)
+	for _, rect := range randomRects(30, 2, rng) {
+		if checkNeverWrong(t, tracker, mixed.RowsIn(rect), base.RowsIn(rect)) {
+			sawPartial = true
 		}
 	}
 	if !sawPartial {
 		t.Fatalf("seed %d: 30 ops under network faults never degraded — injector not reaching the transport", seed)
 	}
 
-	// Faults clear: breakers must close and the supervisor must recover
-	// every shard, remote included, and answers go exact again.
+	// Faults clear: the supervisor must recover every shard, remote
+	// included, and answers go exact again.
 	faultinject.Deactivate()
 	deactivated = true
 	full := geom.R(0, 100, 0, 100)
@@ -473,11 +407,6 @@ func TestChaosRemoteShardPartialNeverWrong(t *testing.T) {
 	if !healthyAll() {
 		t.Fatalf("shards never recovered after faults cleared: %+v", mixed.ShardHealth())
 	}
-	for _, sh := range client.Shards() {
-		if st := client.BreakerState(sh.Index); st != BreakerClosed {
-			t.Fatalf("shard %d breaker = %v after recovery, want closed", sh.Index, st)
-		}
-	}
 	tracker.Drain()
 	rng = rand.New(rand.NewSource(seed + 1))
 	for ri, rect := range randomRects(10, 2, rng) {
@@ -493,9 +422,9 @@ func TestChaosRemoteShardPartialNeverWrong(t *testing.T) {
 // TestChaosRemoteWorkerRestartRecovers kills the worker (server closed
 // under the client, connections dead, re-dials refused), asserts the
 // engine degrades to the named partial contract — never a wrong answer
-// — and then restarts the worker on the same address and asserts full
-// recovery: breaker closes, supervisor walks back to healthy, answers
-// exact.
+// — with the shard quarantined, and then restarts the worker on the
+// same address and asserts full recovery: the supervisor's probe
+// reconnects and walks the shard back to healthy, answers exact.
 func TestChaosRemoteWorkerRestartRecovers(t *testing.T) {
 	rows, total := 6000, 4
 	base, _ := testViews(t, rows, total)
@@ -516,13 +445,7 @@ func TestChaosRemoteWorkerRestartRecovers(t *testing.T) {
 	}
 	srv := startSrv()
 
-	mixed, client := dialWorker(t, sharded, addr, Options{
-		DialTimeout:     200 * time.Millisecond,
-		MaxRetries:      1,
-		BaseBackoff:     100 * time.Microsecond,
-		MaxBackoff:      time.Millisecond,
-		BreakerCooldown: 2,
-	})
+	mixed, _ := dialWorker(t, sharded, addr, Options{DialTimeout: 200 * time.Millisecond})
 	mixed, tracker := mixed.WithShardTracker()
 
 	rng := rand.New(rand.NewSource(7))
@@ -534,39 +457,23 @@ func TestChaosRemoteWorkerRestartRecovers(t *testing.T) {
 	}
 
 	// Worker dies: every query must stay never-wrong, and once the
-	// breaker opens the failures are in-memory fast-fails.
+	// supervisor quarantines the shard it is skipped without a dial.
 	srv.Close()
 	sawPartial := false
-	for ri, rect := range rects[5:20] {
-		want := base.RowsIn(rect)
-		got := mixed.RowsIn(rect)
-		if name, partial := tracker.Drain(); partial {
+	for _, rect := range rects[5:20] {
+		if checkNeverWrong(t, tracker, mixed.RowsIn(rect), base.RowsIn(rect)) {
 			sawPartial = true
-			if !strings.HasPrefix(name, "shard_partial:") {
-				t.Fatalf("rect %d: degradation %q", ri, name)
-			}
-			ref := make(map[int]struct{}, len(want))
-			for _, r := range want {
-				ref[r] = struct{}{}
-			}
-			for _, r := range got {
-				if _, ok := ref[r]; !ok {
-					t.Fatalf("rect %d: degraded result has row %d not in reference", ri, r)
-				}
-			}
-		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rect %d: undegraded result differs with worker dead", ri)
 		}
 	}
 	if !sawPartial {
 		t.Fatal("worker death never surfaced as a partial result")
 	}
-	if st := client.BreakerState(2); st == BreakerClosed {
-		t.Fatalf("breaker still closed with worker dead")
+	if st := mixed.ShardHealth()[2].State; st != engine.ShardQuarantined.String() {
+		t.Fatalf("shard 2 %s with worker dead, want quarantined", st)
 	}
 
-	// Worker restarts on the same address: half-open probe reconnects,
-	// supervisor probe readmits the shard, answers are exact again.
+	// Worker restarts on the same address: the supervisor's probe
+	// reconnects and readmits the shard, answers are exact again.
 	srv2 := startSrv()
 	defer srv2.Close()
 	full := geom.R(0, 100, 0, 100)
@@ -576,14 +483,13 @@ func TestChaosRemoteWorkerRestartRecovers(t *testing.T) {
 				return false
 			}
 		}
-		return client.BreakerState(2) == BreakerClosed
+		return true
 	}
 	for i := 0; i < 60 && !recovered(); i++ {
 		mixed.Count(full)
 	}
 	if !recovered() {
-		t.Fatalf("never recovered after worker restart: health=%+v breaker=%v",
-			mixed.ShardHealth(), client.BreakerState(2))
+		t.Fatalf("never recovered after worker restart: %+v", mixed.ShardHealth())
 	}
 	tracker.Drain()
 	for ri, rect := range rects[20:] {
@@ -618,7 +524,6 @@ func TestRPCMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`engine_shard_rpc{op="batch"}`,
 		`engine_shard_rpc{op="hello"}`,
-		`shard_breaker{state="closed"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %s", want)

@@ -13,14 +13,15 @@
 // little-endian, length = 1 + len(payload), CRC over op byte plus
 // payload. A torn or corrupted frame fails the CRC (or the length
 // bound) and poisons the connection — it is closed, never resynced —
-// which the client turns into a retriable attempt error.
+// which the client reports as a failed exchange.
 //
 // Results are plain data and the coordinator keeps randomness, caching
 // and gather order, so a remote shard is bit-identical to a local one;
 // the engine's scatter layer cannot tell them apart except by failure
-// mode. Failures flow through a per-shard three-state circuit breaker
-// (breaker.go) into the engine's shard supervisor, degrading to the
-// named shard_partial:n/N contract instead of wrong answers.
+// mode. The client neither retries nor keeps health state: each failed
+// exchange is one failed engine attempt, and the engine's shard
+// supervisor alone quarantines and probes, degrading to the named
+// shard_partial:n/N contract instead of wrong answers.
 package shardrpc
 
 import (
