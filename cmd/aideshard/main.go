@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"github.com/explore-by-example/aide/internal/dataset"
 	"github.com/explore-by-example/aide/internal/engine"
@@ -65,26 +66,29 @@ func main() {
 	if *shards <= 0 {
 		fatal("-shards must be positive (and match the coordinator)")
 	}
-	var tab *dataset.Table
+	start := time.Now()
+	// The SDSS rows are streamed: the build replays the generator twice
+	// instead of holding the table. The other datasets are read whole.
+	var src dataset.Source
 	var exploreAttrs []string
 	switch {
 	case *sdssRows > 0:
-		tab = dataset.GenerateSDSS(*sdssRows, *seed)
+		src = dataset.SDSSSource(*sdssRows, *seed)
 		exploreAttrs = splitList(*attrs)
 	case *auctionRows > 0:
-		tab = dataset.GenerateAuction(*auctionRows, *seed)
+		src = dataset.GenerateAuction(*auctionRows, *seed)
 		exploreAttrs = []string{"current_price", "num_bids"}
 	case *csvPath != "":
 		f, err := os.Open(*csvPath)
 		if err != nil {
 			fatal("opening csv", "path", *csvPath, "err", err)
 		}
-		tab, err = dataset.ReadCSV(f, *csvName, nil)
+		tab, err := dataset.ReadCSV(f, *csvName, nil)
 		f.Close()
 		if err != nil {
 			fatal("reading csv", "path", *csvPath, "err", err)
 		}
-		exploreAttrs = tab.Schema().Names()
+		src, exploreAttrs = tab, tab.Schema().Names()
 	default:
 		fatal("no dataset configured (use -sdss, -auction or -csv)")
 	}
@@ -93,11 +97,11 @@ func main() {
 	if err != nil {
 		fatal("bad -serve", "err", err)
 	}
-	rows := tab.NumRows()
-	subset, fp, err := setup(tab, exploreAttrs, *shards, indexes)
+	subset, fp, err := setup(src, exploreAttrs, *shards, indexes)
 	if err != nil {
 		fatal("building view", "err", err)
 	}
+	build := time.Since(start)
 
 	network := shardrpc.Network(*listen)
 	if network == "unix" {
@@ -128,25 +132,32 @@ func main() {
 	for _, b := range subset {
 		served += b.NumRows()
 	}
-	logger.Info("serving shards",
-		"listen", ln.Addr().String(), "network", network,
+	// build_s runs from flag parsing to the built shards: dataset read or
+	// generation included. peak_rss_mb is the process's high-water mark
+	// so far, which the build sets.
+	fields := []any{"listen", ln.Addr().String(), "network", network,
 		"fingerprint", fp, "total_shards", *shards,
-		"serving", indexes, "rows", rows, "served_rows", served,
-		"heap_live_mb", obs.HeapLiveMB(), "gc_percent", obs.GCPercent(), "heap_goal_mb", obs.HeapGoalMB())
+		"serving", indexes, "rows", src.NumRows(), "served_rows", served,
+		"build_s", float64(build.Milliseconds()) / 1000,
+		"heap_live_mb", obs.HeapLiveMB(), "gc_percent", obs.GCPercent(), "heap_goal_mb", obs.HeapGoalMB()}
+	if kb, ok := obs.ProcStatusKB("/proc/self/status", "VmHWM"); ok {
+		fields = append(fields, "peak_rss_mb", kb>>10)
+	}
+	logger.Info("serving shards", fields...)
 	if err := srv.Serve(ln); err != nil {
 		fatal("serve", "err", err)
 	}
 	logger.Info("bye")
 }
 
-// setup builds only the served shards of the view over tab and returns
-// their backends and the view fingerprint, leaving the table and the
-// build's scratch unreachable. Its final forced GC returns them to the
-// OS and restarts the GC pacer from what the worker serves, not from the
-// build's peak, and obs.PaceStaticHeap then sizes the GC goal for that
-// static heap.
-func setup(tab *dataset.Table, attrs []string, shards int, serve []int) (map[int]engine.ShardBackend, string, error) {
-	subset, fp, err := engine.NewServedShards(tab, attrs, shards, serve)
+// setup builds only the served shards of the view over src and returns
+// their backends and the view fingerprint, leaving the build's scratch
+// (and the table, for a source that is one) unreachable. Its final
+// forced GC returns them to the OS and restarts the GC pacer from what
+// the worker serves, not from the build's peak, and obs.PaceStaticHeap
+// then sizes the GC goal for that static heap.
+func setup(src dataset.Source, attrs []string, shards int, serve []int) (map[int]engine.ShardBackend, string, error) {
+	subset, fp, err := engine.NewServedShards(src, attrs, shards, serve)
 	if err != nil {
 		return nil, "", err
 	}

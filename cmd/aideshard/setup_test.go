@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -11,6 +12,7 @@ import (
 	"github.com/explore-by-example/aide/internal/dataset"
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/geom"
+	"github.com/explore-by-example/aide/internal/obs"
 	"github.com/explore-by-example/aide/internal/shardrpc"
 )
 
@@ -94,4 +96,34 @@ func heapSnapshot() heapState {
 	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}, {Name: "/gc/cycles/forced:gc-cycles"}, {Name: "/gc/gogc:percent"}}
 	metrics.Read(s)
 	return heapState{s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64(), int(s[3].Value.Uint64())}
+}
+
+// TestWorkerBuildPeakBounded spawns a real worker over 600 k SDSS rows
+// and reads, once it listens, its peak and current resident sets: the
+// build streams the rows twice instead of holding the six-column table,
+// so the peak stays within a quarter (plus runtime slack) of what the
+// worker keeps serving. A build that generates the table peaks at well
+// over twice that.
+func TestWorkerBuildPeakBounded(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/<pid>/status")
+	}
+	if testing.Short() {
+		t.Skip("spawns a worker process")
+	}
+	sock := filepath.Join(t.TempDir(), "w.sock")
+	cmd := startWorker(t, sock, "peak", "-sdss", "600000", "-seed", "1", "-attrs", "rowc,colc,ra,dec", "-shards", "2", "-serve", "0")
+	status := fmt.Sprintf("/proc/%d/status", cmd.Process.Pid)
+	mb := func(field string) float64 {
+		kb, ok := obs.ProcStatusKB(status, field)
+		if !ok {
+			t.Fatalf("no %s in %s", field, status)
+		}
+		return float64(kb) / 1024
+	}
+	hwm, rss := mb("VmHWM"), mb("VmRSS")
+	t.Logf("worker at 600k rows: VmHWM %.1f MB, VmRSS %.1f MB", hwm, rss)
+	if limit := 1.25*rss + 8; hwm > limit {
+		t.Fatalf("worker build peaked at %.1f MB against %.1f MB resident, want <= %.1f", hwm, rss, limit)
+	}
 }

@@ -49,6 +49,52 @@ func (s Schema) Names() []string {
 	return out
 }
 
+// ColumnIndexes resolves column names to indexes, failing on unknown
+// names.
+func (s Schema) ColumnIndexes(names []string) ([]int, error) {
+	out := make([]int, len(names))
+	for i, n := range names {
+		idx := s.Index(n)
+		if idx < 0 {
+			return nil, fmt.Errorf("dataset: unknown column %q (have %v)", n, s.Names())
+		}
+		out[i] = idx
+	}
+	return out, nil
+}
+
+// Normalizer builds a geom.Normalizer over the given columns using the
+// schema's declared domains.
+func (s Schema) Normalizer(cols []int) (*geom.Normalizer, error) {
+	mins := make([]float64, len(cols))
+	maxs := make([]float64, len(cols))
+	for i, c := range cols {
+		if c < 0 || c >= len(s) {
+			return nil, fmt.Errorf("dataset: column index %d out of range", c)
+		}
+		mins[i] = s[c].Min
+		maxs[i] = s[c].Max
+	}
+	return geom.NewNormalizer(mins, maxs)
+}
+
+// Source is a re-runnable stream of a table's rows: what a consumer that
+// needs a few columns of each row once, in row order, reads instead of
+// holding the whole table. *Table is one; SDSSSource replays
+// GenerateSDSS's rows without storing them.
+type Source interface {
+	Name() string
+	Schema() Schema
+	NumRows() int
+	// Scan calls fn once per row, in row order, with vals[i] the row's
+	// value of column cols[i]. vals is reused between calls; fn must not
+	// keep it. Every Scan yields the same values.
+	Scan(cols []int, fn func(row int, vals []float64))
+	// Ends returns the first and last rows over every column (nil when
+	// there are no rows): what a table fingerprint hashes.
+	Ends() (first, last geom.Point)
+}
+
 // Table is an immutable column-major table. Build one with NewTable or a
 // Builder; after construction the data must not be mutated (the query
 // engine builds indexes over it).
@@ -97,6 +143,25 @@ func (t *Table) Value(row, col int) float64 { return t.cols[col][row] }
 // read-only.
 func (t *Table) Col(col int) []float64 { return t.cols[col] }
 
+// Scan implements Source over the table's columns.
+func (t *Table) Scan(cols []int, fn func(row int, vals []float64)) {
+	vals := make([]float64, len(cols))
+	for r := 0; r < t.rows; r++ {
+		for i, c := range cols {
+			vals[i] = t.cols[c][r]
+		}
+		fn(r, vals)
+	}
+}
+
+// Ends implements Source.
+func (t *Table) Ends() (first, last geom.Point) {
+	if t.rows == 0 {
+		return nil, nil
+	}
+	return t.Row(0), t.Row(t.rows - 1)
+}
+
 // Row materializes one row as a point over all columns.
 func (t *Table) Row(row int) geom.Point {
 	p := make(geom.Point, len(t.cols))
@@ -115,34 +180,11 @@ func (t *Table) Project(row int, cols []int) geom.Point {
 	return p
 }
 
-// Normalizer builds a geom.Normalizer over the given columns using the
-// schema's declared domains.
-func (t *Table) Normalizer(cols []int) (*geom.Normalizer, error) {
-	mins := make([]float64, len(cols))
-	maxs := make([]float64, len(cols))
-	for i, c := range cols {
-		if c < 0 || c >= len(t.schema) {
-			return nil, fmt.Errorf("dataset: column index %d out of range", c)
-		}
-		mins[i] = t.schema[c].Min
-		maxs[i] = t.schema[c].Max
-	}
-	return geom.NewNormalizer(mins, maxs)
-}
+// Normalizer is Schema().Normalizer.
+func (t *Table) Normalizer(cols []int) (*geom.Normalizer, error) { return t.schema.Normalizer(cols) }
 
-// ColumnIndexes resolves column names to indexes, failing on unknown
-// names.
-func (t *Table) ColumnIndexes(names []string) ([]int, error) {
-	out := make([]int, len(names))
-	for i, n := range names {
-		idx := t.schema.Index(n)
-		if idx < 0 {
-			return nil, fmt.Errorf("dataset: unknown column %q (have %v)", n, t.schema.Names())
-		}
-		out[i] = idx
-	}
-	return out, nil
-}
+// ColumnIndexes is Schema().ColumnIndexes.
+func (t *Table) ColumnIndexes(names []string) ([]int, error) { return t.schema.ColumnIndexes(names) }
 
 // Subset returns a new table containing the given rows (in order). Used by
 // the engine's sampled-dataset support (Section 5.2 of the paper).

@@ -3,6 +3,10 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+
+	"github.com/explore-by-example/aide/internal/geom"
 )
 
 // The generators below are deterministic given a seed and reproduce the
@@ -38,7 +42,8 @@ func SDSSSchema() Schema {
 	}
 }
 
-// GenerateSDSS builds a synthetic PhotoObjAll table with n rows.
+// GenerateSDSS builds a synthetic PhotoObjAll table with n rows: every
+// row of SDSSSource(n, seed), collected.
 //
 // Distributions:
 //   - rowc, colc: uniform over the CCD frame (the paper's default "dense
@@ -51,43 +56,157 @@ func SDSSSchema() Schema {
 //     common (skewed).
 //   - fieldID: Zipf-like over the id space (skewed).
 func GenerateSDSS(n int, seed int64) *Table {
-	rng := rand.New(rand.NewSource(seed))
-	rowc := make([]float64, n)
-	colc := make([]float64, n)
-	ra := make([]float64, n)
-	dec := make([]float64, n)
-	field := make([]float64, n)
-	fieldID := make([]float64, n)
-
-	// Stripe centers for the ra mixture, mimicking SDSS imaging stripes.
-	stripes := []float64{30, 120, 150, 185, 220, 330}
-	zipf := rand.NewZipf(rng, 1.3, 8, sdssFieldIDMax-1)
-
-	for i := 0; i < n; i++ {
-		rowc[i] = rng.Float64() * sdssRowcMax
-		colc[i] = rng.Float64() * sdssColcMax
-
-		if rng.Float64() < 0.85 {
-			c := stripes[rng.Intn(len(stripes))]
-			ra[i] = clamp(c+rng.NormFloat64()*12, 0, sdssRaMax)
-		} else {
-			ra[i] = rng.Float64() * sdssRaMax
-		}
-
-		dec[i] = clamp(25+rng.NormFloat64()*18, sdssDecMin, sdssDecMax)
-
-		f := -math.Log(1-rng.Float64()) * (sdssFieldMax / 5)
-		field[i] = clamp(f, 0, sdssFieldMax)
-
-		fieldID[i] = float64(zipf.Uint64())
-	}
-
-	cols := [][]float64{rowc, colc, ra, dec, field, fieldID}
-	t, err := NewTable("PhotoObjAll", SDSSSchema(), cols)
+	rowc, colc, ra, dec := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	field, fieldID := make([]float64, n), make([]float64, n)
+	sdssRows(n, seed, sdssAll, nil, func(r int, row *[6]float64) {
+		rowc[r], colc[r], ra[r], dec[r], field[r], fieldID[r] = row[0], row[1], row[2], row[3], row[4], row[5]
+	})
+	t, err := NewTable("PhotoObjAll", SDSSSchema(), [][]float64{rowc, colc, ra, dec, field, fieldID})
 	if err != nil {
 		panic(err) // shapes are correct by construction
 	}
 	return t
+}
+
+// sdssAll asks sdssRows for every column.
+var sdssAll = [6]bool{true, true, true, true, true, true}
+
+// SDSSSource is GenerateSDSS(n, seed) as a Source that holds no row:
+// each Scan replays the generator's one rng stream. The first Scan
+// computes every column, keeps the first and last rows (Ends), and
+// records the few rows where fieldID's Zipf draw, a rejection loop, took
+// other than one rng value (638 of 3 M at seed 7). A later Scan computes
+// only the columns it asks for: a skipped column costs its rng draws but
+// not its arithmetic, and a skipped fieldID takes one value per row, or
+// the recorded count.
+func SDSSSource(n int, seed int64) Source { return &sdssSource{n: n, seed: seed} }
+
+type sdssSource struct {
+	n    int
+	seed int64
+
+	mu  sync.Mutex
+	rec *sdssRecord // the first Scan's; nil before it
+}
+
+// sdssRecord is what an sdssSource's first Scan keeps for the later ones.
+type sdssRecord struct {
+	multi       []multiDraw
+	first, last geom.Point
+}
+
+// multiDraw is a row whose fieldID took draws rng values, draws != 1.
+type multiDraw struct{ row, draws int }
+
+func (s *sdssSource) Name() string   { return "PhotoObjAll" }
+func (s *sdssSource) Schema() Schema { return SDSSSchema() }
+func (s *sdssSource) NumRows() int   { return s.n }
+
+func (s *sdssSource) record() *sdssRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rec
+}
+
+func (s *sdssSource) Scan(cols []int, fn func(row int, vals []float64)) {
+	rec := s.record()
+	want, replay := sdssAll, []multiDraw(nil)
+	if rec != nil {
+		want, replay = [6]bool{}, rec.multi
+		for _, c := range cols {
+			want[c] = true
+		}
+	}
+	var first, last geom.Point
+	vals := make([]float64, len(cols))
+	multi := sdssRows(s.n, s.seed, want, replay, func(r int, row *[6]float64) {
+		if rec == nil && (r == 0 || r == s.n-1) {
+			end := slices.Clone(row[:])
+			if r == 0 {
+				first = end
+			}
+			last = end
+		}
+		for k, c := range cols {
+			vals[k] = row[c]
+		}
+		fn(r, vals)
+	})
+	if rec == nil {
+		s.mu.Lock()
+		s.rec = &sdssRecord{multi: multi, first: first, last: last}
+		s.mu.Unlock()
+	}
+}
+
+// Ends returns the first and last rows (nil when there are none), from
+// the first Scan, which it runs if none has.
+func (s *sdssSource) Ends() (first, last geom.Point) {
+	rec := s.record()
+	if rec == nil {
+		s.Scan(nil, func(int, []float64) {})
+		rec = s.record()
+	}
+	return slices.Clone(rec.first), slices.Clone(rec.last)
+}
+
+// countedSource is the rand.Source sdssRows draws fieldID's Zipf values
+// from: the generator's own stream, counting the values taken.
+type countedSource struct {
+	r *rand.Rand
+	n int
+}
+
+func (c *countedSource) Int63() int64 { c.n++; return c.r.Int63() }
+func (c *countedSource) Seed(s int64) { c.r.Seed(s) }
+
+// sdssRows runs GenerateSDSS's rng stream over n rows and calls emit with
+// each; a column want leaves false holds a stale value. With want[5] it
+// draws fieldID and returns the rows whose draw took other than one rng
+// value. Without, it computes no fieldID: each row takes one rng value,
+// or the draws replay lists for it, and it returns nil.
+func sdssRows(n int, seed int64, want [6]bool, replay []multiDraw, emit func(r int, row *[6]float64)) (recorded []multiDraw) {
+	rng := rand.New(rand.NewSource(seed))
+	// Stripe centers for the ra mixture, mimicking SDSS imaging stripes.
+	stripes := []float64{30, 120, 150, 185, 220, 330}
+	counted := &countedSource{r: rng}
+	zipf := rand.NewZipf(rand.New(counted), 1.3, 8, sdssFieldIDMax-1)
+	var row [6]float64
+	for i := 0; i < n; i++ {
+		row[0] = rng.Float64() * sdssRowcMax
+		row[1] = rng.Float64() * sdssColcMax
+
+		if rng.Float64() < 0.85 {
+			c := stripes[rng.Intn(len(stripes))]
+			row[2] = clamp(c+rng.NormFloat64()*12, 0, sdssRaMax)
+		} else {
+			row[2] = rng.Float64() * sdssRaMax
+		}
+
+		row[3] = clamp(25+rng.NormFloat64()*18, sdssDecMin, sdssDecMax)
+
+		if u := rng.Float64(); want[4] {
+			row[4] = clamp(-math.Log(1-u)*(sdssFieldMax/5), 0, sdssFieldMax)
+		}
+
+		if want[5] {
+			before := counted.n
+			row[5] = float64(zipf.Uint64())
+			if draws := counted.n - before; draws != 1 {
+				recorded = append(recorded, multiDraw{i, draws})
+			}
+		} else {
+			draws := 1
+			if len(replay) > 0 && replay[0].row == i {
+				draws, replay = replay[0].draws, replay[1:]
+			}
+			for ; draws > 0; draws-- {
+				rng.Int63()
+			}
+		}
+		emit(i, &row)
+	}
+	return recorded
 }
 
 // AuctionMark ITEM attribute domains (Section 6.5: seven attributes).

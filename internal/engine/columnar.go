@@ -58,8 +58,11 @@ func widen(dst []int, src []int32) int {
 
 // newGridIndex returns an empty grid for rows rows in d dimensions, at a
 // resolution where the average cell holds a modest number of rows
-// without exploding the cell count in high dimensions. countCells
-// counts the rows into its offsets, and layout lays them out.
+// without exploding the cell count in high dimensions. A census counts
+// the rows into its offsets, and a layout writes them into their slots:
+// countCells and layout for a view, two parallel passes over its table;
+// NewServedShards for a worker, two sequential passes over a
+// dataset.Source.
 func newGridIndex(d, rows int) *gridIndex {
 	// Target ~64 rows per cell, capped to keep memory bounded.
 	target := float64(rows) / 64
@@ -93,98 +96,118 @@ func newGridIndex(d, rows int) *gridIndex {
 // countCells is the build's census of v's rows, one parallel pass that
 // stores nothing per row: it returns, per par.For chunk (contiguous row
 // ranges, the same at every call with the same worker count), how many
-// rows fall in each of g's cells, and sets g's offsets to each cell's
-// first slot over all rows.
+// rows fall in each of g's cells, and sets g's offsets from them
+// (setOffsets).
 func (g *gridIndex) countCells(v *View, workers int) (chunks [][]int32) {
 	cells := len(g.offsets) - 1
 	rows := v.NumRows()
 	chunks = make([][]int32, par.ChunkCount(workers, rows, 1024))
 	par.For(workers, rows, 1024, func(c, lo, hi int) {
 		counts := make([]int32, cells)
+		p := make([]float64, g.dims)
 		for r := lo; r < hi; r++ {
-			counts[g.cellOf(v, r)]++
+			counts[g.cellOf(v.normInto(p, r))]++
 		}
 		chunks[c] = counts
 	})
+	g.setOffsets(chunks)
+	return chunks
+}
+
+// setOffsets sets g's offsets to each cell's first slot over the rows the
+// census chunks counted.
+func (g *gridIndex) setOffsets(chunks [][]int32) {
 	for _, counts := range chunks {
 		for id, n := range counts {
 			g.offsets[id+1] += n
 		}
 	}
-	for i := 1; i <= cells; i++ {
+	for i := 1; i < len(g.offsets); i++ {
 		g.offsets[i] += g.offsets[i-1]
 	}
-	return chunks
 }
 
-// layout returns the grid of g's cells [c0, c1) over v's rows, from
-// countCells' census: the view's grid is the full range, a shard's grid
-// its own cells. g's offsets are rebased to the range (cells outside it
-// are empty). A second parallel pass over the census chunks
-// counting-sorts the range's rows by cell, each chunk's rows after the
-// earlier chunks', so rows ascend within a cell at any worker count.
-// The slabs then gather each dimension's normalized values (normAt, the
-// expression every reader recomputes) into slot order and fold the
-// per-cell zonemaps in the same sweep.
-func (g *gridIndex) layout(v *View, chunks [][]int32, c0, c1, workers int) *gridIndex {
-	out := &gridIndex{dims: g.dims, cellsPerDim: g.cellsPerDim, cellWidth: g.cellWidth, offsets: rebase(g.offsets, c0, c1)}
+// layout lays v's rows out into g from countCells' census. A second
+// parallel pass over the census chunks counting-sorts the rows by cell,
+// each chunk's rows after the earlier chunks', so rows ascend within a
+// cell at any worker count. The slabs then gather each dimension's
+// normalized values (normAt, the expression every reader recomputes)
+// into slot order, and each cell's zonemap folds as its slots fill.
+func (g *gridIndex) layout(v *View, chunks [][]int32, workers int) {
 	cells := g.numCells()
-	out.rows = make([]int32, out.offsets[cells])
-	next := make([][]int32, len(chunks)) // per chunk: the next free slot of each cell in range
-	run := make([]int32, c1-c0)
-	copy(run, out.offsets[c0:c1])
+	g.rows = make([]int32, g.offsets[cells])
+	next := make([][]int32, len(chunks)) // per chunk: the next free slot of each cell
+	run := slices.Clone(g.offsets[:cells])
 	for c, counts := range chunks {
 		next[c] = slices.Clone(run)
-		for id := range run {
-			run[id] += counts[c0+id]
+		for id, n := range counts {
+			run[id] += n
 		}
 	}
 	par.For(workers, v.NumRows(), 1024, func(c, lo, hi int) {
 		nx := next[c]
+		p := make([]float64, g.dims)
 		for r := lo; r < hi; r++ {
-			if id := g.cellOf(v, r) - c0; uint(id) < uint(len(nx)) {
-				out.rows[nx[id]] = int32(r)
-				nx[id]++
-			}
+			id := g.cellOf(v.normInto(p, r))
+			g.rows[nx[id]] = int32(r)
+			nx[id]++
 		}
 	})
-	out.slabs = make([][]float64, g.dims)
-	out.zoneMin = make([][]float64, g.dims)
-	out.zoneMax = make([][]float64, g.dims)
+	g.slabs = make([][]float64, g.dims)
+	g.zoneMin = make([][]float64, g.dims)
+	g.zoneMax = make([][]float64, g.dims)
 	par.For(workers, g.dims, 1, func(_, dlo, dhi int) {
-		for i := dlo; i < dhi; i++ {
-			slab := make([]float64, len(out.rows))
+		for d := dlo; d < dhi; d++ {
+			slab := make([]float64, len(g.rows))
 			zmin := make([]float64, cells)
 			zmax := make([]float64, cells)
 			for c := 0; c < cells; c++ {
-				lo, hi := out.offsets[c], out.offsets[c+1]
-				cmin, cmax := math.Inf(1), math.Inf(-1)
-				nan := false
+				lo, hi := g.offsets[c], g.offsets[c+1]
 				for s := lo; s < hi; s++ {
-					val := v.normAt(i, int(out.rows[s]))
-					slab[s] = val
-					if val != val {
-						nan = true
-						continue
-					}
-					if val < cmin {
-						cmin = val
-					}
-					if val > cmax {
-						cmax = val
-					}
+					slab[s] = v.normAt(d, int(g.rows[s]))
 				}
-				if nan {
-					cmin, cmax = math.Inf(-1), math.Inf(1)
-				}
-				zmin[c], zmax[c] = cmin, cmax
+				zmin[c], zmax[c] = zone(slab[lo:hi])
 			}
-			out.slabs[i] = slab
-			out.zoneMin[i] = zmin
-			out.zoneMax[i] = zmax
+			g.slabs[d], g.zoneMin[d], g.zoneMax[d] = slab, zmin, zmax
 		}
 	})
-	return out
+}
+
+// foldZones sets g's per-cell zonemaps from its filled slabs, dimensions
+// concurrently.
+func (g *gridIndex) foldZones(workers int) {
+	cells := g.numCells()
+	g.zoneMin = make([][]float64, g.dims)
+	g.zoneMax = make([][]float64, g.dims)
+	par.For(workers, g.dims, 1, func(_, dlo, dhi int) {
+		for d := dlo; d < dhi; d++ {
+			zmin := make([]float64, cells)
+			zmax := make([]float64, cells)
+			for c := 0; c < cells; c++ {
+				zmin[c], zmax[c] = zone(g.slabs[d][g.offsets[c]:g.offsets[c+1]])
+			}
+			g.zoneMin[d], g.zoneMax[d] = zmin, zmax
+		}
+	})
+}
+
+// zone is one cell's zonemap along one dimension: the min and max of its
+// values, (+Inf, -Inf) when it is empty, and (-Inf, +Inf) when it holds
+// a NaN.
+func zone(vals []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, val := range vals {
+		if val != val {
+			return math.Inf(-1), math.Inf(1)
+		}
+		if val < lo {
+			lo = val
+		}
+		if val > hi {
+			hi = val
+		}
+	}
+	return lo, hi
 }
 
 // rebase clamps offsets to the slots of cells [c0, c1) and shifts them
@@ -213,11 +236,11 @@ func (g *gridIndex) sub(c0, c1 int) *gridIndex {
 	return &sg
 }
 
-// cellOf returns the flat cell id of v's row r.
-func (g *gridIndex) cellOf(v *View, r int) int {
+// cellOf returns the flat cell id of the normalized point p.
+func (g *gridIndex) cellOf(p []float64) int {
 	id := 0
-	for i := 0; i < g.dims; i++ {
-		c := int((v.normAt(i, r) - geom.NormMin) / g.cellWidth)
+	for _, val := range p {
+		c := int((val - geom.NormMin) / g.cellWidth)
 		if c >= g.cellsPerDim {
 			c = g.cellsPerDim - 1
 		}

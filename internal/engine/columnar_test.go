@@ -34,7 +34,7 @@ import (
 // rect's cell range includes that cell.
 func gridVisible(v *View, rect geom.Rect, row int) bool {
 	g := v.grid
-	id := g.cellOf(v, row)
+	id := g.cellOf(v.NormPoint(row))
 	for i := g.dims - 1; i >= 0; i-- {
 		c := id % g.cellsPerDim
 		id /= g.cellsPerDim

@@ -91,7 +91,8 @@ func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, err
 	// slots, so the result is identical at any worker count.
 	v.buildCoveringIndex(workers)
 	g := newGridIndex(len(v.cols), tab.NumRows())
-	v.grid = g.layout(v, g.countCells(v, workers), 0, g.numCells(), workers)
+	g.layout(v, g.countCells(v, workers), workers)
+	v.grid = g
 	return v, nil
 }
 
@@ -100,14 +101,7 @@ func NewViewWorkers(tab *dataset.Table, attrs []string, workers int) (*View, err
 // normalized space (attributes concurrently). It builds no index and
 // stores nothing per row.
 func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, error) {
-	cols, err := tab.ColumnIndexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("engine: view needs at least one attribute")
-	}
-	norm, err := tab.Normalizer(cols)
+	cols, norm, err := resolveAttrs(tab.Schema(), attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +113,23 @@ func normalizeView(tab *dataset.Table, attrs []string, workers int) (*View, erro
 		}
 	})
 	return v, nil
+}
+
+// resolveAttrs resolves attrs to schema's column indexes and builds
+// their normalizer from the schema's domains.
+func resolveAttrs(schema dataset.Schema, attrs []string) ([]int, *geom.Normalizer, error) {
+	cols, err := schema.ColumnIndexes(attrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(cols) == 0 {
+		return nil, nil, fmt.Errorf("engine: view needs at least one attribute")
+	}
+	norm, err := schema.Normalizer(cols)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cols, norm, nil
 }
 
 // WithContext returns a view sharing this view's table, indexes and
@@ -351,7 +362,12 @@ func (v *View) normAt(d, row int) float64 {
 
 // NormPoint returns row's exploration attributes in normalized space.
 func (v *View) NormPoint(row int) geom.Point {
-	p := make(geom.Point, len(v.cols))
+	return v.normInto(make(geom.Point, len(v.cols)), row)
+}
+
+// normInto sets p (one entry per dimension) to row's normalized point
+// and returns it.
+func (v *View) normInto(p []float64, row int) []float64 {
 	for i := range p {
 		p[i] = v.normAt(i, row)
 	}

@@ -17,7 +17,7 @@ import (
 // WAL-recovery sanity checks, not a cryptographic digest. Tables with
 // equal fingerprints are treated as interchangeable by the view
 // registry.
-func TableFingerprint(tab *dataset.Table) uint64 {
+func TableFingerprint(src dataset.Source) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	w64 := func(u uint64) {
@@ -25,35 +25,33 @@ func TableFingerprint(tab *dataset.Table) uint64 {
 		h.Write(b[:])
 	}
 	wf := func(f float64) { w64(math.Float64bits(f)) }
-	io.WriteString(h, tab.Name())
+	io.WriteString(h, src.Name())
 	h.Write([]byte{0})
-	for _, col := range tab.Schema() {
+	for _, col := range src.Schema() {
 		io.WriteString(h, col.Name)
 		h.Write([]byte{0})
 		wf(col.Min)
 		wf(col.Max)
 	}
-	n := tab.NumRows()
-	w64(uint64(n))
-	if n > 0 {
-		for _, v := range tab.Row(0) {
-			wf(v)
-		}
-		for _, v := range tab.Row(n - 1) {
-			wf(v)
-		}
+	w64(uint64(src.NumRows()))
+	first, last := src.Ends()
+	for _, v := range first {
+		wf(v)
+	}
+	for _, v := range last {
+		wf(v)
 	}
 	return h.Sum64()
 }
 
-// ViewFingerprint is the Fingerprint of a view over attrs of tab,
+// ViewFingerprint is the Fingerprint of a view over attrs of src,
 // without building it: the table fingerprint combined with the ordered
 // exploration attributes, so two views agree iff they project the same
 // data onto the same attributes.
-func ViewFingerprint(tab *dataset.Table, attrs []string) string {
+func ViewFingerprint(src dataset.Source, attrs []string) string {
 	h := fnv.New64a()
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], TableFingerprint(tab))
+	binary.LittleEndian.PutUint64(b[:], TableFingerprint(src))
 	h.Write(b[:])
 	for _, a := range attrs {
 		io.WriteString(h, a)

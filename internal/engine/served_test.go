@@ -78,16 +78,28 @@ func ServedBatch(dims int, rng *rand.Rand) []ShardBatchItem {
 // rows, order and examined counts — on a table with NaN columns, a
 // sparse one with empty cells, and an empty one. With every shard
 // served, a NewRemoteView over the served backends also answers whole
-// batches and moves Stats exactly as the sharded full view does.
+// batches and moves Stats exactly as the sharded full view does. The
+// SDSS shards are also built from SDSSSource, the stream a worker reads
+// instead of the table.
 func TestServedShardsMatchFullView(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	sdss := dataset.GenerateSDSS(40, 2)
-	tables := map[string]*dataset.Table{
-		"nan":    randomColumnarTable(3, 2000, rng, true),
-		"sparse": sdss,
-		"empty":  sdss.Subset("empty", nil),
+	type build struct {
+		tab *dataset.Table // the full view's table
+		src dataset.Source // what the served shards are built from
 	}
-	for name, tab := range tables {
+	builds := map[string]build{
+		"nan":           {randomColumnarTable(3, 2000, rng, true), nil},
+		"sparse":        {sdss, nil},
+		"sparse-stream": {sdss, dataset.SDSSSource(40, 2)},
+		"sdss-stream":   {dataset.GenerateSDSS(3000, 5), dataset.SDSSSource(3000, 5)},
+		"empty":         {sdss.Subset("empty", nil), nil},
+	}
+	for name, bd := range builds {
+		tab, src := bd.tab, bd.src
+		if src == nil {
+			src = tab
+		}
 		attrs := tab.Schema().Names()[:3]
 		base, err := NewViewWorkers(tab, attrs, 2)
 		if err != nil {
@@ -109,7 +121,7 @@ func TestServedShardsMatchFullView(t *testing.T) {
 						serve = append(serve, i)
 					}
 				}
-				served, fp, err := NewServedShards(tab, attrs, n, serve)
+				served, fp, err := NewServedShards(src, attrs, n, serve)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,6 +168,36 @@ func checkServedView(t *testing.T, label string, base, sharded *View, served map
 		wq, we := sharded.Stats().Snapshot()
 		if gq, ge := rv.Stats().Snapshot(); gq != wq || ge != we {
 			t.Fatalf("%s trial %d: Stats moved by (%d queries, %d examined), want (%d, %d)", label, trial, gq, ge, wq, we)
+		}
+	}
+}
+
+// TestFingerprintsPinned pins TableFingerprint and ViewFingerprint of
+// GenerateSDSS tables to the values they had when the generator stored
+// its columns row by row, and checks that a worker building from
+// SDSSSource announces the same view fingerprint without a table.
+func TestFingerprintsPinned(t *testing.T) {
+	attrs := []string{"rowc", "colc", "ra", "dec"}
+	for _, c := range []struct {
+		n     int
+		seed  int64
+		table uint64
+		view  string
+	}{
+		{0, 1, 0xc8e6ce19e831be56, "aide-fp1-1b4225c7c68ae518"},
+		{1, 1, 0x5d88d0bd416ae617, "aide-fp1-46b90c8a248b1822"},
+		{1000, 7, 0x18b020a471b6c38d, "aide-fp1-021b230ee894fef3"},
+		{200000, 3, 0xcd02aab087d1fd9b, "aide-fp1-013ba43cd9359a0d"},
+	} {
+		tab := dataset.GenerateSDSS(c.n, c.seed)
+		if got := TableFingerprint(tab); got != c.table {
+			t.Errorf("TableFingerprint(GenerateSDSS(%d, %d)) = %#016x, want %#016x", c.n, c.seed, got, c.table)
+		}
+		if got := ViewFingerprint(tab, attrs); got != c.view {
+			t.Errorf("ViewFingerprint(GenerateSDSS(%d, %d)) = %s, want %s", c.n, c.seed, got, c.view)
+		}
+		if _, got, err := NewServedShards(dataset.SDSSSource(c.n, c.seed), attrs, 2, []int{1}); err != nil || got != c.view {
+			t.Errorf("NewServedShards(SDSSSource(%d, %d)) fingerprint %s (%v), want %s", c.n, c.seed, got, err, c.view)
 		}
 	}
 }

@@ -103,7 +103,7 @@ type ShardOptions struct {
 
 // shard is one cell-range partition of a view's grid. Its grid is the
 // grid of its own cells — cut from a built view's grid (gridIndex.sub)
-// or laid out from the table for a worker (NewServedShards) — so it
+// or laid out from a row stream for a worker (NewServedShards) — so it
 // reads values from nothing but its own slabs. It holds no covering
 // index: the view's serves every topology.
 type shard struct {
@@ -391,36 +391,78 @@ func buildShardSet(v *View, opts ShardOptions) *shardSet {
 }
 
 // NewServedShards builds only the shards listed in serve of the view
-// over attrs of tab split into shards shards, and returns their backends
+// over attrs of src split into shards shards, and returns their backends
 // by index and the view fingerprint: what a shard worker (cmd/aideshard)
 // serves. Each backend answers exactly as the one at its index in
 // NewView(tab, attrs).WithShards(ShardOptions{Shards:
-// shards}).LocalShardBackends(), but nothing else is built: a census
-// counts the rows per cell without storing anything per row, shardCuts
-// cuts the cells from the counts, and only the served cells' rows are
-// laid out and normalized.
-func NewServedShards(tab *dataset.Table, attrs []string, shards int, serve []int) (map[int]ShardBackend, string, error) {
+// shards}).LocalShardBackends() over a table of src's rows, but nothing
+// else is built, and src is read in two passes over the explored
+// columns that hold none of its rows. Pass 1 is the census: rows per
+// cell. shardCuts cuts the cells from the counts, the served shards'
+// slot arrays are sized from them, and pass 2 writes each served row's
+// normalized values straight into its slot. The zonemaps then fold over
+// the slabs.
+func NewServedShards(src dataset.Source, attrs []string, shards int, serve []int) (map[int]ShardBackend, string, error) {
 	if i := slices.IndexFunc(serve, func(i int) bool { return i < 0 || i >= shards }); i >= 0 {
 		return nil, "", fmt.Errorf("engine: shard %d outside [0,%d)", serve[i], shards)
 	}
-	v, err := normalizeView(tab, attrs, 0)
+	cols, norm, err := resolveAttrs(src.Schema(), attrs)
 	if err != nil {
 		return nil, "", err
 	}
-	g := newGridIndex(len(v.cols), tab.NumRows())
-	chunks := g.countCells(v, 0)
-	out := make(map[int]ShardBackend, len(serve))
-	for _, sh := range newShards(g.offsets, shards, func(i, c0, c1 int) *gridIndex {
+	g := newGridIndex(len(cols), src.NumRows())
+	cells := g.numCells()
+	p := make([]float64, len(cols))
+	cellOf := func(vals []float64) int {
+		for d, val := range vals {
+			p[d] = norm.ToNormValue(d, val)
+		}
+		return g.cellOf(p)
+	}
+
+	counts := make([]int32, cells)
+	src.Scan(cols, func(_ int, vals []float64) { counts[cellOf(vals)]++ })
+	g.setOffsets([][]int32{counts})
+
+	dst := make([]*gridIndex, cells) // cell -> the served grid holding it
+	next := make([]int32, cells)     // cell -> its next free slot there
+	built := newShards(g.offsets, shards, func(i, c0, c1 int) *gridIndex {
 		if !slices.Contains(serve, i) {
 			return nil
 		}
-		return g.layout(v, chunks, c0, c1, 0)
-	}) {
+		sg := &gridIndex{dims: g.dims, cellsPerDim: g.cellsPerDim, cellWidth: g.cellWidth, offsets: rebase(g.offsets, c0, c1)}
+		sg.rows = make([]int32, sg.offsets[cells])
+		sg.slabs = make([][]float64, g.dims)
+		for d := range sg.slabs {
+			sg.slabs[d] = make([]float64, len(sg.rows))
+		}
+		for id := c0; id < c1; id++ {
+			dst[id], next[id] = sg, sg.offsets[id]
+		}
+		return sg
+	})
+	src.Scan(cols, func(r int, vals []float64) {
+		id := cellOf(vals)
+		sg := dst[id]
+		if sg == nil {
+			return
+		}
+		s := next[id]
+		next[id]++
+		sg.rows[s] = int32(r)
+		for d, val := range p {
+			sg.slabs[d][s] = val
+		}
+	})
+
+	out := make(map[int]ShardBackend, len(serve))
+	for _, sh := range built {
 		if sh != nil {
+			sh.grid.foldZones(0)
 			out[sh.index] = newLocalShard(sh)
 		}
 	}
-	return out, v.fp, nil
+	return out, ViewFingerprint(src, attrs), nil
 }
 
 // shardCuts cuts the cells whose slot offsets are offsets (len cells+1)

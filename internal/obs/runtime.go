@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -95,6 +97,23 @@ func HeapGoalMB() uint64 { return readUint("/gc/heap/goal:bytes") >> 20 }
 // GCPercent returns the GC percent in force (/gc/gogc:percent): GOGC, or
 // what debug.SetGCPercent last set; -1 when the GC is off.
 func GCPercent() int { return int(int64(readUint("/gc/gogc:percent"))) }
+
+// ProcStatusKB returns field ("VmHWM", "VmRSS", ...) of the Linux
+// process status file at path (/proc/self/status, /proc/<pid>/status),
+// in kB, and false where the file or the field is absent.
+func ProcStatusKB(path, field string) (uint64, bool) {
+	status, err := os.ReadFile(path)
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if rest, ok := strings.CutPrefix(line, field+":"); ok {
+			kb, err := strconv.ParseUint(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(rest), "kB")), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
+}
 
 func readUint(name string) uint64 {
 	s := []metrics.Sample{{Name: name}}

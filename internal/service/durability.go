@@ -111,8 +111,7 @@ func (s *Server) recoverOne(id string) error {
 		if err != nil {
 			continue // checksummed but malformed: skip, like a corrupt record
 		}
-		ls.hist[int(row)] = relevant
-		ls.histN++
+		ls.histPut(int(row), relevant)
 	}
 	// The next compaction waits for SnapshotEvery labels beyond what the
 	// log already holds.

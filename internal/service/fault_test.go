@@ -161,8 +161,8 @@ func TestRecoverCreateRecordWithWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const labels = 30 // three whole iterations, all counted by Status
-	if n := labelLoop(t, c, ctx, id, v, geom.R(30, 45, 50, 65), labels); n != labels {
+	const labels = 25 // two and a half iterations: Status counts the acked labels, not the finished iterations
+	if n := labelLoop(t, c, ctx, id, v, geom.R(0, 60, 0, 60), labels); n != labels {
 		t.Fatalf("labeled %d, want %d", n, labels)
 	}
 	ts.Close()
@@ -222,9 +222,28 @@ func TestRecoverCreateRecordWithWorkers(t *testing.T) {
 		out.status.WaitSeconds = 0
 		return out
 	}
+	// The relevant labels among all 25, and among the 20 the last
+	// finished iteration counted: Status must report the former.
+	var wantRelevant, iterRelevant, n int
+	for _, r := range recs[1:] {
+		if r.Type != durable.RecLabel {
+			continue
+		}
+		if _, rel, err := durable.DecodeLabel(r.Payload); err != nil {
+			t.Fatal(err)
+		} else if rel {
+			wantRelevant++
+		}
+		if n++; n == 20 {
+			iterRelevant = wantRelevant
+		}
+	}
+	if wantRelevant == iterRelevant {
+		t.Fatalf("labels 21-25 hold no relevant row, so Status's relevant count is not checked")
+	}
 	plain, old := recoverFrom(recs[0].Payload), recoverFrom(withWorkers)
-	if plain.status.TotalLabeled != labels {
-		t.Fatalf("recovered %d labels, want %d", plain.status.TotalLabeled, labels)
+	if plain.status.TotalLabeled != labels || plain.status.TotalRelevant != wantRelevant {
+		t.Fatalf("recovered %d labels, %d relevant; want %d, %d", plain.status.TotalLabeled, plain.status.TotalRelevant, labels, wantRelevant)
 	}
 	if !reflect.DeepEqual(old.status, plain.status) {
 		t.Errorf("status differs:\nwith workers: %+v\nwithout:      %+v", old.status, plain.status)

@@ -436,7 +436,8 @@ type labelRequest struct {
 }
 
 // sessionStatus is the progress snapshot handlers serve; the session
-// goroutine replaces it after every iteration.
+// goroutine replaces it after every iteration, and snapshot brings its
+// label counts up to the acked labels.
 type sessionStatus struct {
 	Iteration     int     `json:"iteration"`
 	TotalLabeled  int     `json:"total_labeled"`
@@ -497,6 +498,7 @@ type liveSession struct {
 	histMu       sync.Mutex
 	hist         map[int]bool
 	histN        int
+	histRelevant int    // rows whose latest label in hist is relevant
 	baseSnapshot []byte // latest compaction snapshot; replay starts here
 	compactedAt  int    // histN at the last compaction
 
@@ -524,10 +526,21 @@ func (ls *liveSession) recordLabel(row int, relevant bool) error {
 		}
 	}
 	ls.histMu.Lock()
-	ls.hist[row] = relevant
-	ls.histN++
+	ls.histPut(row, relevant)
 	ls.histMu.Unlock()
 	return nil
+}
+
+// histPut adds one label to the history; the caller holds histMu.
+func (ls *liveSession) histPut(row int, relevant bool) {
+	if ls.hist[row] {
+		ls.histRelevant--
+	}
+	if relevant {
+		ls.histRelevant++
+	}
+	ls.hist[row] = relevant
+	ls.histN++
 }
 
 // histCount returns how many labels were recorded.
@@ -540,10 +553,22 @@ func (ls *liveSession) histCount() int {
 // touch marks the session as active now.
 func (ls *liveSession) touch() { ls.lastActive.Store(time.Now().UnixNano()) }
 
+// snapshot returns the status the last iteration left. When the label
+// history, which records a label before acking it, holds more distinct
+// rows than that iteration counted, TotalLabeled and TotalRelevant are
+// counted from the history instead, so both take in the labels acked
+// since; the other fields stay the iteration's.
 func (ls *liveSession) snapshot() (sessionStatus, error) {
+	ls.histMu.Lock()
+	labeled, relevant := len(ls.hist), ls.histRelevant
+	ls.histMu.Unlock()
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return ls.status, ls.err
+	st := ls.status
+	if labeled > st.TotalLabeled {
+		st.TotalLabeled, st.TotalRelevant = labeled, relevant
+	}
+	return st, ls.err
 }
 
 // CreateSessionRequest is the body of POST /v1/sessions.
