@@ -147,22 +147,37 @@ func main() {
 	if err := srv.Serve(ln); err != nil {
 		fatal("serve", "err", err)
 	}
-	logger.Info("bye")
+	// The serving peak: the high-water mark now covers the build and
+	// every request served since; heap_live_mb is the live heap the last
+	// collection found, and gc_cycles counts the build's cycles too.
+	fields = []any{"heap_live_mb", obs.HeapLiveMB(), "heap_goal_mb", obs.HeapGoalMB(), "gc_cycles", obs.GCCycles()}
+	if kb, ok := obs.ProcStatusKB("/proc/self/status", "VmHWM"); ok {
+		fields = append(fields, "peak_rss_mb", kb>>10)
+	}
+	logger.Info("bye", fields...)
 }
+
+// servingHeapFloor is the GC allowance floor a worker serves under:
+// goal = live + max(4 MiB, 10 % of live). Its serve loop allocates
+// nothing per batch (BenchmarkWorkerBatch in internal/shardrpc), so a
+// small floor costs few collections; the coordinator's 64 MiB one let
+// each remote-3m worker's heap reach twice its 54 MB live before its
+// first serving collection.
+const servingHeapFloor = 4 << 20
 
 // setup builds only the served shards of the view over src and returns
 // their backends and the view fingerprint, leaving the build's scratch
 // (and the table, for a source that is one) unreachable. Its final
 // forced GC returns them to the OS and restarts the GC pacer from what
 // the worker serves, not from the build's peak, and obs.PaceStaticHeap
-// then sizes the GC goal for that static heap.
+// then sizes the GC goal for that static heap over servingHeapFloor.
 func setup(src dataset.Source, attrs []string, shards int, serve []int) (map[int]engine.ShardBackend, string, error) {
 	subset, fp, err := engine.NewServedShards(src, attrs, shards, serve)
 	if err != nil {
 		return nil, "", err
 	}
 	debug.FreeOSMemory()
-	obs.PaceStaticHeap()
+	obs.PaceStaticHeap(servingHeapFloor)
 	return subset, fp, nil
 }
 

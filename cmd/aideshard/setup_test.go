@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -125,5 +126,67 @@ func TestWorkerBuildPeakBounded(t *testing.T) {
 	t.Logf("worker at 600k rows: VmHWM %.1f MB, VmRSS %.1f MB", hwm, rss)
 	if limit := 1.25*rss + 8; hwm > limit {
 		t.Fatalf("worker build peaked at %.1f MB against %.1f MB resident, want <= %.1f", hwm, rss, limit)
+	}
+}
+
+// TestWorkerServingPeakBounded spawns a real worker over 600 k SDSS rows
+// serving 1 of 2 shards and drives batch traffic at it whose garbage, at
+// the ≈ 470 B per count item a serve loop allocating its frames, items
+// and results per batch made, would be four times the worker's resident
+// set. The serving peak must stay within the worker's heap allowance
+// (max(4 MiB, 10 %) over a live heap no larger than that resident set)
+// plus runtime slack. Under GOGC 100 that garbage lets the heap reach
+// about twice live first.
+func TestWorkerServingPeakBounded(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/<pid>/status")
+	}
+	if testing.Short() {
+		t.Skip("spawns a worker process")
+	}
+	if raceEnabled {
+		t.Skip("the race detector inflates the worker's memory past the bound")
+	}
+	const rows, perBatch, bytesPerItem = 600_000, 128, 470
+	attrs := []string{"rowc", "colc", "ra", "dec"}
+	sock := filepath.Join(t.TempDir(), "w.sock")
+	cmd := startWorker(t, sock, "serve", "-sdss", "600000", "-seed", "1", "-attrs", strings.Join(attrs, ","), "-shards", "2", "-serve", "0")
+	status := fmt.Sprintf("/proc/%d/status", cmd.Process.Pid)
+	mb := func(field string) float64 {
+		kb, ok := obs.ProcStatusKB(status, field)
+		if !ok {
+			t.Fatalf("no %s in %s", field, status)
+		}
+		return float64(kb) / 1024
+	}
+	rss := mb("VmRSS")
+
+	client, err := shardrpc.Dial(sock, engine.ViewFingerprint(dataset.SDSSSource(rows, 1), attrs), 2, shardrpc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	b := client.Backends()[0]
+	rng := rand.New(rand.NewSource(1))
+	items := make([]engine.ShardBatchItem, perBatch)
+	batches := int(4*rss*(1<<20)) / (perBatch * bytesPerItem)
+	for i := 0; i < batches; i++ {
+		for k := range items {
+			r := make(geom.Rect, len(attrs))
+			for d := range r {
+				lo := rng.Float64() * 99
+				r[d] = geom.Interval{Lo: lo, Hi: lo + 1}
+			}
+			items[k] = engine.ShardBatchItem{Kind: engine.BatchCount, Rect: r}
+		}
+		if _, err := b.ExecuteBatch(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allowance := max(4, rss/10)
+	hwm := mb("VmHWM")
+	t.Logf("worker at 600k rows: VmRSS %.1f MB at listen, VmHWM %.1f MB after %d batches of %d counts", rss, hwm, batches, perBatch)
+	if limit := rss + allowance + 2; hwm > limit {
+		t.Fatalf("worker serving peak %.1f MB over %.1f MB resident at listen, want <= %.1f (+%.1f MB allowance, +2 MB slack)", hwm, rss, limit, allowance)
 	}
 }

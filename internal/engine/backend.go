@@ -53,10 +53,13 @@ func NewShardSample(examined int64, rows []int32, fullTotal int) ShardSample {
 	return ShardSample{Examined: examined, piece: samplePiece{rows: rows, fullTotal: fullTotal, partTotal: len(rows) - fullTotal}}
 }
 
-// Blocks materializes the piece for the wire: the covered cells' rows as
-// blocks in cell order (never copied from the grid) and the boundary
-// cells' survivors.
-func (s ShardSample) Blocks() (full [][]int32, partial []int32) { return s.piece.blocks() }
+// Blocks materializes the piece for the wire, appending to full the
+// covered cells' rows as blocks in cell order (subslices of the grid or
+// the piece, never copied) and to partial the boundary cells' survivors.
+// An encoder passes its previous buffers back, emptied.
+func (s ShardSample) Blocks(full [][]int32, partial []int32) ([][]int32, []int32) {
+	return s.piece.blocks(full, partial)
+}
 
 // ShardBatchItem is one sub-query of a batched scatter, as shipped to a
 // ShardBackend (and, for remote shards, over shardrpc's opBatch frame
@@ -199,14 +202,26 @@ func (l *localShard) check(it ShardBatchItem) error {
 }
 
 func (l *localShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, error) {
+	return l.ExecuteBatchInto(items, nil)
+}
+
+// ExecuteBatchInto is ExecuteBatch writing into out's storage, grown
+// when it is too short: it returns out resized to len(items) and
+// overwritten. A shard worker passes one slice per connection, so a
+// served batch allocates no result slice; it must be done with out's
+// previous results, and the sample pieces it returns hold the items'
+// rects, so it must also be done with these results before it reuses
+// the items' storage.
+func (l *localShard) ExecuteBatchInto(items []ShardBatchItem, out []ShardBatchResult) ([]ShardBatchResult, error) {
 	for _, it := range items {
 		if err := l.check(it); err != nil {
-			return nil, err
+			return out, err
 		}
 	}
+	out = slices.Grow(out[:0], len(items))[:len(items)]
+	clear(out)
 	// Cancellation is coordinator-side: the scatter discards results it
 	// no longer wants, so the shard pass runs to completion.
-	out := make([]ShardBatchResult, len(items))
 	if len(items) > 0 {
 		if err := batchGridEval(l.sh.grid, context.Background(), items, out); err != nil {
 			return nil, err

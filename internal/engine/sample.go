@@ -159,20 +159,19 @@ func selectBit(w uint64, k int) int {
 	return bits.TrailingZeros64(w)
 }
 
-// blocks materializes the piece in the shape the wire carries: the
-// covered rows as blocks (subslices of the grid for a lazy piece, never
-// copied) and the survivors as one list.
-func (p *samplePiece) blocks() (full [][]int32, partial []int32) {
+// blocks materializes the piece in the shape the wire carries,
+// appending to full the covered rows as blocks (subslices of the grid
+// for a lazy piece, of rows for a rows piece, never copied) and to
+// partial the survivors.
+func (p *samplePiece) blocks(full [][]int32, partial []int32) ([][]int32, []int32) {
 	if p.rect == nil {
 		if p.fullTotal > 0 {
-			full = [][]int32{p.rows[:p.fullTotal]}
+			full = append(full, p.rows[:p.fullTotal])
 		}
-		return full, p.rows[p.fullTotal:]
+		return full, append(partial, p.rows[p.fullTotal:]...)
 	}
 	g := p.g
-	if p.partTotal > 0 {
-		partial = make([]int32, 0, p.partTotal)
-	}
+	partial = slices.Grow(partial, p.partTotal)
 	var words []uint64
 	p.walk(func(slo, shi int32) bool {
 		full = append(full, g.rows[slo:shi])

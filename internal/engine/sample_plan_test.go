@@ -182,7 +182,7 @@ func (w *wireShard) ExecuteBatch(items []ShardBatchItem) ([]ShardBatchResult, er
 		if items[k].Kind != BatchSample {
 			continue
 		}
-		full, partial := out[k].Sample.Blocks()
+		full, partial := out[k].Sample.Blocks(nil, nil)
 		var rows []int32
 		for _, b := range full {
 			rows = append(rows, b...)

@@ -36,7 +36,7 @@ func ShardAnswers(tb testing.TB, b ShardBackend, items []ShardBatchItem) []Shard
 		a.Count, a.Rows = r.Count, r.Rows
 		a.Rows.Rows = nilIfEmpty(a.Rows.Rows)
 		if items[k].Kind == BatchSample {
-			full, partial := r.Sample.Blocks()
+			full, partial := r.Sample.Blocks(nil, nil)
 			for _, blk := range full {
 				a.Full = append(a.Full, blk...)
 			}

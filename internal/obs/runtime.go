@@ -94,6 +94,10 @@ func HeapLiveMB() uint64 { return readUint("/gc/heap/live:bytes") >> 20 }
 // MB (/gc/heap/goal:bytes).
 func HeapGoalMB() uint64 { return readUint("/gc/heap/goal:bytes") >> 20 }
 
+// GCCycles returns the GC cycles the process has completed
+// (/gc/cycles/total:gc-cycles), forced ones included.
+func GCCycles() uint64 { return readUint("/gc/cycles/total:gc-cycles") }
+
 // GCPercent returns the GC percent in force (/gc/gogc:percent): GOGC, or
 // what debug.SetGCPercent last set; -1 when the GC is off.
 func GCPercent() int { return int(int64(readUint("/gc/gogc:percent"))) }
@@ -121,33 +125,32 @@ func readUint(name string) uint64 {
 	return s[0].Value.Uint64()
 }
 
-// staticHeapAllowance is the garbage PaceStaticHeap lets a heap of at
-// least this size gather between GC cycles; smaller heaps keep GOGC 100.
-const staticHeapAllowance = 64 << 20
-
 // PaceStaticHeap sets the GC for a process whose heap is almost all data
-// built at setup and kept for good — a view's index, a worker's shards.
-// At the default GOGC 100 the GC lets such a heap double before its next
-// cycle, so peak RSS is twice what the process holds. Call it at the end
-// of setup, right after the forced collection (debug.FreeOSMemory) that
-// leaves the live heap at what the process serves from: it sets the GC
-// percent to staticHeapPercent of that live heap, so the goal becomes
-// live + max(64 MiB, 10 %). An operator's GOGC or GOMEMLIMIT in the
-// environment wins: then the GC is left as the operator set it.
-func PaceStaticHeap() {
+// built at setup and kept for good — a coordinator's table and view, a
+// worker's shards. At the default GOGC 100 the GC lets such a heap
+// double before its next cycle, so peak RSS is twice what the process
+// holds. Call it at the end of setup, right after the forced collection
+// (debug.FreeOSMemory) that leaves the live heap at what the process
+// serves from: it sets the GC percent to staticHeapPercent of that live
+// heap, so the goal becomes live + max(floor, 10 %), or GOGC 100's
+// 2 × live when that is smaller. floor is the garbage worth letting the
+// serving loop pile up between cycles, which the caller measures: the
+// more it allocates per request, the more CPU a small floor costs in
+// collections. An operator's GOGC or GOMEMLIMIT in the environment wins:
+// then the GC is left as the operator set it.
+func PaceStaticHeap(floor uint64) {
 	if os.Getenv("GOGC") != "" || os.Getenv("GOMEMLIMIT") != "" {
 		return
 	}
-	debug.SetGCPercent(staticHeapPercent(readUint("/gc/heap/live:bytes")))
+	debug.SetGCPercent(staticHeapPercent(readUint("/gc/heap/live:bytes"), floor))
 }
 
 // staticHeapPercent is the GC percent whose goal over a live heap of
-// live bytes is live + staticHeapAllowance: ⌈100·64 MiB / live⌉,
-// clamped to [10, 100] — GOGC 100 up to 64 MiB live, a 10 % allowance
-// from 640 MiB on.
-func staticHeapPercent(live uint64) int {
+// live bytes is live + floor: ⌈100·floor / live⌉, clamped to [10, 100]
+// — GOGC 100 up to floor live, a 10 % allowance from 10·floor on.
+func staticHeapPercent(live, floor uint64) int {
 	if live == 0 {
 		return 100
 	}
-	return int(min(max((100*staticHeapAllowance+live-1)/live, 10), 100))
+	return int(min(max((100*floor+live-1)/live, 10), 100))
 }

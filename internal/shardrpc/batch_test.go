@@ -105,7 +105,7 @@ func TestBatchRejectsOversizedItemCounts(t *testing.T) {
 	// tail) must be rejected before any allocation proportional to it.
 	e := &enc{}
 	e.u32(uint32(maxBatchItems + 1))
-	if _, err := decodeBatchItems(&dec{b: e.b}); err == nil {
+	if _, err := new(itemStore).decode(&dec{b: e.b}); err == nil {
 		t.Fatal("decoder accepted an oversized item count")
 	}
 }
@@ -146,7 +146,7 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		decoded, err := decodeBatchItems(&dec{b: payload})
+		decoded, err := new(itemStore).decode(&dec{b: payload})
 		if err == nil {
 			if len(decoded) > maxBatchItems {
 				t.Fatalf("decoder exceeded maxBatchItems: %d", len(decoded))
@@ -158,7 +158,7 @@ func FuzzBatchCodec(f *testing.F) {
 			if err := encodeBatchItems(re, decoded); err != nil {
 				t.Fatalf("re-encode of decoded items failed: %v", err)
 			}
-			again, err := decodeBatchItems(&dec{b: re.b})
+			again, err := new(itemStore).decode(&dec{b: re.b})
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded items failed: %v", err)
 			}
@@ -217,7 +217,7 @@ func (fx *fuzzFixture) check(t *testing.T, items []engine.ShardBatchItem) {
 		if err := encodeBatchItems(e, items); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := fx.srv.handle(opBatch, e.b)
+		resp, err := fx.srv.handle(new(connState), opBatch, e.b)
 		if err != nil {
 			if strings.Contains(err.Error(), "panicked") {
 				t.Fatalf("shard %d: worker panicked on a decoded batch: %v", shard, err)

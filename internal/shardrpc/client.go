@@ -257,8 +257,8 @@ func (c *Client) exchange(conn net.Conn, shard int, op byte, payload []byte) (ro
 	if err := faultinject.Err(wpt); err != nil {
 		return 0, nil, fmt.Errorf("shardrpc: write: %w", err)
 	}
-	body := append([]byte{op}, payload...)
-	if k, torn := faultinject.ShortWrite(wpt, len(body)); torn {
+	if k, torn := faultinject.ShortWrite(wpt, 1+len(payload)); torn {
+		body := append([]byte{op}, payload...)
 		e := &enc{}
 		e.u32(uint32(len(body)))
 		e.u32(crcOf(body))

@@ -116,8 +116,8 @@ func TestWorkerRejectsMalformedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFull, gotPart := got[2].Sample.Blocks()
-	wantFull, wantPart := want[2].Sample.Blocks()
+	gotFull, gotPart := got[2].Sample.Blocks(nil, nil)
+	wantFull, wantPart := want[2].Sample.Blocks(nil, nil)
 	if got[0].Count != want[0].Count || !reflect.DeepEqual(got[1].Rows, want[1].Rows) ||
 		!reflect.DeepEqual(slices.Concat(append(gotFull, gotPart)...), slices.Concat(append(wantFull, wantPart)...)) ||
 		len(want[3].Rows.Rows) == 0 || !reflect.DeepEqual(got[3].Rows, want[3].Rows) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"unsafe"
 
 	"github.com/explore-by-example/aide/internal/engine"
 )
@@ -112,99 +113,153 @@ func (s *Server) Close() {
 // the protocol never resyncs inside a stream.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	c := new(connState)
 	for {
-		op, payload, err := readFrame(conn)
+		op, payload, frame, err := readFrameInto(conn, c.frame)
+		c.frame = frame
 		if err != nil {
 			return
 		}
-		resp, err := s.handle(op, payload)
-		if err != nil {
-			e := &enc{}
-			e.str(err.Error())
-			if writeFrame(conn, opErr, e.b) != nil {
-				return
-			}
-			continue
+		rop := byte(opOK)
+		if _, err := s.handle(c, op, payload); err != nil {
+			rop = opErr
+			c.out.begin()
+			c.out.str(err.Error())
 		}
-		if writeFrame(conn, opOK, resp) != nil {
+		if _, err := conn.Write(c.out.seal(rop)); err != nil {
 			return
 		}
+		c.trim()
 	}
 }
 
-// handle dispatches one request. A returned error becomes an opErr
-// response; the connection stays usable (the request was well-framed,
-// merely unserviceable). The backends reject what they cannot evaluate;
-// a panic that slips past them still costs only this request, never the
-// worker and every shard it serves.
-func (s *Server) handle(op byte, payload []byte) (resp []byte, err error) {
+// connState is one connection's serving scratch, reused request after
+// request so a served batch allocates next to nothing: the request
+// frame, the batch decoded from it, the shard's results and the
+// response frame. Every request overwrites what the previous one left,
+// so nothing decoded outlives the request it served.
+type connState struct {
+	frame   []byte
+	items   itemStore
+	results []engine.ShardBatchResult
+	out     enc
+}
+
+// maxKeptBytes caps each buffer a connection keeps between requests:
+// one a large frame grew past it is dropped, so an idle connection
+// holds about a typical batch's worth, not its largest one's.
+const maxKeptBytes = 64 << 10
+
+// trim drops every scratch buffer grown past maxKeptBytes.
+func (c *connState) trim() {
+	c.frame = keep(c.frame)
+	c.items.items, c.items.ivs, c.items.rects = keep(c.items.items), keep(c.items.ivs), keep(c.items.rects)
+	c.results = keep(c.results)
+	c.out.b, c.out.full, c.out.partial = keep(c.out.b), keep(c.out.full), keep(c.out.partial)
+}
+
+func keep[T any](s []T) []T {
+	var zero T
+	if cap(s)*int(unsafe.Sizeof(zero)) > maxKeptBytes {
+		return nil
+	}
+	return s
+}
+
+// batchInto is the optional ShardBackend method an in-process shard
+// (engine's local shard) implements: ExecuteBatch writing its results
+// into the caller's slice. The server hands it the connection's.
+type batchInto interface {
+	ExecuteBatchInto(items []engine.ShardBatchItem, out []engine.ShardBatchResult) ([]engine.ShardBatchResult, error)
+}
+
+// handle dispatches one request and encodes its answer into c.out, as
+// the payload of a frame begun there; it returns that payload. A
+// returned error becomes an opErr response; the connection stays usable
+// (the request was well-framed, merely unserviceable). The backends
+// reject what they cannot evaluate; a panic that slips past them still
+// costs only this request, never the worker and every shard it serves.
+func (s *Server) handle(c *connState, op byte, payload []byte) (resp []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, fmt.Errorf("shardrpc: op %d panicked: %v", op, r)
 		}
 	}()
+	c.out.begin()
 	d := &dec{b: payload}
 	switch op {
 	case opHello:
-		return s.handleHello(d)
+		err = s.handleHello(d, &c.out)
 	case opBatch:
-		return s.handleBatch(d)
+		err = s.handleBatch(d, c)
+	default:
+		if name, ok := retiredOps[op]; ok {
+			return nil, fmt.Errorf("shardrpc: op %d (%s) retired at protocol version 4; send it as a batch item", op, name)
+		}
+		return nil, fmt.Errorf("shardrpc: unknown op %d", op)
 	}
-	if name, ok := retiredOps[op]; ok {
-		return nil, fmt.Errorf("shardrpc: op %d (%s) retired at protocol version 4; send it as a batch item", op, name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("shardrpc: unknown op %d", op)
+	return c.out.b[headerSize+1:], nil
 }
 
-// handleBatch answers one shard's batch of sub-queries.
-func (s *Server) handleBatch(d *dec) ([]byte, error) {
+// handleBatch answers one shard's batch of sub-queries. The results
+// are encoded, then cleared, before the request ends: a row buffer or a
+// sample plan over the batch's rects never outlives it.
+func (s *Server) handleBatch(d *dec, c *connState) error {
 	shard := int(d.u32())
 	b, okShard := s.backends[shard]
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if !okShard {
-		return nil, fmt.Errorf("shardrpc: shard %d not served here", shard)
+		return fmt.Errorf("shardrpc: shard %d not served here", shard)
 	}
-	items, err := decodeBatchItems(d)
+	items, err := c.items.decode(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	results, err := b.ExecuteBatch(items)
+	var results []engine.ShardBatchResult
+	if bi, ok := b.(batchInto); ok {
+		results, err = bi.ExecuteBatchInto(items, c.results)
+		c.results = results
+		defer clear(results)
+	} else {
+		results, err = b.ExecuteBatch(items)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(results) != len(items) {
-		return nil, fmt.Errorf("shardrpc: backend answered %d results for %d items", len(results), len(items))
+		return fmt.Errorf("shardrpc: backend answered %d results for %d items", len(results), len(items))
 	}
-	e := &enc{}
-	encodeBatchResults(e, items, results)
-	return e.b, nil
+	encodeBatchResults(&c.out, items, results)
+	return nil
 }
 
 // handleHello validates the client's (version, fingerprint, total
 // shards) tuple and announces the served shards.
-func (s *Server) handleHello(d *dec) ([]byte, error) {
+func (s *Server) handleHello(d *dec, e *enc) error {
 	version := d.u32()
 	fp := d.str()
 	total := int(d.u32())
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if version != protocolVersion {
-		return nil, fmt.Errorf("shardrpc: protocol version %d, want %d", version, protocolVersion)
+		return fmt.Errorf("shardrpc: protocol version %d, want %d", version, protocolVersion)
 	}
 	if fp != s.fp {
-		return nil, fmt.Errorf("shardrpc: view fingerprint %s, worker serves %s", fp, s.fp)
+		return fmt.Errorf("shardrpc: view fingerprint %s, worker serves %s", fp, s.fp)
 	}
 	if total != s.total {
-		return nil, fmt.Errorf("shardrpc: %d total shards, worker built %d", total, s.total)
+		return fmt.Errorf("shardrpc: %d total shards, worker built %d", total, s.total)
 	}
-	e := &enc{}
 	e.u32(uint32(len(s.backends)))
 	for i, b := range s.backends {
 		e.u32(uint32(i))
 		e.u64(uint64(b.NumRows()))
 	}
-	return e.b, nil
+	return nil
 }

@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/explore-by-example/aide/internal/engine"
 	"github.com/explore-by-example/aide/internal/geom"
@@ -72,39 +73,65 @@ func crcOf(body []byte) uint32 { return crc32.ChecksumIEEE(body) }
 
 // writeFrame writes one [len][crc][op][payload] frame.
 func writeFrame(w io.Writer, op byte, payload []byte) error {
-	buf := make([]byte, headerSize+1+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(1+len(payload)))
-	buf[8] = op
-	copy(buf[9:], payload)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
-	_, err := w.Write(buf)
+	e := &enc{b: make([]byte, headerSize+1, headerSize+1+len(payload))}
+	e.b = append(e.b, payload...)
+	_, err := w.Write(e.seal(op))
 	return err
 }
 
 // readFrame reads one frame, verifying the length bound and CRC. Any
 // error poisons the connection: the caller must close it.
 func readFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > maxFrameSize {
-		return 0, nil, fmt.Errorf("shardrpc: frame length %d out of range", length)
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	if got := crc32.ChecksumIEEE(body); got != crc {
-		return 0, nil, fmt.Errorf("shardrpc: frame CRC mismatch (corrupt or torn frame)")
-	}
-	return body[0], body[1:], nil
+	op, payload, _, err = readFrameInto(r, nil)
+	return op, payload, err
 }
 
-// enc is a little append-based encoder for frame payloads.
-type enc struct{ b []byte }
+// readFrameInto is readFrame reading the frame into buf's storage,
+// grown when the frame does not fit: it returns the payload, a
+// subslice of the returned buffer, valid until that buffer's next use.
+func readFrameInto(r io.Reader, buf []byte) (op byte, payload, grown []byte, err error) {
+	buf = slices.Grow(buf[:0], headerSize)[:headerSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, buf, err
+	}
+	length := binary.LittleEndian.Uint32(buf[0:4])
+	crc := binary.LittleEndian.Uint32(buf[4:8])
+	if length == 0 || length > maxFrameSize {
+		return 0, nil, buf, fmt.Errorf("shardrpc: frame length %d out of range", length)
+	}
+	body := slices.Grow(buf[:0], int(length))[:length]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, body, err
+	}
+	if got := crc32.ChecksumIEEE(body); got != crc {
+		return 0, nil, body, fmt.Errorf("shardrpc: frame CRC mismatch (corrupt or torn frame)")
+	}
+	return body[0], body[1:], body, nil
+}
+
+// enc is a little append-based encoder for frame payloads. One that
+// builds a whole frame starts with begin, which reserves the header and
+// op byte, and ends with seal, which fills them in: the payload is
+// encoded in place, never copied into a frame.
+type enc struct {
+	b []byte
+	// full and partial are sample's scratch for one piece's blocks,
+	// reused by every sample one encoder writes.
+	full    [][]int32
+	partial []int32
+}
+
+// begin empties e down to a reserved frame header and op byte.
+func (e *enc) begin() { e.b = append(e.b[:0], make([]byte, headerSize+1)...) }
+
+// seal completes the frame begin started, for op, and returns it:
+// length = 1 + payload, CRC over op byte plus payload.
+func (e *enc) seal(op byte) []byte {
+	e.b[headerSize] = op
+	binary.LittleEndian.PutUint32(e.b[0:4], uint32(len(e.b)-headerSize))
+	binary.LittleEndian.PutUint32(e.b[4:8], crc32.ChecksumIEEE(e.b[headerSize:]))
+	return e.b
+}
 
 func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
@@ -127,7 +154,8 @@ func (e *enc) rect(r geom.Rect) {
 // row blocks, then the boundary-cell survivors. A lazy piece is
 // materialized here — the wire carries rows.
 func (e *enc) sample(s engine.ShardSample) {
-	full, partial := s.Blocks()
+	full, partial := s.Blocks(e.full[:0], e.partial[:0])
+	e.full, e.partial = full, partial
 	e.i64(s.Examined)
 	e.u32(uint32(len(full)))
 	for _, blk := range full {
@@ -223,17 +251,18 @@ func (d *dec) count(elemSize int) int {
 	return n
 }
 
-func (d *dec) rect() geom.Rect {
+// rect decodes one rect into the flat interval store ivs and returns
+// it, cut from the grown store at its own length and capacity.
+func (d *dec) rect(ivs []geom.Interval) (geom.Rect, []geom.Interval) {
 	n := d.count(16)
 	if n == 0 {
-		return nil
+		return nil, ivs
 	}
-	r := make(geom.Rect, n)
-	for i := range r {
-		r[i].Lo = d.f64()
-		r[i].Hi = d.f64()
+	at := len(ivs)
+	for i := 0; i < n; i++ {
+		ivs = append(ivs, geom.Interval{Lo: d.f64(), Hi: d.f64()})
 	}
-	return r
+	return geom.Rect(ivs[at:len(ivs):len(ivs)]), ivs
 }
 
 func (d *dec) rows32() []int {
@@ -334,8 +363,20 @@ func encodeBatchItems(e *enc, items []engine.ShardBatchItem) error {
 	return nil
 }
 
-// decodeBatchItems is the bounded inverse of encodeBatchItems.
-func decodeBatchItems(d *dec) ([]engine.ShardBatchItem, error) {
+// itemStore holds one decoded batch: its items, the one flat interval
+// store every rect of theirs is cut from, and the flat store RowsAny
+// items' rect lists are cut from. A store decodes batch after batch
+// into the same storage, so each decode overwrites what the previous
+// one returned.
+type itemStore struct {
+	items []engine.ShardBatchItem
+	ivs   []geom.Interval
+	rects []geom.Rect
+}
+
+// decode decodes one batch into the store and returns its items: the
+// bounded inverse of encodeBatchItems.
+func (s *itemStore) decode(d *dec) ([]engine.ShardBatchItem, error) {
 	n := int(d.u32())
 	if d.err != nil {
 		return nil, d.err
@@ -343,22 +384,26 @@ func decodeBatchItems(d *dec) ([]engine.ShardBatchItem, error) {
 	if n < 0 || n > maxBatchItems {
 		return nil, fmt.Errorf("shardrpc: batch item count %d out of range [0,%d]", n, maxBatchItems)
 	}
-	items := make([]engine.ShardBatchItem, 0, n)
+	items, ivs, rects := slices.Grow(s.items[:0], n), s.ivs[:0], s.rects[:0]
 	for i := 0; i < n; i++ {
 		switch kind := d.u8(); kind {
 		case batchWireCount, batchWireRows, batchWireSample:
-			items = append(items, engine.ShardBatchItem{Kind: engine.BatchKind(kind), Rect: d.rect()})
+			var r geom.Rect
+			r, ivs = d.rect(ivs)
+			items = append(items, engine.ShardBatchItem{Kind: engine.BatchKind(kind), Rect: r})
 		case batchWireRowsAny:
 			// Bounded like the item count: each rect costs at least its
 			// 4-byte arity, and no more than maxBatchItems ride one item.
-			if n := d.count(4); n <= maxBatchItems {
-				it := engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: make([]geom.Rect, n)}
-				for r := range it.Rects {
-					it.Rects[r] = d.rect()
+			if m := d.count(4); m <= maxBatchItems {
+				at := len(rects)
+				for r := 0; r < m; r++ {
+					var rect geom.Rect
+					rect, ivs = d.rect(ivs)
+					rects = append(rects, rect)
 				}
-				items = append(items, it)
+				items = append(items, engine.ShardBatchItem{Kind: engine.BatchRowsAny, Rects: rects[at:len(rects):len(rects)]})
 			} else if d.err == nil {
-				d.err = fmt.Errorf("shardrpc: batch item of %d rects exceeds %d", n, maxBatchItems)
+				d.err = fmt.Errorf("shardrpc: batch item of %d rects exceeds %d", m, maxBatchItems)
 			}
 		default:
 			if d.err == nil {
@@ -369,6 +414,7 @@ func decodeBatchItems(d *dec) ([]engine.ShardBatchItem, error) {
 			return nil, d.err
 		}
 	}
+	s.items, s.ivs, s.rects = items, ivs, rects
 	return items, nil
 }
 
